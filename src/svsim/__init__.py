@@ -1,8 +1,8 @@
 """Cycle-level simulator and scheduling framework for systolic-vector
 accelerators serving multi-tenant DNN inference."""
 
-from .costs import (TaskCost, TimeEstimate, mem_transfer_cycles,
-                    systolic_cycles, task_cycles, vector_cycles)
+from .costs import (TaskCost, mem_transfer_cycles, systolic_cycles,
+                    task_cycles, vector_cycles)
 from .hardware import (ClusterConfig, HardwareConfig, PhysicalModel,
                        SystolicArraySpec, VectorProcessorSpec, energy_of,
                        load_hw_config, make_cluster, make_hw,

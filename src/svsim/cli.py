@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 runtime error, 2 bad usage or config,
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import os
@@ -81,9 +82,9 @@ def _cmd_simulate(args) -> int:
     try:
         trace, report = simulation.run(workload, hw, scheduler=args.scheduler,
                                        seed=args.seed, alpha=args.alpha)
-    except (CapacityDeadlock, UnpartitionableLayer) as e:
-        print(f"deadlock: {e}", file=sys.stderr)
-        return EXIT_DEADLOCK
+    except models.ModelError as e:  # a model name or parameter in the manifest
+        print(f"error: bad input: {e}", file=sys.stderr)
+        return EXIT_USAGE
     with open(os.path.join(args.out, "report.json"), "w") as f:
         json.dump({**report.__dict__,
                    "utilization": report.utilization,
@@ -104,39 +105,48 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+# the full single-cluster space; configs/sweep_single_cluster.json spells it out
+SWEEP_DEFAULTS = {
+    "arrays": [[8, 16], [2, 32], [4, 32], [8, 32], [2, 64], [4, 64]],
+    "vectors": [[8, 16], [4, 32], [8, 32], [2, 64], [4, 64], [8, 64]],
+    "shared_mem_mb": [45, 65, 105],
+    "clusters": [1],
+    "clock_mhz": 800,
+    "hbm_gbps": 256,
+    "hbm_latency_cycles": 100,
+    "scheduler": "has",
+    "workload_suite": {},
+}
+
+
 def load_sweep_spec(source) -> dict:
+    """A sweep spec from a JSON path or dict, over ``SWEEP_DEFAULTS``; the
+    caller's dict is left as it was."""
     if isinstance(source, dict):
         doc = source
     else:
         with open(source) as f:
             doc = json.load(f)
-    doc.setdefault("arrays", [[8, 16], [2, 32], [4, 32], [8, 32], [2, 64], [4, 64]])
-    doc.setdefault("vectors", [[8, 16], [4, 32], [8, 32], [2, 64], [4, 64], [8, 64]])
-    doc.setdefault("shared_mem_mb", [45, 65, 105])
-    doc.setdefault("clusters", [1])
-    doc.setdefault("clock_mhz", 800)
-    doc.setdefault("hbm_gbps", 256)
-    doc.setdefault("hbm_latency_cycles", 100)
-    doc.setdefault("scheduler", "has")
-    doc.setdefault("workload_suite", {})
-    return doc
+    return {**copy.deepcopy(SWEEP_DEFAULTS), **doc}
 
 
 def sweep_configs(spec: dict) -> list[dict]:
-    """Cartesian product of the hardware axes; 6 x 6 x 3 = 108 per cluster count."""
+    """Cartesian product of the hardware axes; 6 x 6 x 3 = 108 per cluster
+    count.  Each point is a label and its ``load_hw_config`` document."""
     out = []
     for nc in spec["clusters"]:
         for na, dim in spec["arrays"]:
             for nv, lanes in spec["vectors"]:
                 for sm in spec["shared_mem_mb"]:
+                    cluster = {"arrays": [{"dim": dim}] * na,
+                               "vectors": [{"lanes": lanes}] * nv,
+                               "shared_mem_mb": sm}
                     out.append({
                         "label": f"a{na}x{dim}_v{nv}x{lanes}_sm{sm}_c{nc}",
-                        "num_clusters": nc, "num_arrays": na, "array_dim": dim,
-                        "num_vectors": nv, "vector_lanes": lanes,
-                        "shared_mem_mb": sm,
-                        "clock_mhz": spec["clock_mhz"],
-                        "hbm_gbps": spec["hbm_gbps"],
-                        "hbm_latency_cycles": spec["hbm_latency_cycles"],
+                        "hw": {"clock_mhz": spec["clock_mhz"],
+                               "hbm_gbps": spec["hbm_gbps"],
+                               "hbm_latency_cycles": spec["hbm_latency_cycles"],
+                               "clusters": [cluster] * nc},
                     })
     return out
 
@@ -149,20 +159,9 @@ def sweep_workloads(spec: dict) -> list[workloads.Workload]:
         model_params=ws.get("model_params"))
 
 
-def _config_to_hw(cfg: dict) -> hardware.HardwareConfig:
-    clock_hz = cfg["clock_mhz"] * 1e6
-    cluster = hardware.make_cluster(
-        cfg["num_arrays"], cfg["array_dim"], cfg["num_vectors"],
-        cfg["vector_lanes"], cfg["shared_mem_mb"], clock_hz=clock_hz)
-    return hardware.make_hw(cfg["num_clusters"], cluster,
-                            hbm_gbps=cfg["hbm_gbps"],
-                            hbm_latency_cycles=cfg["hbm_latency_cycles"],
-                            clock_hz=clock_hz)
-
-
 def run_sweep_point(cfg: dict, workload: workloads.Workload,
                     scheduler: str) -> dict:
-    hw = _config_to_hw(cfg)
+    hw = hardware.load_hw_config(cfg["hw"])
     _, report = simulation.run(workload, hw, scheduler=scheduler)
     return {"config": cfg["label"], "workload": workload.name,
             "cnn_ratio": workload.cnn_ratio, "seed": workload.seed,
@@ -312,6 +311,13 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _alpha(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="svsim",
                                 description="systolic-vector accelerator simulator")
@@ -336,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--hw", required=True)
     s.add_argument("--scheduler", choices=("rr", "has"), default="has")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--alpha", type=float, default=0.5)
+    s.add_argument("--alpha", type=_alpha, default=0.5,
+                   help="working-set budget per task, a fraction in (0, 1] "
+                        "of shared memory")
     s.add_argument("--out", default=os.environ.get("SVSIM_OUT", "out"))
     s.set_defaults(fn=_cmd_simulate)
 

@@ -33,24 +33,6 @@ class UnsupportedOp(Exception):
 
 
 @dataclass(frozen=True)
-class TimeEstimate:
-    """The start-time components and resulting window of one placement."""
-
-    t_mem: int
-    t_task: int
-    t_proc: int
-    t_comp: int
-
-    @property
-    def t_start(self) -> int:
-        return max(self.t_mem, self.t_task, self.t_proc)
-
-    @property
-    def t_end(self) -> int:
-        return self.t_start + self.t_comp
-
-
-@dataclass(frozen=True)
 class TaskCost:
     """Work and footprint of a layer or sub-layer slice."""
 
@@ -63,11 +45,6 @@ class TaskCost:
     param_bytes: int = 0
     act_in_bytes: int = 0
     act_out_bytes: int = 0
-
-    @property
-    def total_ops(self) -> int:
-        """Operation count as throughput accounting sees it (2 ops/MAC)."""
-        return 2 * self.macs + sum(self.vector_counts.values())
 
 
 _VECTOR_KIND_FOR_OP = {
@@ -147,10 +124,3 @@ def mem_transfer_cycles(num_bytes: int, hw: HardwareConfig) -> int:
         raise ValueError("transfer size must be non-negative")
     return hw.hbm_latency_cycles + math.ceil(
         num_bytes * hw.clock_hz / hw.hbm_bandwidth_bytes_per_s)
-
-
-def transfer_payload_cycles(num_bytes: int, hw: HardwareConfig) -> int:
-    """Bandwidth term only, used when several transfers share one latency."""
-    if num_bytes <= 0:
-        return 0
-    return math.ceil(num_bytes * hw.clock_hz / hw.hbm_bandwidth_bytes_per_s)

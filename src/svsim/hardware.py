@@ -32,19 +32,10 @@ class UndefinedOpForProcessor(Exception):
 class SystolicArraySpec:
     dim: int
     clock_hz: float = 800e6
-    input_buffer_bytes: int = 0  # dim x 2 KB unless overridden
-    weight_buffer_bytes: int = 0
-    output_buffer_bytes: int = 0  # dim x 4 KB unless overridden
 
     def __post_init__(self):
         if self.dim not in SUPPORTED_DIMS:
             raise ConfigError(f"unsupported systolic array dim {self.dim}")
-        if not self.input_buffer_bytes:
-            object.__setattr__(self, "input_buffer_bytes", self.dim * 2048)
-        if not self.weight_buffer_bytes:
-            object.__setattr__(self, "weight_buffer_bytes", self.dim * 2048)
-        if not self.output_buffer_bytes:
-            object.__setattr__(self, "output_buffer_bytes", self.dim * 4096)
 
     @property
     def peak_gops(self) -> float:
@@ -55,13 +46,10 @@ class SystolicArraySpec:
 class VectorProcessorSpec:
     lanes: int
     clock_hz: float = 800e6
-    io_buffer_bytes: int = 0
 
     def __post_init__(self):
         if self.lanes not in SUPPORTED_DIMS:
             raise ConfigError(f"unsupported vector lane count {self.lanes}")
-        if not self.io_buffer_bytes:
-            object.__setattr__(self, "io_buffer_bytes", self.lanes * 2048)
 
     @property
     def peak_gops(self) -> float:
@@ -112,10 +100,6 @@ class HardwareConfig:
             raise ConfigError("hbm bandwidth must be positive")
         if self.clock_hz <= 0:
             raise ConfigError("clock must be positive")
-
-
-# energy table keys for vector processors
-VECTOR_ENERGY_KINDS = ("mac", "pooling", "lut", "reduction", "softmax", "etc")
 
 
 @dataclass(frozen=True)

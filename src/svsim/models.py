@@ -120,9 +120,6 @@ class ModelGraph:
     def total_macs(self) -> int:
         return sum(layer_macs(l) for l in self.layers)
 
-    def layer(self, layer_id: int) -> LayerNode:
-        return self.layers[layer_id]
-
 
 def layer_macs(layer: LayerNode) -> int:
     """Multiply-accumulate count of a matrix layer, 0 for everything else."""

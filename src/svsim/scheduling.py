@@ -251,7 +251,6 @@ class Processor:
     spec: object
     index: int
     busy_until: int = 0
-    timeline: list = field(default_factory=list)
 
 
 @dataclass
@@ -279,8 +278,6 @@ class MemFetchPlan:
     channel_end: int
     fetch_bytes: int
     act_read_bytes: int
-    remaining: int = 0  # unfetched parameter bytes; 0 on a feasible plan
-    free_after: int = 0
 
 
 @dataclass
@@ -329,9 +326,6 @@ class ClusterTable:
         self.decision_log: list[dict] = []
 
     # -- request admission ---------------------------------------------------
-
-    def free_queue_slots(self) -> int:
-        return sum(1 for r in self.queue_request if r is None)
 
     def enqueue_request(self, request_id: int, tasks: list[SubLayerTask]) -> int:
         q = self.queue_request.index(None)
@@ -391,14 +385,14 @@ class ClusterTable:
             still_held = sum(b for _, b in self.pending_releases)
             if need <= free - still_held:
                 return MemFetchPlan(param_ready, tuple(actions), self.channel_free,
-                                    0, 0, 0, free - need)
+                                    0, 0)
             ready = param_ready
             for t_rel, b in self.pending_releases:
                 still_held -= b
                 ready = max(ready, t_rel)
                 if need <= free - still_held:
                     return MemFetchPlan(ready, tuple(actions), self.channel_free,
-                                        0, 0, 0, free - need)
+                                        0, 0)
             # falls through: eviction is required to place the output
 
         # transfers start no earlier than the decision that requests them
@@ -456,7 +450,7 @@ class ClusterTable:
         ready = max(t, param_ready)
         channel_end = max([self.channel_free] + [a.end for a in actions])
         return MemFetchPlan(ready, tuple(actions), channel_end,
-                            fetch_total, a_size, 0, free - goal_extra)
+                            fetch_total, a_size)
 
     def commit(self, placement: Placement) -> None:
         task = placement.task
@@ -491,9 +485,7 @@ class ClusterTable:
                 e.avail = max(e.avail, placement.t_end)
         self.channel_free = max(self.channel_free, plan.channel_end)
 
-        proc = self.processors[placement.proc_index]
-        proc.timeline.append((task.task_id, placement.t_start, placement.t_end))
-        proc.busy_until = placement.t_end
+        self.processors[placement.proc_index].busy_until = placement.t_end
         self.scheduled_start[task.task_id] = placement.t_start
         self.scheduled_end[task.task_id] = placement.t_end
         self.queues[placement.queue].popleft()
@@ -527,15 +519,25 @@ def _consume(pairs: list[tuple[tuple, int]], amount: int):
 # ---------------------------------------------------------------------------
 # policies
 
-def _eligible_kinds(task: SubLayerTask, vector_slack: bool = True) -> tuple[str, ...]:
-    # vector processors can emulate matrix work; arrays run only matrix work
+def _eligible_kinds(task: SubLayerTask, vector_slack: bool) -> tuple[str, ...]:
+    # vector processors can emulate matrix work; arrays run only matrix work;
+    # without slack the one kind left is the task's dedicated class
     if task.op in MATRIX_OPS:
         return ("vector", "array") if vector_slack else ("array",)
     return ("vector",)
 
 
-def _dedicated_kind(task: SubLayerTask) -> str:
-    return "array" if task.op in MATRIX_OPS else "vector"
+def _estimate(table: ClusterTable, q: int, task: SubLayerTask, proc: Processor,
+              plan: MemFetchPlan, t_task: int, now: int) -> Placement:
+    """Placement of queue ``q``'s head on ``proc``: it starts once its
+    operands are in shared memory, its dependencies have ended and the
+    processor is free, and never before ``now``."""
+    t_proc = proc.busy_until
+    t_start = max(plan.ready, t_task, t_proc, now)
+    t_comp = task.cycles_on(proc.spec, table.cc)
+    return Placement(task, proc.name, proc.index, proc.kind, q, plan.ready,
+                     t_task, t_proc, t_start, t_comp, t_start + t_comp,
+                     t_start - t_proc, plan)
 
 
 def has_schedule(table: ClusterTable, now: int = 0) -> Placement:
@@ -567,21 +569,15 @@ def has_schedule(table: ClusterTable, now: int = 0) -> Placement:
         t_task = table.t_task(task)
         nominated = None
         for kind in _eligible_kinds(task, vector_slack):
-            proc = table.earliest_free(kind)
-            t_proc = proc.busy_until
-            t_start = max(plan.ready, t_task, t_proc, now)
-            t_comp = task.cycles_on(proc.spec, table.cc)
-            t_end = t_start + t_comp
+            p = _estimate(table, q, task, table.earliest_free(kind), plan,
+                          t_task, now)
             # the dedicated class wins end-time ties
-            if nominated is None or t_end <= nominated[0]:
-                nominated = (t_end, kind, proc, t_start, t_comp, t_proc)
-        t_end, kind, proc, t_start, t_comp, t_proc = nominated
-        t_idle = t_start - proc.busy_until
-        rank = (t_idle, (q - table.rr_ptr) % nq)
+            if nominated is None or p.t_end <= nominated.t_end:
+                nominated = p
+        rank = (nominated.t_idle, (q - table.rr_ptr) % nq)
         if best_rank is None or rank < best_rank:
             best_rank = rank
-            best = Placement(task, proc.name, proc.index, kind, q, plan.ready,
-                             t_task, t_proc, t_start, t_comp, t_end, t_idle, plan)
+            best = nominated
     table.commit(best)
     return best
 
@@ -601,16 +597,11 @@ def rr_schedule(table: ClusterTable, now: int = 0) -> Placement:
             continue
         task = table.queues[q][0]
         t_task = table.t_task(task)
-        proc = table.earliest_free(_dedicated_kind(task))
+        proc = table.earliest_free(_eligible_kinds(task, False)[0])
         if proc.busy_until > now:
             continue
-        plan = table.plan_memory(task, now)
-        t_start = max(now, plan.ready, t_task)
-        t_comp = task.cycles_on(proc.spec, table.cc)
-        placement = Placement(task, proc.name, proc.index, proc.kind, q,
-                              plan.ready, t_task, proc.busy_until, t_start,
-                              t_comp, t_start + t_comp,
-                              t_start - proc.busy_until, plan)
+        placement = _estimate(table, q, task, proc,
+                              table.plan_memory(task, now), t_task, now)
         table.commit(placement)
         return placement
     raise NoReadyTask("all queue heads blocked")

@@ -22,7 +22,9 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
-                       VECTOR_ENERGY_FOR_OP, peak_performance, total_area)
+                       SystolicArraySpec, VECTOR_ENERGY_FOR_OP,
+                       VectorProcessorSpec, energy_of, peak_performance,
+                       total_area)
 from .models import ModelGraph, builtin_model
 from .scheduling import (ClusterTable, NoReadyTask, Placement, SCHEDULERS,
                          build_request_tasks, load_balance)
@@ -94,9 +96,6 @@ class TraceLog:
         ends = [e.t_end for e in self.executions] + [t.t_end for t in self.transfers]
         return max(ends, default=0)
 
-    def resources(self) -> list[str]:
-        return sorted({f"cluster{e.cluster}/{e.resource}" for e in self.executions})
-
     def events(self) -> list[tuple[int, str, str]]:
         """Every state change as (cycle, kind, subject), time-ordered;
         at equal cycles dispatches precede completions."""
@@ -134,10 +133,6 @@ class PerfReport:
     peak_gops: float
     utilization: dict
     request_latency: dict
-
-
-class DeadlockError(Exception):
-    """Raised when a task can never satisfy its shared-memory footprint."""
 
 
 @lru_cache(maxsize=64)
@@ -282,19 +277,20 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
 # ---------------------------------------------------------------------------
 # report
 
+@lru_cache(maxsize=None)  # one spec per (kind, supported size)
+def _processor_spec(kind: str, size: int) -> SystolicArraySpec | VectorProcessorSpec:
+    return (SystolicArraySpec if kind == "array" else VectorProcessorSpec)(size)
+
+
 def energy_from_trace(trace: TraceLog, physical: PhysicalModel = DEFAULT_PHYSICAL) -> float:
     """Joules, recomputable from the trace alone: op counts times the
     per-op table plus byte-transfer energies."""
     joules = 0.0
     for e in trace.executions:
-        if e.resource_kind == "array":
-            joules += e.macs * physical.systolic_mac_pj[e.resource_size] * 1e-12
-        else:
-            lanes = e.resource_size
-            joules += e.macs * physical.vector_pj["mac"][lanes] * 1e-12
-            for kind, count in e.vector_counts.items():
-                row = VECTOR_ENERGY_FOR_OP[kind]
-                joules += count * physical.vector_pj[row][lanes] * 1e-12
+        spec = _processor_spec(e.resource_kind, e.resource_size)
+        joules += energy_of("mac", e.macs, spec, physical)
+        for kind, count in e.vector_counts.items():
+            joules += energy_of(VECTOR_ENERGY_FOR_OP[kind], count, spec, physical)
         sram_bytes = e.param_bytes + e.act_in_bytes + e.act_out_bytes
         joules += sram_bytes * physical.sram_pj_per_byte * 1e-12
     for t in trace.transfers:

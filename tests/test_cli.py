@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -6,11 +7,13 @@ import shutil
 import pytest
 
 from svsim.cli import (compare_results, load_sweep_spec, main, read_results_csv,
-                       run_sweep, sweep_configs)
+                       run_sweep, sweep_configs, sweep_workloads)
 from svsim.hardware import hw_config_to_dict, make_cluster, make_hw
 from svsim.workloads import generate, save_manifest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SWEEP_SPEC = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "sweep_single_cluster.json")
 ALEXNET = os.path.join(FIXTURES, "alexnet.json")
 
 
@@ -118,6 +121,34 @@ def test_simulate_bad_config_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_simulate_bad_model_exit_code(tmp_path, capsys):
+    hw = small_hw_file(tmp_path)
+    with open(small_workload_file(tmp_path)) as f:
+        doc = json.load(f)
+    bad_name = copy.deepcopy(doc)
+    bad_name["requests"][0]["model"] = "nosuchnet"
+    bad_depth = copy.deepcopy(doc)
+    bad_depth["model_params"]["depth_reduction"] = 0
+    for bad, word in ((bad_name, "nosuchnet"), (bad_depth, "depth_reduction")):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(bad))
+        rc = main(["simulate", "--workload", str(path), "--hw", hw,
+                   "--out", str(tmp_path / "u")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and word in err
+        assert err.count("\n") == 1
+
+
+def test_simulate_rejects_alpha_outside_unit_interval(tmp_path):
+    w, hw = small_workload_file(tmp_path), small_hw_file(tmp_path)
+    for alpha in ("nan", "0", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--workload", w, "--hw", hw, "--alpha", alpha,
+                  "--out", str(tmp_path / "a")])
+        assert exc.value.code == 2
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def tiny_spec():
@@ -132,8 +163,16 @@ def tiny_spec():
 def test_sweep_spec_cardinality():
     spec = load_sweep_spec({})
     assert len(sweep_configs(spec)) == 108
-    spec3 = load_sweep_spec({"clusters": [1, 2, 4]})
+    doc = {"clusters": [1, 2, 4]}
+    spec3 = load_sweep_spec(doc)
     assert len(sweep_configs(spec3)) == 324
+    assert doc == {"clusters": [1, 2, 4]}  # the caller's dict is not filled in
+
+
+def test_shipped_sweep_spec_matches_code_defaults():
+    shipped, default = load_sweep_spec(SWEEP_SPEC), load_sweep_spec({})
+    assert sweep_configs(shipped) == sweep_configs(default)
+    assert sweep_workloads(shipped) == sweep_workloads(default)
 
 
 def test_single_point_sweep(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svsim.costs import (TaskCost, TimeEstimate, UnsupportedOp, layer_cost,
+from svsim.costs import (TaskCost, UnsupportedOp, layer_cost,
                          mem_transfer_cycles, systolic_cycles, task_cycles,
                          vector_cycles)
 from svsim.hardware import (CycleConstants, SystolicArraySpec,
@@ -174,9 +174,3 @@ def test_layer_cost_pool_scans_window():
     pool1 = g.layers[2]
     c = layer_cost(pool1)
     assert c.vector_counts == {"pool": 96 * 27 * 27 * 9}
-
-
-def test_time_estimate_invariants():
-    e = TimeEstimate(t_mem=50, t_task=80, t_proc=20, t_comp=100)
-    assert e.t_start == 80
-    assert e.t_end == 180

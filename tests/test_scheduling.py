@@ -141,7 +141,6 @@ def test_plan_waits_for_flushable_holder():
     assert len(flushes) == 1 and flushes[0].bytes == 30 * MB
     assert flushes[0].start == 10**6
     assert fetches[1].start == 10**6
-    assert plan.remaining == 0
 
 
 def test_capacity_deadlock_when_nothing_flushable():
@@ -313,16 +312,19 @@ def test_random_chains_dependency_safety_and_argmin(seed):
                 for d in t.deps:
                     assert start[t.task_id] >= end[d]
         # per-processor exclusivity
-        for proc in table.processors:
-            tl = sorted(proc.timeline, key=lambda x: x[1])
-            for (t1, s1, e1), (t2, s2, e2) in zip(tl, tl[1:]):
+        by_proc = {}
+        for d in table.decision_log:
+            by_proc.setdefault(d["processor"], []).append((d["t_start"], d["t_end"]))
+        for windows in by_proc.values():
+            windows.sort()
+            for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
                 assert s2 >= e1
-        if name == "has":
-            # argmin correctness: each decision's idle is the true gap
-            for d in table.decision_log:
-                assert d["t_idle"] == d["t_start"] - d["t_proc"]
-                assert d["t_start"] == max(d["t_mem"], d["t_task"], d["t_proc"],
-                                           d["t_start"])
+        # the estimate: start once memory, dependencies and the processor are
+        # ready; each decision's idle is the true gap
+        for d in table.decision_log:
+            assert d["t_start"] >= max(d["t_mem"], d["t_task"], d["t_proc"])
+            assert d["t_end"] == d["t_start"] + d["t_comp"]
+            assert d["t_idle"] == d["t_start"] - d["t_proc"]
 
 
 @settings(max_examples=30, deadline=None)
