@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
+import hashlib
 import json
 import os
 import statistics
@@ -24,7 +26,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import hardware, models, simulation, umf, workloads
-from .scheduling import CapacityDeadlock, UnpartitionableLayer
+from .scheduling import CapacityDeadlock, StalledRun, UnpartitionableLayer
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,13 +80,16 @@ def _cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError, hardware.ConfigError, KeyError) as e:
         print(f"error: bad input: {e}", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(args.out, exist_ok=True)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        print(f"error: --out {args.out} is not a directory", file=sys.stderr)
+        return EXIT_USAGE
     try:
         trace, report = simulation.run(workload, hw, scheduler=args.scheduler,
                                        seed=args.seed, alpha=args.alpha)
     except models.ModelError as e:  # a model name or parameter in the manifest
         print(f"error: bad input: {e}", file=sys.stderr)
         return EXIT_USAGE
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w") as f:
         json.dump({**report.__dict__,
                    "utilization": report.utilization,
@@ -159,10 +164,24 @@ def sweep_workloads(spec: dict) -> list[workloads.Workload]:
         model_params=ws.get("model_params"))
 
 
+# every sweep point runs at the simulator's default working-set budget
+SWEEP_ALPHA = 0.5
+
+
+def point_key(cfg: dict, workload: workloads.Workload, scheduler: str) -> str:
+    """sha256 of everything that determines a sweep point's row: the
+    hardware document, the workload, the scheduler and alpha."""
+    doc = {"hw": cfg["hw"], "workload": dataclasses.asdict(workload),
+           "scheduler": scheduler, "alpha": SWEEP_ALPHA}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 def run_sweep_point(cfg: dict, workload: workloads.Workload,
                     scheduler: str) -> dict:
     hw = hardware.load_hw_config(cfg["hw"])
-    _, report = simulation.run(workload, hw, scheduler=scheduler)
+    _, report = simulation.run(workload, hw, scheduler=scheduler,
+                               alpha=SWEEP_ALPHA)
     return {"config": cfg["label"], "workload": workload.name,
             "cnn_ratio": workload.cnn_ratio, "seed": workload.seed,
             "scheduler": scheduler, "tops": report.tops,
@@ -173,9 +192,9 @@ def run_sweep_point(cfg: dict, workload: workloads.Workload,
 
 
 def _point_worker(job):
-    cfg, workload, scheduler, path = job
+    cfg, workload, scheduler, key, path = job
     try:
-        row = run_sweep_point(cfg, workload, scheduler)
+        row = {**run_sweep_point(cfg, workload, scheduler), "key": key}
         tmp = path + ".tmp"
         with open(tmp, "w") as f:
             json.dump(row, f, sort_keys=True)
@@ -185,12 +204,24 @@ def _point_worker(job):
         return (path, f"{type(e).__name__}: {e}")
 
 
+def _load_point(path: str, key: str) -> dict | None:
+    """The cached record at ``path`` if it was computed for ``key``."""
+    try:
+        with open(path) as f:
+            row = json.load(f)
+    except (OSError, ValueError):
+        return None
+    return row if isinstance(row, dict) and row.get("key") == key else None
+
+
 def run_sweep(spec: dict, out_dir: str, *, scheduler: str | None = None,
               parallelism: int = 1, sample: float = 1.0) -> tuple[list[dict], list[str]]:
     """Run (or resume) a sweep; returns (rows, failures).
 
-    Every point is cached as a JSON record so an interrupted sweep resumes,
-    and merged results are independent of the worker count.
+    Every point is cached as a JSON record named and stamped with its
+    ``point_key``, so an interrupted sweep resumes, a point whose inputs
+    changed is recomputed, and merged results are independent of the
+    worker count.
     """
     scheduler = scheduler or spec["scheduler"]
     points_dir = os.path.join(out_dir, "points")
@@ -198,19 +229,22 @@ def run_sweep(spec: dict, out_dir: str, *, scheduler: str | None = None,
     configs = sweep_configs(spec)
     suite = sweep_workloads(spec)
     jobs = []
-    paths = []
+    keys: dict[str, str] = {}  # point file -> its key
     for cfg in configs:
         for w in suite:
-            path = os.path.join(points_dir, f"{cfg['label']}__{w.name}.json")
-            paths.append(path)
-            if not os.path.exists(path):
-                jobs.append((cfg, w, scheduler, path))
+            key = point_key(cfg, w, scheduler)
+            path = os.path.join(points_dir,
+                                f"{cfg['label']}__{w.name}__{key[:16]}.json")
+            keys[path] = key
+            if _load_point(path, key) is None:
+                jobs.append((cfg, w, scheduler, key, path))
+    paths = list(keys)
     if sample < 1.0:
         import random
         keep = random.Random(1234).sample(
             range(len(paths)), max(1, int(len(paths) * sample)))
         kept_paths = {paths[i] for i in keep}
-        jobs = [j for j in jobs if j[3] in kept_paths]
+        jobs = [j for j in jobs if j[4] in kept_paths]
         paths = sorted(kept_paths)
 
     failures: list[str] = []
@@ -225,11 +259,8 @@ def run_sweep(spec: dict, out_dir: str, *, scheduler: str | None = None,
     if parallelism > 1:
         pool.shutdown()
 
-    rows = []
-    for path in sorted(paths):
-        if os.path.exists(path):
-            with open(path) as f:
-                rows.append(json.load(f))
+    rows = [row for row in (_load_point(p, keys[p]) for p in sorted(paths))
+            if row is not None]
     rows.sort(key=lambda r: (r["config"], r["workload"]))
     write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     return rows, failures
@@ -248,10 +279,23 @@ def read_results_csv(path: str) -> list[dict]:
         return list(csv.DictReader(f))
 
 
+def check_sweep_spec(spec: dict, scheduler: str) -> None:
+    """Raise on a spec that would fail at every point: a malformed axis, an
+    unsupported hardware value, a bad workload suite or an unknown
+    scheduler."""
+    for cfg in sweep_configs(spec):
+        hardware.load_hw_config(cfg["hw"])
+    sweep_workloads(spec)
+    if scheduler not in simulation.SCHEDULERS:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
+
+
 def _cmd_sweep(args) -> int:
     try:
         spec = load_sweep_spec(args.spec) if args.spec else load_sweep_spec({})
-    except (OSError, json.JSONDecodeError) as e:
+        check_sweep_spec(spec, args.scheduler or spec["scheduler"])
+    except (OSError, hardware.ConfigError, AttributeError, KeyError,
+            TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: bad sweep spec: {e}", file=sys.stderr)
         return EXIT_USAGE
     rows, failures = run_sweep(spec, args.out, scheduler=args.scheduler,
@@ -369,7 +413,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CapacityDeadlock, UnpartitionableLayer) as e:
+    except (CapacityDeadlock, StalledRun, UnpartitionableLayer) as e:
         print(f"deadlock: {e}", file=sys.stderr)
         return EXIT_DEADLOCK
 

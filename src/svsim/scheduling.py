@@ -28,6 +28,7 @@ import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .costs import TaskCost, layer_cost, mem_transfer_cycles, task_cycles
 from .hardware import ClusterConfig, HardwareConfig
@@ -39,7 +40,13 @@ class SchedulingError(Exception):
 
 
 class NoReadyTask(SchedulingError):
-    pass
+    """No queue head can be placed now.  ``not_before`` is the earliest
+    cycle at which one could be if the table stays unchanged (``math.inf``:
+    not until it changes; None: unknown)."""
+
+    def __init__(self, message: str, not_before: float | None = None):
+        super().__init__(message)
+        self.not_before = not_before
 
 
 class UnpartitionableLayer(SchedulingError):
@@ -48,6 +55,10 @@ class UnpartitionableLayer(SchedulingError):
 
 class CapacityDeadlock(SchedulingError):
     pass
+
+
+class StalledRun(SchedulingError):
+    """A run ended with queued tasks or requests that never completed."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +206,35 @@ def _partition(layer: LayerNode, cluster: ClusterConfig,
 
 def build_request_tasks(graph: ModelGraph, request_id: int,
                         cluster: ClusterConfig, *, alpha: float = 0.5,
-                        model_key: str | None = None) -> list[SubLayerTask]:
+                        model_key: str | None = None,
+                        partitions: dict | None = None) -> list[SubLayerTask]:
     """Partition every layer of a request into dependency-wired tasks.
 
     Parameter residency keys are a pure function of (model, tensor, slice),
     so repeated requests of the same model hit the same shared-memory
     entries; activations are keyed per request.
+
+    ``partitions`` memoises each layer's slices and parameter keys by
+    (model key, shared-memory size, alpha), everything the partitioner
+    reads; a caller building many requests passes one dict, and must not
+    share it between two graphs under one model key.  Each request then
+    only re-keys its task ids and activations.
     """
     model_key = model_key or graph.name
+    memo_key = (model_key, cluster.shared_mem_bytes, alpha)
+    layers = partitions.get(memo_key) if partitions is not None else None
+    if layers is None:
+        layers = [_layer_plan(layer, cluster, alpha, model_key)
+                  for layer in graph.layers]
+        if partitions is not None:
+            partitions[memo_key] = layers
     rtag = f"r{request_id}"
     ext_ids = {t.tensor_id: i for i, t in enumerate(graph.inputs)}
     tasks: list[SubLayerTask] = []
     layer_task_ids: dict[int, list[str]] = {}
     layer_act_keys: dict[int, list[tuple[tuple, int]]] = {}
 
-    for layer in graph.layers:
-        slices = _partition(layer, cluster, alpha)
+    for layer, slices, param_keys in layers:
         n = len(slices)
         dep_ids: list[str] = []
         in_keys: list[tuple[tuple, int]] = []
@@ -220,25 +244,36 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
         for t in layer.activation_inputs:
             if t.tensor_id in ext_ids:
                 in_keys.append((("a", rtag, -1, ext_ids[t.tensor_id]), t.byte_size))
-        weight_ids = [t.tensor_id for t in layer.weight_inputs]
+        deps = tuple(dep_ids)
+        act_in = tuple(in_keys)
         out_keys: list[tuple[tuple, int]] = []
         ids: list[str] = []
-        for i, sl in enumerate(slices):
+        for i, (sl, pk) in enumerate(zip(slices, param_keys)):
             task_id = f"{rtag}/L{layer.layer_id}/s{i}"
-            pk = tuple((("w", model_key, tid, i if n > 1 else 0), b)
-                       for tid, b in zip(weight_ids, sl.weight_bytes) if b)
             out_key = None
             if sl.cost.act_out_bytes:
                 out_key = (("a", rtag, layer.layer_id, i), sl.cost.act_out_bytes)
                 out_keys.append(out_key)
-            task = SubLayerTask(task_id, request_id, layer.layer_id, i, n,
-                                layer.op, sl.cost, tuple(dep_ids), model_key,
-                                pk, tuple(in_keys), out_key)
-            tasks.append(task)
+            tasks.append(SubLayerTask(task_id, request_id, layer.layer_id, i, n,
+                                      layer.op, sl.cost, deps, model_key,
+                                      pk, act_in, out_key))
             ids.append(task_id)
         layer_task_ids[layer.layer_id] = ids
         layer_act_keys[layer.layer_id] = out_keys
     return tasks
+
+
+def _layer_plan(layer: LayerNode, cluster: ClusterConfig, alpha: float,
+                model_key: str) -> tuple[LayerNode, list[LayerSlice], list[tuple]]:
+    """A layer's slices and each slice's parameter residency keys, which
+    depend on the model but not on the request."""
+    slices = _partition(layer, cluster, alpha)
+    n = len(slices)
+    weight_ids = [t.tensor_id for t in layer.weight_inputs]
+    param_keys = [tuple((("w", model_key, tid, i if n > 1 else 0), b)
+                        for tid, b in zip(weight_ids, sl.weight_bytes) if b)
+                  for i, sl in enumerate(slices)]
+    return layer, slices, param_keys
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +346,17 @@ class ClusterTable:
             self.processors.append(Processor(f"array{i}", "array", spec, len(self.processors)))
         for i, spec in enumerate(cluster.vectors):
             self.processors.append(Processor(f"vector{i}", "vector", spec, len(self.processors)))
-        self.queues: list[deque[SubLayerTask]] = [deque() for _ in range(cluster.num_task_queues)]
-        self.queue_request: list[int | None] = [None] * cluster.num_task_queues
+        self.of_kind = {kind: [p for p in self.processors if p.kind == kind]
+                        for kind in ("array", "vector")}
+        nq = cluster.num_task_queues
+        self.queues: list[deque[SubLayerTask]] = [deque() for _ in range(nq)]
+        self.queue_request: list[int | None] = [None] * nq
+        # per queue: (head task, latest start and latest end among its
+        # dependencies), taken when the task became head
+        self._head_deps: list[tuple[SubLayerTask, int, int] | None] = [None] * nq
+        # bumped by every change a policy decision reads: admission,
+        # release and commit
+        self.version = 0
         self.rr_ptr = 0
         self.residency: dict[tuple, ResidencyEntry] = {}
         self.used_bytes = 0
@@ -335,23 +379,32 @@ class ClusterTable:
             self.queues[q].append(t)
             for key, _ in t.param_keys + t.act_in_keys:
                 self.pending_uses[key] = self.pending_uses.get(key, 0) + 1
+        self.version += 1
         return q
 
     def release_request(self, request_id: int) -> None:
         q = self.queue_request.index(request_id)
         self.queue_request[q] = None
+        self.version += 1
 
     # -- table lookups ---------------------------------------------------------
 
     def earliest_free(self, kind: str) -> Processor:
-        return min((p for p in self.processors if p.kind == kind),
-                   key=lambda p: (p.busy_until, p.index))
+        return min(self.of_kind[kind], key=lambda p: (p.busy_until, p.index))
 
-    def t_task(self, task: SubLayerTask) -> int:
-        return max((self.scheduled_end[d] for d in task.deps), default=0)
-
-    def heads(self) -> list[tuple[int, SubLayerTask]]:
-        return [(q, queue[0]) for q, queue in enumerate(self.queues) if queue]
+    def head_deps(self, q: int) -> tuple[int, int]:
+        """Latest start and latest end among the dependencies of queue
+        ``q``'s head.  A task's dependencies come before it in its own
+        queue, so they are committed by the time it is head, and the two
+        bounds are taken once per head."""
+        task = self.queues[q][0]
+        cached = self._head_deps[q]
+        if cached is None or cached[0] is not task:
+            cached = self._head_deps[q] = (
+                task,
+                max((self.scheduled_start[d] for d in task.deps), default=0),
+                max((self.scheduled_end[d] for d in task.deps), default=0))
+        return cached[1], cached[2]
 
     # -- external memory access scheduling ------------------------------------
 
@@ -365,7 +418,7 @@ class ClusterTable:
         """
         res = self.residency
         protected = {k for k, _ in task.param_keys} | {k for k, _ in task.act_in_keys}
-        missing_params = [(k, b) for k, b in task.param_keys if k not in res]
+        missing_params = deque((k, b) for k, b in task.param_keys if k not in res)
         param_ready = max((res[k].ready for k, _ in task.param_keys if k in res),
                           default=0)
         missing_acts = [(k, b) for k, b in task.act_in_keys if k not in res]
@@ -373,8 +426,8 @@ class ClusterTable:
         a_size = sum(b for _, b in missing_acts)
         out_bytes = task.act_out_key[1] if task.act_out_key else 0
 
-        while self.pending_releases and self.pending_releases[0][0] <= now:
-            self.pending_releases.pop(0)
+        del self.pending_releases[:bisect.bisect_right(self.pending_releases,
+                                                       (now, math.inf))]
         free = self.cluster.shared_mem_bytes - self.used_bytes
         need = fetch_total + a_size + out_bytes
         actions: list[MemAction] = []
@@ -414,7 +467,7 @@ class ClusterTable:
         t, free = fetch(t, free)
         if remaining > 0 or free < goal_extra:
             order = sorted((e for e in res.values() if e.key not in protected),
-                           key=lambda e: (e.avail, e.key))
+                           key=attrgetter("avail", "key"))
             released: set[tuple] = set()
             for forced in (False, True):
                 for e in order:
@@ -490,6 +543,7 @@ class ClusterTable:
         self.scheduled_end[task.task_id] = placement.t_end
         self.queues[placement.queue].popleft()
         self.rr_ptr = (placement.queue + 1) % len(self.queues)
+        self.version += 1
         self.decision_log.append({
             "time": placement.t_start, "queue": placement.queue,
             "task": task.task_id, "processor": placement.processor,
@@ -500,7 +554,7 @@ class ClusterTable:
         })
 
 
-def _consume(pairs: list[tuple[tuple, int]], amount: int):
+def _consume(pairs: deque[tuple[tuple, int]], amount: int):
     """Attribute ``amount`` fetched bytes to keys, mutating the backlog."""
     taken = []
     while amount > 0 and pairs:
@@ -508,7 +562,7 @@ def _consume(pairs: list[tuple[tuple, int]], amount: int):
         if b <= amount:
             taken.append((k, b))
             amount -= b
-            pairs.pop(0)
+            pairs.popleft()
         else:
             taken.append((k, amount))
             pairs[0] = (k, b - amount)
@@ -553,24 +607,30 @@ def has_schedule(table: ClusterTable, now: int = 0) -> Placement:
     otherwise pending vector operations keep their dedicated processors and
     matrix work stays on the arrays.
     """
-    heads = [(q, t) for q, t in table.heads()
-             if all(table.scheduled_start[d] <= now for d in t.deps)]
+    heads = []
+    not_before = math.inf
+    for q, queue in enumerate(table.queues):
+        if queue:
+            dep_start = table.head_deps(q)[0]
+            if dep_start <= now:
+                heads.append((q, queue[0]))
+            else:
+                not_before = min(not_before, dep_start)
     if not heads:
-        raise NoReadyTask("no candidate tasks")
+        raise NoReadyTask("no candidate tasks", not_before)
     nq = len(table.queues)
     vector_only = sum(1 for _, t in heads
                       if t.op not in MATRIX_OPS and t.op not in DATA_OPS)
-    vector_slack = vector_only < sum(1 for p in table.processors
-                                     if p.kind == "vector")
+    vector_slack = vector_only < len(table.of_kind["vector"])
+    free = {kind: table.earliest_free(kind) for kind in table.of_kind}
     best = None
     best_rank = None
     for q, task in heads:
         plan = table.plan_memory(task, now)
-        t_task = table.t_task(task)
+        t_task = table.head_deps(q)[1]
         nominated = None
         for kind in _eligible_kinds(task, vector_slack):
-            p = _estimate(table, q, task, table.earliest_free(kind), plan,
-                          t_task, now)
+            p = _estimate(table, q, task, free[kind], plan, t_task, now)
             # the dedicated class wins end-time ties
             if nominated is None or p.t_end <= nominated.t_end:
                 nominated = p
@@ -591,20 +651,23 @@ def rr_schedule(table: ClusterTable, now: int = 0) -> Placement:
     that are still being fetched or produced.
     """
     nq = len(table.queues)
+    free = {kind: table.earliest_free(kind) for kind in table.of_kind}
+    not_before = math.inf
     for i in range(nq):
         q = (table.rr_ptr + i) % nq
-        if not table.queues[q]:
+        queue = table.queues[q]
+        if not queue:
             continue
-        task = table.queues[q][0]
-        t_task = table.t_task(task)
-        proc = table.earliest_free(_eligible_kinds(task, False)[0])
+        task = queue[0]
+        proc = free[_eligible_kinds(task, False)[0]]
         if proc.busy_until > now:
+            not_before = min(not_before, proc.busy_until)
             continue
-        placement = _estimate(table, q, task, proc,
-                              table.plan_memory(task, now), t_task, now)
+        placement = _estimate(table, q, task, proc, table.plan_memory(task, now),
+                              table.head_deps(q)[1], now)
         table.commit(placement)
         return placement
-    raise NoReadyTask("all queue heads blocked")
+    raise NoReadyTask("all queue heads blocked", not_before)
 
 
 SCHEDULERS = {"rr": rr_schedule, "has": has_schedule}

@@ -4,7 +4,10 @@ The engine binds workloads, the hardware config, and a scheduling policy
 into timed execution.  Requests arrive at their workload timestamps, the
 load balancer admits them to systolic-vector clusters (FIFO, fewest
 in-flight first, one task queue per in-flight request), and each cluster's
-scheduler is invoked on every arrival, fetch completion and task completion.
+scheduler is invoked on every arrival, fetch completion and task completion,
+except that a cluster whose table has not changed since it last ran dry is
+not asked again before the cycle its policy named as the earliest it could
+place anything.
 Cost-model estimates are exact in this model, so committed reservations are
 the execution; the event loop paces decisions and records the trace.
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -27,7 +31,7 @@ from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
                        total_area)
 from .models import ModelGraph, builtin_model
 from .scheduling import (ClusterTable, NoReadyTask, Placement, SCHEDULERS,
-                         build_request_tasks, load_balance)
+                         StalledRun, build_request_tasks, load_balance)
 
 # event kinds in tie-break order: completions are observed before new work
 _RANK = {"task_complete": 0, "fetch_complete": 1, "flush_complete": 2,
@@ -170,8 +174,14 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
         "alpha": alpha,
     })
     tables = [ClusterTable(cl, hw, i) for i, cl in enumerate(hw.clusters)]
+    # per cluster: the processor size of each processor index
+    proc_sizes = [[getattr(p.spec, "dim", 0) or p.spec.lanes for p in t.processors]
+                  for t in tables]
+    # per cluster: (table version, cycle) before which a drain cannot place
+    asleep = [(-1, 0)] * len(tables)
+    partitions: dict = {}  # layer slices per (model, shared memory, alpha)
     in_flight = [0] * len(tables)
-    waiting: list[int] = []
+    waiting: deque[int] = deque()
     remaining: dict[int, int] = {}
     records: dict[int, RequestRecord] = {}
     request_cluster: dict[int, int] = {}
@@ -194,7 +204,8 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
         rec = records[rid]
         table = tables[target]
         tasks = build_request_tasks(graphs[rec.model], rid, table.cluster,
-                                    alpha=alpha, model_key=rec.model)
+                                    alpha=alpha, model_key=rec.model,
+                                    partitions=partitions)
         table.enqueue_request(rid, tasks)
         in_flight[target] += 1
         request_cluster[rid] = target
@@ -205,35 +216,44 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     def record_placement(ci: int, p: Placement) -> None:
         task = p.task
         trace.executions.append(ExecRecord(
-            ci, p.processor, p.kind,
-            getattr(tables[ci].processors[p.proc_index].spec, "dim", 0)
-            or tables[ci].processors[p.proc_index].spec.lanes,
+            ci, p.processor, p.kind, proc_sizes[ci][p.proc_index],
             task.task_id, task.request_id, task.layer_id, task.op.name,
             p.queue, p.t_start, p.t_end, task.cost.macs,
             dict(task.cost.vector_counts), task.cost.param_bytes,
             task.cost.act_in_bytes, task.cost.act_out_bytes, task.deps))
         for a in p.plan.actions:
-            if a.kind in ("fetch_param", "read_act", "write_act"):
-                trace.transfers.append(TransferRecord(
-                    ci, a.kind, a.start, a.end, a.bytes, str(a.key)))
-                trace.residency.append(ResidencyEvent(
-                    ci, a.start if a.kind != "write_act" else a.end,
-                    a.bytes if a.kind != "write_act" else -a.bytes, str(a.key)))
-                push(a.end, "fetch_complete", (ci, str(a.key)))
-            elif a.kind == "flush":
-                trace.residency.append(ResidencyEvent(ci, a.start, -a.bytes, str(a.key)))
-                push(a.start, "flush_complete", (ci, str(a.key)))
+            key = str(a.key)
+            if a.kind == "flush":
+                trace.residency.append(ResidencyEvent(ci, a.start, -a.bytes, key))
+                push(a.start, "flush_complete", (ci, key))
+                continue
+            trace.transfers.append(TransferRecord(
+                ci, a.kind, a.start, a.end, a.bytes, key))
+            if a.kind == "write_act":
+                trace.residency.append(ResidencyEvent(ci, a.end, -a.bytes, key))
+            else:
+                trace.residency.append(ResidencyEvent(ci, a.start, a.bytes, key))
+            push(a.end, "fetch_complete", (ci, key))
         if task.act_out_key:
             key, b = task.act_out_key
             trace.residency.append(ResidencyEvent(ci, p.t_start, b, str(key)))
         push(p.t_end, "task_complete", (ci, task.request_id, task.task_id))
 
     def drain(ci: int, now: int) -> None:
+        # place until the policy runs dry; until the table changes, a drain
+        # before the cycle the policy named as its earliest would find the
+        # same nothing, so it returns at once
+        table = tables[ci]
+        version, wake = asleep[ci]
+        if version == table.version and now < wake:
+            return
         while True:
             try:
-                placement = policy(tables[ci], now)
-            except NoReadyTask:
-                break
+                placement = policy(table, now)
+            except NoReadyTask as e:
+                asleep[ci] = (table.version,
+                              now + 1 if e.not_before is None else e.not_before)
+                return
             record_placement(ci, placement)
 
     def admit_waiting(now: int) -> None:
@@ -243,7 +263,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             target = load_balance(in_flight, tables[0].cluster.num_task_queues)
             if target is None:
                 break
-            dispatch(waiting.pop(0), target, now)
+            dispatch(waiting.popleft(), target, now)
             drain(target, now)
 
     while heap:
@@ -268,6 +288,12 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             ci = payload[0]
             drain(ci, now)
 
+    queued = sum(len(q) for table in tables for q in table.queues)
+    stalled = [r.request_id for r in trace.requests if r.completed < 0]
+    if queued or stalled:
+        raise StalledRun(
+            f"run ended with {queued} queued tasks and {len(stalled)} "
+            f"requests never completed (first: {stalled[:3]})")
     for table in tables:
         trace.decisions.extend(table.decision_log)
     report = compute_report(trace, hw, physical)

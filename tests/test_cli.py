@@ -9,6 +9,7 @@ import pytest
 from svsim.cli import (compare_results, load_sweep_spec, main, read_results_csv,
                        run_sweep, sweep_configs, sweep_workloads)
 from svsim.hardware import hw_config_to_dict, make_cluster, make_hw
+from svsim.scheduling import SCHEDULERS, NoReadyTask
 from svsim.workloads import generate, save_manifest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -140,6 +141,42 @@ def test_simulate_bad_model_exit_code(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_simulate_stall_exit_code(tmp_path, monkeypatch, capsys):
+    def never(table, now):
+        raise NoReadyTask("never places")
+
+    monkeypatch.setitem(SCHEDULERS, "has", never)
+    out = tmp_path / "stalled"
+    rc = main(["simulate", "--workload", small_workload_file(tmp_path),
+               "--hw", small_hw_file(tmp_path), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("deadlock:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_failure_leaves_no_output_dir(tmp_path):
+    with open(small_workload_file(tmp_path)) as f:
+        doc = json.load(f)
+    doc["requests"][0]["model"] = "nosuchnet"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    rc = main(["simulate", "--workload", str(path), "--hw", small_hw_file(tmp_path),
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_simulate_out_naming_a_file_exit_code(tmp_path, capsys):
+    out = tmp_path / "afile"
+    out.write_text("")
+    rc = main(["simulate", "--workload", small_workload_file(tmp_path),
+               "--hw", small_hw_file(tmp_path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --out")
+
+
 def test_simulate_rejects_alpha_outside_unit_interval(tmp_path):
     w, hw = small_workload_file(tmp_path), small_hw_file(tmp_path)
     for alpha in ("nan", "0", "1.5"):
@@ -195,6 +232,40 @@ def test_sweep_resumes_and_parallelism_invariant(tmp_path):
     out2 = str(tmp_path / "parallel")
     rows2, _ = run_sweep(spec, out2, parallelism=2)
     assert rows2 == rows1
+
+
+def test_sweep_cache_keyed_by_scheduler(tmp_path):
+    spec = load_sweep_spec(tiny_spec())
+    out = str(tmp_path / "shared")
+    run_sweep(spec, out, scheduler="has")
+    rows, failures = run_sweep(spec, out, scheduler="rr")
+    assert failures == []
+    assert {r["scheduler"] for r in rows} == {"rr"}
+    assert rows == run_sweep(spec, str(tmp_path / "fresh"), scheduler="rr")[0]
+
+
+def test_sweep_cache_keyed_by_hardware(tmp_path):
+    out = str(tmp_path / "shared")
+    run_sweep(load_sweep_spec({**tiny_spec(), "hbm_gbps": 256}), out)
+    slow = load_sweep_spec({**tiny_spec(), "hbm_gbps": 8})
+    rows, _ = run_sweep(slow, out)
+    assert rows == run_sweep(slow, str(tmp_path / "fresh"))[0]
+    assert len(rows) == 11
+
+
+@pytest.mark.parametrize("doc,word", [({"arrays": [[1, 8]]}, "dim 8"),
+                                      ({"arrays": 5}, "int"),
+                                      ({"workload_suite": {"request_count": 0}},
+                                       "request_count")])
+def test_sweep_rejects_bad_spec_before_any_point(tmp_path, capsys, doc, word):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**tiny_spec(), **doc}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad sweep spec:") and word in err
+    assert "Traceback" not in err
+    assert not (out / "points").exists()
 
 
 def test_sweep_sample_fraction(tmp_path):

@@ -70,6 +70,17 @@ def test_vector_layer_sliced_by_elements():
     assert sum(s.vector_counts["activation"] for s in slices) == 1024 * 1024
 
 
+def test_partition_memo_only_rekeys_requests():
+    cluster = make_cluster(1, 16, 1, 16, 45)
+    g = builtin_model("alexnet", depth_reduction=4)
+    memo = {}
+    for rid in (0, 1):
+        fresh = build_request_tasks(g, rid, cluster)
+        memoised = build_request_tasks(g, rid, cluster, partitions=memo)
+        assert memoised == fresh
+    assert list(memo) == [(g.name, cluster.shared_mem_bytes, 0.5)]
+
+
 def test_request_tasks_share_weight_keys_across_requests():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=4)
@@ -294,6 +305,35 @@ def test_no_ready_task_when_queues_empty():
         has_schedule(table, 0)
     with pytest.raises(NoReadyTask):
         rr_schedule(table, 0)
+
+
+def test_head_readiness_recomputed_after_commit():
+    hw = make_hw(1, make_cluster(1, 16, 1, 16, 1 << 30))
+    a = make_task("a", 0, gemm_cost(16, 16, 16))
+    b = make_task("b", 0, gemm_cost(16, 16, 16), deps=("a",))
+    table = fresh_table(hw, [[a, b]])
+    assert table.head_deps(0) == (0, 0)  # a has no dependencies
+    placed = rr_schedule(table, 0)
+    # b is head now: its bounds are a's committed start and end
+    assert table.head_deps(0) == (placed.t_start, placed.t_end) == (0, 48)
+    with pytest.raises(NoReadyTask) as exc:
+        rr_schedule(table, 0)  # the only array runs a until 48
+    assert exc.value.not_before == 48
+    assert has_schedule(table, 0).t_task == 48  # a has started: b may bind
+
+
+def test_no_ready_task_names_earliest_dependency_start():
+    hw = make_hw(1, make_cluster(1, 16, 1, 16, 45))
+    a = make_task("a", 0, gemm_cost(16, 16, 16, param_bytes=MB),
+                  param_keys=((("w", "m", 1, 0), MB),))
+    b = make_task("b", 0, vector_cost("activation", 4096), deps=("a",))
+    table = fresh_table(hw, [[a, b]])
+    placed = has_schedule(table, 0)
+    assert placed.t_start > 0  # a waits for its weights
+    with pytest.raises(NoReadyTask) as exc:
+        has_schedule(table, 0)
+    assert exc.value.not_before == placed.t_start
+    assert has_schedule(table, placed.t_start).task.task_id == "b"
 
 
 # --- properties -------------------------------------------------------------------

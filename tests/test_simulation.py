@@ -1,17 +1,20 @@
 import json
+import os
 
 import pytest
 
 from svsim.costs import mem_transfer_cycles, systolic_cycles, layer_cost
-from svsim.hardware import (MB, PhysicalModel, make_cluster, make_hw,
-                            peak_performance)
+from svsim.hardware import (MB, PhysicalModel, load_hw_config, make_cluster,
+                            make_hw, peak_performance)
 from svsim.models import builtin_model, ingest_graph
-from svsim.scheduling import UnpartitionableLayer
+from svsim.scheduling import (SCHEDULERS, NoReadyTask, StalledRun,
+                              UnpartitionableLayer)
 from svsim.simulation import (compute_report, energy_from_trace, export_trace,
                               run, trace_digest, verify_trace)
 from svsim.workloads import Request, Workload, generate
 
 PHYS = PhysicalModel()
+DESK_HW = os.path.join(os.path.dirname(__file__), "..", "configs", "desk_hw.json")
 
 
 def single_model_workload(name="tiny", n=1):
@@ -176,6 +179,34 @@ def test_unpartitionable_layer_surfaces_as_error():
     w = single_model_workload("vgg16")
     with pytest.raises(UnpartitionableLayer):
         run(w, hw, graphs={"vgg16": builtin_model("vgg16", depth_reduction=4)})
+
+
+# trace digests of the scheduling core on the desk config; a change that
+# moves one changes which task runs where and when
+PINNED_DIGESTS = {
+    ((0.5, 6, 1), "rr"): "fc739260d7add05be4b5ce828c1d85a06a383b55b4f74e9a7f48c7faca3ddbd6",
+    ((0.5, 6, 1), "has"): "4b95eaf295bf4e92dc2f8811d3959ace2b77a6a5f33466b2e910e2edc269cb29",
+    ((1.0, 6, 2), "rr"): "36476c9c4f7751ca2cbdb8a09b6c086bb41229e5c49c4d7abe18c27ed01dfc58",
+    ((1.0, 6, 2), "has"): "6f7d91a350f6b1e52fdf850a7c969bb9dadaab115e43faaee940423a06b18b50",
+}
+
+
+@pytest.mark.parametrize("args,scheduler", sorted(PINNED_DIGESTS))
+def test_desk_trace_digests_pinned(args, scheduler):
+    hw = load_hw_config(DESK_HW)
+    trace, _ = run(generate(*args), hw, scheduler=scheduler)
+    assert verify_trace(trace, hw) == []
+    assert trace_digest(trace) == PINNED_DIGESTS[(args, scheduler)]
+
+
+def test_run_that_never_places_raises_stalled(monkeypatch):
+    def never(table, now):
+        raise NoReadyTask("never places")
+
+    monkeypatch.setitem(SCHEDULERS, "has", never)
+    hw = make_hw(1, make_cluster(1, 16, 1, 16, 45))
+    with pytest.raises(StalledRun, match="2 requests never completed"):
+        run(single_model_workload(n=2), hw, graphs={"tiny": tiny_gemm_graph()})
 
 
 def test_unknown_scheduler_rejected():
