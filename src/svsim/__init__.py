@@ -8,7 +8,7 @@ from .hardware import (ClusterConfig, HardwareConfig, PhysicalModel,
                        load_hw_config, make_cluster, make_hw,
                        peak_performance, total_area)
 from .models import (ModelGraph, builtin_model, from_umf, ingest_graph,
-                     layer_flops, layer_macs, structure_equal, to_umf)
+                     layer_macs, structure_equal, to_umf)
 from .scheduling import (ClusterTable, build_request_tasks, has_schedule,
                          load_balance, partition_layer, rr_schedule)
 from .simulation import (PerfReport, TraceLog, compute_report, export_trace,

@@ -42,18 +42,18 @@ def _cmd_convert(args) -> int:
     try:
         with open(args.model) as f:
             graph = models.ingest_graph(f.read())
+        buf = umf.encode_frame(models.to_umf(
+            graph, user_id=args.user_id, model_id=args.model_id,
+            transaction_id=args.transaction_id, include_payloads=args.payloads))
     except OSError as e:
         print(f"error: cannot read {args.model}: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except models.ModelError as e:
+    except (models.ModelError, umf.UmfError) as e:
         print(f"error: {args.model}: {e}", file=sys.stderr)
         return EXIT_USAGE
-    frame = models.to_umf(graph, user_id=args.user_id, model_id=args.model_id,
-                          transaction_id=args.transaction_id,
-                          include_payloads=args.payloads)
     out = args.output or os.path.splitext(args.model)[0] + ".umf"
     with open(out, "wb") as f:
-        f.write(umf.encode_frame(frame))
+        f.write(buf)
     print(f"wrote {out}: {len(graph.layers)} layers, "
           f"{graph.total_param_bytes} parameter bytes")
     return EXIT_OK

@@ -129,10 +129,6 @@ def layer_macs(layer: LayerNode) -> int:
     return m * k * n * groups
 
 
-def layer_flops(layer: LayerNode) -> int:
-    return 2 * layer_macs(layer)
-
-
 def matrix_dims(layer: LayerNode) -> tuple[int, int, int, int]:
     """(M, K, N, groups) of the product a matrix layer lowers to.
 
@@ -292,8 +288,6 @@ class GraphBuilder:
                          out_shape, self.precision)
         preds = tuple(sorted({self._producer[t.tensor_id] for t in acts
                               if t.tensor_id in self._producer}))
-        # out_features is derivable from the output shape; keep attrs minimal
-        attrs.pop("out_features", None)
         node = LayerNode(layer_id, name or f"layer{layer_id}", op,
                          tuple(acts) + tuple(weights), (out,), attrs, preds)
         self._layers.append(node)
@@ -340,9 +334,6 @@ class GraphBuilder:
             return self.reshape(x, (x.shape[0], math.prod(x.shape[1:])), name=name)
         return self.reshape(x, (math.prod(x.shape),), name=name)
 
-    def concat(self, xs, axis=0, name=None):
-        return self.layer(OpType.CONCAT, list(xs), {"axis": axis}, name=name)
-
     def transpose(self, x, perm, name=None):
         return self.layer(OpType.TRANSPOSE, [x], {"perm": tuple(perm)}, name=name)
 
@@ -374,22 +365,12 @@ def validate_graph(graph: ModelGraph) -> None:
         for t in layer.inputs + layer.outputs:
             if not t.shape or t.byte_size <= 0:
                 raise ShapeMismatch(f"{layer.name}: degenerate tensor shape {t.shape}")
-        want = infer_output_shape(layer.op, [t.shape for t in acts], _full_attrs(layer))
+        want = infer_output_shape(layer.op, [t.shape for t in acts], layer.attrs)
         if want != layer.outputs[0].shape:
             raise ShapeMismatch(
                 f"{layer.name}: output shape {layer.outputs[0].shape}, expected {want}")
         for t in layer.outputs:
             known_acts.add(t.tensor_id)
-
-
-def _full_attrs(layer: LayerNode) -> dict:
-    """Layer attrs plus the out_features implied by the output shape."""
-    attrs = dict(layer.attrs)
-    if layer.op == OpType.CONV:
-        attrs["out_features"] = layer.outputs[0].shape[-3]
-    elif layer.op == OpType.GEMM or (layer.op == OpType.MATMUL and layer.weight_inputs):
-        attrs["out_features"] = layer.outputs[0].shape[-1]
-    return attrs
 
 
 def structure_signature(graph: ModelGraph):
@@ -419,8 +400,12 @@ _OP_NAMES = {
     "concat": OpType.CONCAT, "transpose": OpType.TRANSPOSE,
 }
 
-_ATTR_KEYS = ("kernel", "stride", "padding", "groups", "out_features", "axis",
-              "perm", "target")
+# scalar layer attributes and their UMF bits: JSON ingest reads these keys,
+# to_umf writes one u16 per key a layer carries and from_umf reads it back.
+# "perm" (packed nibbles) and "target" (TARGET_DIM* slots) have their own rules.
+_SCALAR_ATTRS = (("kernel", Attr.KERNEL), ("stride", Attr.STRIDE),
+                 ("padding", Attr.PADDING), ("out_features", Attr.OUT_FEATURES),
+                 ("groups", Attr.GROUPS), ("axis", Attr.AXIS))
 
 
 def ingest_graph(text) -> ModelGraph:
@@ -502,8 +487,13 @@ def ingest_graph(text) -> ModelGraph:
     for name in order:
         _, op, spec = by_name[name]
         acts = [produced[ref] for ref in spec["inputs"]]
-        attrs = {k: (tuple(spec[k]) if isinstance(spec[k], list) else int(spec[k]))
-                 for k in _ATTR_KEYS if k in spec}
+        try:
+            attrs = {k: int(spec[k]) for k, _ in _SCALAR_ATTRS if k in spec}
+            attrs.update((k, tuple(int(d) for d in spec[k]))
+                         for k in ("perm", "target") if k in spec)
+        except (TypeError, ValueError):
+            raise SchemaError(f"layer {name!r}: attributes must be integers, "
+                              f"perm and target lists of integers") from None
         try:
             produced[name] = b.layer(op, acts, attrs,
                                      with_bias=bool(spec.get("bias", False)), name=name)
@@ -541,7 +531,7 @@ BUILTIN_MODELS = CNN_MODELS + TRANSFORMER_MODELS
 
 
 def builtin_model(name: str, size: int | None = None, *, batch: int = 1,
-                  depth_reduction: int = 1, precision: Precision | None = None) -> ModelGraph:
+                  depth_reduction: int = 1) -> ModelGraph:
     """Shape table of a published architecture as a schedulable graph.
 
     ``size`` is the image edge for CNNs (default 224) and the sequence
@@ -560,7 +550,7 @@ def builtin_model(name: str, size: int | None = None, *, batch: int = 1,
         raise SchemaError("batch must be >= 1")
     if key in TRANSFORMER_MODELS and batch != 1:
         raise SchemaError("transformer builtins run at batch 1")
-    return _BUILDERS[key](size, batch, depth_reduction, precision)
+    return _BUILDERS[key](size, batch, depth_reduction)
 
 
 def _repeat(count: int, k: int) -> int:
@@ -569,9 +559,9 @@ def _repeat(count: int, k: int) -> int:
 
 def _cnn_builder(name):
     def outer(fn):
-        def build(size, batch, k, precision):
+        def build(size, batch, k):
             img = size or 224
-            b = GraphBuilder(name, ModelClass.CNN, precision or Precision.INT8)
+            b = GraphBuilder(name, ModelClass.CNN, Precision.INT8)
             shape = (batch, 3, img, img) if batch > 1 else (3, img, img)
             fn(b, b.input(shape), k)
             return b.build()
@@ -715,9 +705,9 @@ def _transformer_block(b: GraphBuilder, x, hidden: int, ffn: int, tag: str):
 
 
 def _transformer_builder(name, hidden, blocks, ffn, lm_vocab=None):
-    def build(size, batch, k, precision):
+    def build(size, batch, k):
         seq = size or 128
-        b = GraphBuilder(name, ModelClass.TRANSFORMER, precision or Precision.FP16)
+        b = GraphBuilder(name, ModelClass.TRANSFORMER, Precision.FP16)
         x = b.input((seq, hidden))
         for i in range(_repeat(blocks, k)):
             x = _transformer_block(b, x, hidden, ffn, f"blk{i + 1}")
@@ -737,35 +727,25 @@ _transformer_builder("gpt2_medium", 1024, 24, 4096, lm_vocab=50257)
 # ---------------------------------------------------------------------------
 # UMF conversion
 
-def _encode_attrs(layer: LayerNode, graph: ModelGraph) -> tuple[tuple[Attr, int], ...]:
-    attrs: dict[Attr, int] = {}
+def _dim_slots(first: Attr, ndim: int = 4) -> tuple[Attr, ...]:
+    """The first ``ndim`` bits of a 4-slot dims group (TARGET_DIM*, INPUT_DIM*)."""
+    if ndim > 4:
+        raise SchemaError(f"{first.name[:-1]} holds at most 4 dims, got {ndim}")
+    return tuple(Attr(int(first) + i) for i in range(ndim))
+
+
+def _encode_attrs(layer: LayerNode) -> tuple[tuple[Attr, int], ...]:
+    """Exactly the attributes the layer carries, plus the shape of an
+    external input it reads (the decoder's only source for that shape)."""
     a = layer.attrs
-    if "kernel" in a:
-        attrs[Attr.KERNEL] = a["kernel"]
-    if "stride" in a:
-        attrs[Attr.STRIDE] = a["stride"]
-    if "padding" in a:
-        attrs[Attr.PADDING] = a["padding"]
-    if layer.op == OpType.CONV:
-        attrs[Attr.GROUPS] = a.get("groups", 1)
-        attrs[Attr.OUT_FEATURES] = layer.outputs[0].shape[-3]
-    elif layer.op == OpType.GEMM or (layer.op == OpType.MATMUL and layer.weight_inputs):
-        attrs[Attr.OUT_FEATURES] = layer.outputs[0].shape[-1]
-    if "axis" in a:
-        attrs[Attr.AXIS] = a["axis"]
+    attrs = {bit: a[key] for key, bit in _SCALAR_ATTRS if key in a}
     if "perm" in a:
-        packed = 0
-        for i, p in enumerate(a["perm"]):
-            packed |= p << (4 * i)
-        attrs[Attr.PERM] = packed
+        attrs[Attr.PERM] = sum(p << (4 * i) for i, p in enumerate(a["perm"]))
     if "target" in a:
-        for i, d in enumerate(a["target"]):
-            attrs[Attr(int(Attr.TARGET_DIM0) + i)] = d
-    ext_ids = {t.tensor_id for t in graph.inputs}
-    ext = [t for t in layer.activation_inputs if t.tensor_id in ext_ids]
+        attrs.update(zip(_dim_slots(Attr.TARGET_DIM0, len(a["target"])), a["target"]))
+    ext = [t for t in layer.activation_inputs if t.tensor_id < 1 << _ACT_ID_SHIFT]
     if ext:
-        for i, d in enumerate(ext[0].shape):
-            attrs[Attr(int(Attr.INPUT_DIM0) + i)] = d
+        attrs.update(zip(_dim_slots(Attr.INPUT_DIM0, len(ext[0].shape)), ext[0].shape))
     return make_attrs(attrs)
 
 
@@ -777,7 +757,7 @@ def to_umf(graph: ModelGraph, *, user_id: int = 0, transaction_id: int = 0,
     for layer in graph.layers:
         inputs = tuple((t.tensor_id, t.kind) for t in layer.inputs)
         info.append(InfoPacket(layer.layer_id, layer.op, inputs,
-                               len(layer.outputs), _encode_attrs(layer, graph)))
+                               len(layer.outputs), _encode_attrs(layer)))
         for t in layer.weight_inputs:
             data.append(DataPacket(
                 t.tensor_id, DataType.BIAS if t.bias else DataType.WEIGHT,
@@ -824,9 +804,7 @@ def from_umf(frame: UmfFrame) -> ModelGraph:
                 acts.append(produced[ref])
             else:
                 if ref not in graph_inputs:
-                    dims = tuple(wire[Attr(int(Attr.INPUT_DIM0) + i)]
-                                 for i in range(4)
-                                 if Attr(int(Attr.INPUT_DIM0) + i) in wire)
+                    dims = tuple(wire[s] for s in _dim_slots(Attr.INPUT_DIM0) if s in wire)
                     if not dims:
                         raise DanglingTensorRef(
                             f"layer {pkt.layer_id}: external input {ref} "
@@ -835,29 +813,18 @@ def from_umf(frame: UmfFrame) -> ModelGraph:
                                                    dims, precision)
                 acts.append(graph_inputs[ref])
 
-        attrs: dict = {}
-        infer_attrs: dict = {}
-        for key, abit in (("kernel", Attr.KERNEL), ("stride", Attr.STRIDE),
-                          ("padding", Attr.PADDING), ("axis", Attr.AXIS)):
-            if abit in wire:
-                attrs[key] = infer_attrs[key] = wire[abit]
-        if Attr.GROUPS in wire:
-            attrs["groups"] = infer_attrs["groups"] = wire[Attr.GROUPS]
-        if Attr.OUT_FEATURES in wire:
-            infer_attrs["out_features"] = wire[Attr.OUT_FEATURES]
+        attrs = {key: wire[bit] for key, bit in _SCALAR_ATTRS if bit in wire}
         if Attr.PERM in wire:
             nd = len(acts[0].shape)
-            perm = tuple((wire[Attr.PERM] >> (4 * i)) & 0xF for i in range(nd))
-            attrs["perm"] = infer_attrs["perm"] = perm
-        target = tuple(wire[Attr(int(Attr.TARGET_DIM0) + i)] for i in range(4)
-                       if Attr(int(Attr.TARGET_DIM0) + i) in wire)
+            attrs["perm"] = tuple((wire[Attr.PERM] >> (4 * i)) & 0xF for i in range(nd))
+        target = tuple(wire[s] for s in _dim_slots(Attr.TARGET_DIM0) if s in wire)
         if target:
-            attrs["target"] = infer_attrs["target"] = target
+            attrs["target"] = target
 
         op = OpType(pkt.op_type)
         in_shapes = [t.shape for t in acts]
-        out_shape = infer_output_shape(op, in_shapes, infer_attrs)
-        w_shapes = infer_weight_shapes(op, in_shapes, infer_attrs,
+        out_shape = infer_output_shape(op, in_shapes, attrs)
+        w_shapes = infer_weight_shapes(op, in_shapes, attrs,
                                        with_bias=len(weights) > 1)
         if len(w_shapes) != len(weights):
             raise ShapeMismatch(

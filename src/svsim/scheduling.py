@@ -335,12 +335,10 @@ class Placement:
 class ClusterTable:
     """Scheduling table of one cluster: reservations, queues, residency."""
 
-    def __init__(self, cluster: ClusterConfig, hw: HardwareConfig,
-                 cluster_index: int = 0):
+    def __init__(self, cluster: ClusterConfig, hw: HardwareConfig):
         self.cluster = cluster
         self.hw = hw
         self.cc = hw.cycle_constants
-        self.index = cluster_index
         self.processors: list[Processor] = []
         for i, spec in enumerate(cluster.arrays):
             self.processors.append(Processor(f"array{i}", "array", spec, len(self.processors)))
@@ -673,13 +671,11 @@ def rr_schedule(table: ClusterTable, now: int = 0) -> Placement:
 SCHEDULERS = {"rr": rr_schedule, "has": has_schedule}
 
 
-def load_balance(in_flight: list[int], capacity: int | None = None) -> int | None:
-    """FIFO dispatch target: the cluster with the fewest in-flight requests.
+def load_balance(in_flight: list[int], capacity: list[int] | None = None) -> int | None:
+    """FIFO dispatch target: among the clusters below their own ``capacity``,
+    the one with the fewest in-flight requests, ties to the lowest index.
 
-    Returns None when every cluster is at capacity (the request waits).
+    Returns None when every cluster is full (the request waits).
     """
-    order = sorted(range(len(in_flight)), key=lambda i: (in_flight[i], i))
-    best = order[0]
-    if capacity is not None and in_flight[best] >= capacity:
-        return None
-    return best
+    free = [i for i, n in enumerate(in_flight) if capacity is None or n < capacity[i]]
+    return min(free, key=in_flight.__getitem__, default=None)  # min keeps the first tie

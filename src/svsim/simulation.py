@@ -173,7 +173,8 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
         "shared_mem_bytes": [cl.shared_mem_bytes for cl in hw.clusters],
         "alpha": alpha,
     })
-    tables = [ClusterTable(cl, hw, i) for i, cl in enumerate(hw.clusters)]
+    tables = [ClusterTable(cl, hw) for cl in hw.clusters]
+    capacity = [cl.num_task_queues for cl in hw.clusters]
     # per cluster: the processor size of each processor index
     proc_sizes = [[getattr(p.spec, "dim", 0) or p.spec.lanes for p in t.processors]
                   for t in tables]
@@ -184,7 +185,6 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     waiting: deque[int] = deque()
     remaining: dict[int, int] = {}
     records: dict[int, RequestRecord] = {}
-    request_cluster: dict[int, int] = {}
 
     heap: list = []
     seq = 0
@@ -208,7 +208,6 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
                                     partitions=partitions)
         table.enqueue_request(rid, tasks)
         in_flight[target] += 1
-        request_cluster[rid] = target
         remaining[rid] = len(tasks)
         rec.cluster = target
         rec.dispatched = now
@@ -260,7 +259,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
         # strict FIFO admission: the oldest waiter goes to the least-loaded
         # cluster with a free task-queue slot
         while waiting:
-            target = load_balance(in_flight, tables[0].cluster.num_task_queues)
+            target = load_balance(in_flight, capacity)
             if target is None:
                 break
             dispatch(waiting.popleft(), target, now)

@@ -31,7 +31,7 @@ Frame layout (v1)::
         attr_mask            u16
     info payload:
         input_count x { tensor_ref u32, kind u8 }   kind: 1 weight / 2 activation
-        one u16 value per set attr_mask bit, ascending bit order
+        one u16 value per set attr_mask bit (bits 0-14), ascending bit order
 
     data packet (11 B header + optional body):
         tensor_id    u32
@@ -364,15 +364,21 @@ def decode_frame(buf: bytes) -> UmfFrame:
                 raise SizeChainMismatch(
                     f"info packet {i}: payload size {cur} != previous "
                     f"next_payload_size {expected_cur}", at)
-            inputs = tuple((ref, TensorKind(kind))
-                           for ref, kind in (r.take(_INPUT_SPEC, "input spec")
-                                             for _ in range(n_in)))
+            if mask >> len(Attr):
+                raise UmfDecodeError(f"attr mask {mask:#06x} sets an unknown bit", at + 13)
+            inputs = []
+            for _ in range(n_in):
+                ref, kind = r.take(_INPUT_SPEC, "input spec")
+                try:
+                    inputs.append((ref, TensorKind(kind)))
+                except ValueError:
+                    raise UmfDecodeError(f"unknown tensor kind {kind}", r.pos - 1) from None
             attrs = []
-            for bit in range(16):
-                if mask & (1 << bit):
+            for a in Attr:
+                if mask & (1 << a):
                     (v,) = r.take(_U16, "attr value")
-                    attrs.append((Attr(bit), v))
-            pkt = InfoPacket(layer_id, op, inputs, n_out, tuple(attrs))
+                    attrs.append((a, v))
+            pkt = InfoPacket(layer_id, op, tuple(inputs), n_out, tuple(attrs))
             if pkt.payload_size != cur:
                 raise SizeChainMismatch(
                     f"info packet {i}: declared payload {cur} != encoded "

@@ -9,7 +9,9 @@ import pytest
 from svsim.cli import (compare_results, load_sweep_spec, main, read_results_csv,
                        run_sweep, sweep_configs, sweep_workloads)
 from svsim.hardware import hw_config_to_dict, make_cluster, make_hw
+from svsim.models import builtin_model, to_umf
 from svsim.scheduling import SCHEDULERS, NoReadyTask
+from svsim.umf import FRAME_HEADER_SIZE, INFO_HEADER_SIZE, encode_frame
 from svsim.workloads import generate, save_manifest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -67,11 +69,37 @@ def test_convert_rejects_unknown_op(tmp_path, capsys):
     assert "unknown op" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layer,shape,why", [
+    ({"op": "GEMM", "out_features": 70000}, [4, 8], "u16 range"),
+    ({"op": "Reshape", "target": [1, 1, 1, 1, 4]}, [4], "at most 4 dims"),
+    ({"op": "Conv", "out_features": 4, "kernel": "x"}, [4, 8, 8], "integers"),
+])
+def test_convert_rejects_unencodable_model(tmp_path, capsys, layer, shape, why):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "name": "bad", "inputs": [{"name": "x", "shape": shape}],
+        "layers": [dict(layer, name="l", inputs=["x"])]}))
+    assert main(["convert", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
+    assert not (tmp_path / "bad.umf").exists()
+
+
 def test_inspect_corrupted_file(tmp_path, capsys):
     path = tmp_path / "junk.umf"
     path.write_bytes(b"NOPE" + bytes(14))
     assert main(["inspect", str(path)]) == 1
     assert "offset" in capsys.readouterr().err
+
+
+def test_inspect_bad_tensor_kind_one_error_line(tmp_path, capsys):
+    buf = bytearray(encode_frame(to_umf(builtin_model("alexnet", depth_reduction=4))))
+    buf[FRAME_HEADER_SIZE + 2 + INFO_HEADER_SIZE + 4] = 9  # first input's kind
+    path = tmp_path / "bad.umf"
+    path.write_bytes(bytes(buf))
+    assert main(["inspect", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "offset" in err[0]
 
 
 # --- simulate -------------------------------------------------------------------

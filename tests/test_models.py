@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,9 +9,9 @@ from svsim.models import (BUILTIN_MODELS, CNN_MODELS, CycleDetected,
                           DanglingTensorRef, ModelClass, SchemaError,
                           ShapeMismatch, TRANSFORMER_MODELS, UnknownModel,
                           WrongPacketType, builtin_model, from_umf,
-                          ingest_graph, layer_flops, layer_macs,
+                          ingest_graph, layer_macs,
                           structure_equal, to_umf)
-from svsim.umf import (DataType, FrameHeader, OpType, PacketType, UmfFrame,
+from svsim.umf import (Attr, DataType, FrameHeader, OpType, PacketType, UmfFrame,
                        decode_frame, encode_frame)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -120,7 +121,7 @@ def test_flop_count_stable_across_ingestion_paths():
     assert structure_equal(via_text, via_builtin)
     assert via_text.total_macs == via_builtin.total_macs
     for a, b in zip(via_text.layers, via_builtin.layers):
-        assert layer_flops(a) == 2 * layer_macs(b)
+        assert layer_macs(a) == layer_macs(b)
 
 
 # --- builtin models ----------------------------------------------------------
@@ -180,6 +181,37 @@ def test_umf_round_trip_all_builtins(name):
     frame = to_umf(g, model_id=11)
     assert decode_frame(encode_frame(frame)) == frame
     assert structure_equal(from_umf(frame), g)
+
+
+# sha256 of each depth-4 builtin's encoded model-load frame; a change that
+# moves one changes what a decoder receives
+PINNED_FRAMES = {
+    "resnet50": "9359c4ea4b661fc18dd8e04f738cc8b80a03907b3064066c68b6c0de596bab83",
+    "vgg16": "1b7ca6b3c7ad28ebd343c783ec18eb50640303c28eab923f07f31d2a6f9e5332",
+    "mobilenetv2": "687a36d1f0c8c985540d2f5c398a1eb31d92a1ca9d51b2ea37839422a8fcfd70",
+    "alexnet": "1daa67e280a3ef133bf881370d53c559e285240d30db43c57f1cd9a2ab50de06",
+    "bert_base": "9458d94da7c44c0983e8da0545e2003761f9546b5fa1339297b30fd161c1668c",
+    "bert_large": "1ba0d1d25b1e56733efbc161c15a6f690a6a9a155cf5c4258b901e66f8ad4fdf",
+    "gpt2": "40eb001969608d44abfcf29f271bb273c43d8aaff45bfb03c8c0609edc17da42",
+    "gpt2_medium": "37cfad17e083500c186fa2e1d18140d09ceca2c5d25b80f6b56b7aaabe033615",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_builtin_frames_pinned(name):
+    buf = encode_frame(to_umf(builtin_model(name, depth_reduction=4), model_id=7))
+    assert hashlib.sha256(buf).hexdigest() == PINNED_FRAMES[name]
+
+
+def test_umf_round_trip_conv_without_groups():
+    g = ingest_graph({
+        "name": "nogroups", "inputs": [{"name": "x", "shape": [4, 8, 8]}],
+        "layers": [{"name": "c", "op": "Conv", "inputs": ["x"],
+                    "out_features": 8, "kernel": 3}],
+    })
+    frame = to_umf(g)
+    assert Attr.GROUPS not in frame.info_packets[0].attr_dict()
+    assert structure_equal(from_umf(decode_frame(encode_frame(frame))), g)
 
 
 def test_to_umf_payload_sizes_match_parameter_bytes():

@@ -410,7 +410,15 @@ def test_load_balance_fewest_in_flight_lowest_index():
 
 
 def test_load_balance_respects_capacity():
-    assert load_balance([8, 8], capacity=8) is None
+    assert load_balance([8, 8], capacity=[8, 8]) is None
+    assert load_balance([1, 0], capacity=[8, 0]) == 0
+    # each cluster is held to its own queue count, in either order
+    for capacity in ([8, 2], [2, 8]):
+        in_flight = [0, 0]
+        for _ in range(10):
+            in_flight[load_balance(in_flight, capacity)] += 1
+        assert in_flight == capacity
+        assert load_balance(in_flight, capacity) is None
 
 
 def test_load_balance_spreads_batch_evenly():

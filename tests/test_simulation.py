@@ -199,6 +199,21 @@ def test_desk_trace_digests_pinned(args, scheduler):
     assert trace_digest(trace) == PINNED_DIGESTS[(args, scheduler)]
 
 
+@pytest.mark.parametrize("queues", [(8, 2), (2, 8)])
+@pytest.mark.parametrize("scheduler", ["rr", "has"])
+def test_clusters_with_different_queue_counts(queues, scheduler):
+    # a batch of 12 fills each cluster up to its own queue count at cycle 0
+    with open(DESK_HW) as f:
+        doc = json.load(f)
+    doc["clusters"] = [dict(doc["clusters"][0], num_task_queues=n) for n in queues]
+    hw = load_hw_config(doc)
+    trace, _ = run(generate(0.5, 12, 1), hw, scheduler=scheduler)
+    assert verify_trace(trace, hw) == []
+    at_start = [sum(1 for r in trace.requests if r.cluster == ci and r.dispatched == 0)
+                for ci in range(len(queues))]
+    assert at_start == list(queues)
+
+
 def test_run_that_never_places_raises_stalled(monkeypatch):
     def never(table, now):
         raise NoReadyTask("never places")

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svsim.models import builtin_model, to_umf
 from svsim.umf import (Attr, BadMagic, DataPacket, DataType, FrameHeader,
                        InfoPacket, InvariantViolation, OpType, PacketType,
                        Precision, SizeChainMismatch, TensorKind, TrailingBytes,
-                       TruncatedFrame, UmfDecodeError, UmfFrame, UnknownPacketType,
-                       UnknownVersion, FRAME_HEADER_SIZE, decode_frame,
-                       encode_frame, inspect_frame, make_attrs)
+                       TruncatedFrame, UmfDecodeError, UmfError, UmfFrame,
+                       UnknownPacketType, UnknownVersion, FRAME_HEADER_SIZE,
+                       INFO_HEADER_SIZE, decode_frame, encode_frame,
+                       inspect_frame, make_attrs)
 
 
 def check_frame(user=7, txn=9, model=3):
@@ -191,6 +193,39 @@ def test_trailing_bytes_rejected():
     buf = encode_frame(check_frame()) + b"\x00"
     with pytest.raises(TrailingBytes):
         decode_frame(buf)
+
+
+def test_unknown_tensor_kind_reports_offset():
+    buf = bytearray(encode_frame(model_load_frame()))
+    kind_at = FRAME_HEADER_SIZE + 2 + INFO_HEADER_SIZE + 4  # first input's kind
+    buf[kind_at] = 9
+    with pytest.raises(UmfDecodeError) as e:
+        decode_frame(bytes(buf))
+    assert e.value.offset == kind_at
+
+
+def test_unknown_attr_bit_reports_offset():
+    buf = bytearray(encode_frame(model_load_frame()))
+    mask_at = FRAME_HEADER_SIZE + 2 + 13  # first info packet's attr_mask
+    buf[mask_at + 1] |= 0x80  # bit 15, past the last Attr
+    with pytest.raises(UmfDecodeError) as e:
+        decode_frame(bytes(buf))
+    assert e.value.offset == mask_at
+
+
+@pytest.mark.parametrize("name", ["alexnet", "bert_base"])
+def test_single_byte_corruption_decodes_or_raises_umf_error(name):
+    buf = encode_frame(to_umf(builtin_model(name, depth_reduction=4)))
+    for i in range(len(buf)):
+        for v in (0, 1, 3, 0x80, 0xFF):
+            bad = bytearray(buf)
+            bad[i] = v
+            try:
+                decode_frame(bytes(bad))
+            except UmfError:
+                pass
+            except Exception as e:
+                pytest.fail(f"byte {i} set to {v:#x} escaped as {e!r}")
 
 
 # --- inspect ---------------------------------------------------------------
