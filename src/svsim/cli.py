@@ -18,6 +18,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -168,11 +169,23 @@ def sweep_workloads(spec: dict) -> list[workloads.Workload]:
 SWEEP_ALPHA = 0.5
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """sha256 over the bytes of every ``svsim/*.py`` module, once per process."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as f:
+                h.update(name.encode() + hashlib.sha256(f.read()).digest())
+    return h.hexdigest()
+
+
 def point_key(cfg: dict, workload: workloads.Workload, scheduler: str) -> str:
     """sha256 of everything that determines a sweep point's row: the
-    hardware document, the workload, the scheduler and alpha."""
+    hardware document, the workload, the scheduler, alpha and the code."""
     doc = {"hw": cfg["hw"], "workload": dataclasses.asdict(workload),
-           "scheduler": scheduler, "alpha": SWEEP_ALPHA}
+           "scheduler": scheduler, "alpha": SWEEP_ALPHA, "code": code_digest()}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -389,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=_alpha, default=0.5,
                    help="working-set budget per task, a fraction in (0, 1] "
                         "of shared memory")
-    s.add_argument("--out", default=os.environ.get("SVSIM_OUT", "out"))
+    s.add_argument("--out", default="out")
     s.set_defaults(fn=_cmd_simulate)
 
     w = sub.add_parser("sweep", help="design-space exploration sweep")
@@ -398,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--parallelism", type=int, default=1)
     w.add_argument("--sample", type=float, default=1.0,
                    help="run a deterministic sample of the points")
-    w.add_argument("--out", default=os.environ.get("SVSIM_OUT", "sweep_out"))
+    w.add_argument("--out", default="sweep_out")
     w.set_defaults(fn=_cmd_sweep)
 
     m = sub.add_parser("compare", help="speedup table of results B over A")

@@ -183,9 +183,7 @@ def load_hw_config(source) -> HardwareConfig:
         doc = source
     else:
         text = source
-        if hasattr(source, "read"):
-            text = source.read()
-        elif isinstance(source, str) and not source.lstrip().startswith("{"):
+        if isinstance(source, str) and not source.lstrip().startswith("{"):
             try:
                 with open(source) as f:
                     text = f.read()

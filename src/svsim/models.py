@@ -9,10 +9,11 @@ carrying explicit output ids:
     external inputs      0x8000 + input index
     layer outputs        ((layer_id + 1) << 16) | output slot
 
-A decoder resolves an activation reference above 0xffff back to its
-producing layer, and recovers every shape by re-running the same shape
-inference the builder used (the wire carries only op parameters, never
-intermediate shapes).
+Builtins, JSON ingest and UMF decode all build through
+``GraphBuilder.layer``, which infers every shape and checks each layer once,
+as it is added (the wire carries only op parameters, never intermediate
+shapes).  A frame decodes only if its weights follow the id convention
+above and share one precision.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .umf import (Attr, DataPacket, DataType, FrameHeader, InfoPacket, OpType,
                   PacketType, Precision, TensorKind, UmfFrame, make_attrs)
@@ -29,10 +31,7 @@ EXTERNAL_ID_BASE = 0x8000
 _ACT_ID_SHIFT = 16
 
 MATRIX_OPS = frozenset({OpType.CONV, OpType.GEMM, OpType.MATMUL})
-VECTOR_COMPUTE_OPS = frozenset({OpType.POOL, OpType.SOFTMAX, OpType.LAYERNORM,
-                                OpType.ACTIVATION, OpType.ELEMENTWISE_ADD})
 DATA_OPS = frozenset({OpType.RESHAPE, OpType.CONCAT, OpType.TRANSPOSE})
-COMPUTE_OPS = MATRIX_OPS | VECTOR_COMPUTE_OPS
 
 
 class ModelClass(Enum):
@@ -157,6 +156,8 @@ def matrix_dims(layer: LayerNode) -> tuple[int, int, int, int]:
 # shape inference
 
 def _conv_spatial(size: int, kernel: int, stride: int, padding: int) -> int:
+    if stride < 1:
+        raise SchemaError(f"stride must be >= 1, got {stride}")
     out = (size + 2 * padding - kernel) // stride + 1
     if out < 1:
         raise ShapeMismatch(
@@ -168,6 +169,8 @@ def _conv_spatial(size: int, kernel: int, stride: int, padding: int) -> int:
 def infer_output_shape(op: OpType, in_shapes: list[tuple[int, ...]],
                        attrs: dict) -> tuple[int, ...]:
     """Output shape of a layer given its activation input shapes."""
+    if not in_shapes:
+        raise SchemaError(f"{op.name} needs an activation input")
     x = in_shapes[0]
     if op == OpType.CONV:
         if len(x) not in (3, 4):
@@ -175,6 +178,8 @@ def infer_output_shape(op: OpType, in_shapes: list[tuple[int, ...]],
         k, s, p = attrs["kernel"], attrs.get("stride", 1), attrs.get("padding", 0)
         f = attrs["out_features"]
         g = attrs.get("groups", 1)
+        if g < 1:
+            raise SchemaError(f"groups must be >= 1, got {g}")
         if x[-3] % g or f % g:
             raise ShapeMismatch(f"channels {x[-3]}->{f} not divisible by groups {g}")
         h, w = _conv_spatial(x[-2], k, s, p), _conv_spatial(x[-1], k, s, p)
@@ -184,6 +189,8 @@ def infer_output_shape(op: OpType, in_shapes: list[tuple[int, ...]],
     if op == OpType.MATMUL:
         if "out_features" in attrs:
             return x[:-1] + (attrs["out_features"],)
+        if len(in_shapes) != 2:
+            raise SchemaError("MatMul needs a weight or two activations")
         b = in_shapes[1]
         if len(x) != 2 or len(b) != 2 or x[1] != b[0]:
             raise ShapeMismatch(f"MatMul inner dims disagree: {x} x {b}")
@@ -198,6 +205,8 @@ def infer_output_shape(op: OpType, in_shapes: list[tuple[int, ...]],
     if op in (OpType.SOFTMAX, OpType.LAYERNORM, OpType.ACTIVATION):
         return x
     if op == OpType.ELEMENTWISE_ADD:
+        if len(in_shapes) != 2:
+            raise SchemaError(f"Add needs two operands, got {len(in_shapes)}")
         if in_shapes[0] != in_shapes[1]:
             raise ShapeMismatch(f"Add operands differ: {in_shapes[0]} vs {in_shapes[1]}")
         return x
@@ -208,6 +217,8 @@ def infer_output_shape(op: OpType, in_shapes: list[tuple[int, ...]],
         return target
     if op == OpType.CONCAT:
         axis = attrs.get("axis", 0)
+        if not 0 <= axis < len(x):
+            raise SchemaError(f"Concat axis {axis} out of range for {len(x)} dims")
         base = list(x)
         for other in in_shapes[1:]:
             if len(other) != len(x) or any(
@@ -227,71 +238,85 @@ def infer_weight_shapes(op: OpType, in_shapes: list[tuple[int, ...]],
                         attrs: dict, with_bias: bool) -> list[tuple[tuple[int, ...], bool]]:
     """[(shape, is_bias)] of the parameter tensors a layer owns."""
     x = in_shapes[0]
-    if op == OpType.CONV:
-        f, k = attrs["out_features"], attrs["kernel"]
-        g = attrs.get("groups", 1)
-        shapes = [((f, x[-3] // g, k, k), False)]
-        if with_bias:
-            shapes.append(((f,), True))
-        return shapes
-    if op == OpType.GEMM or (op == OpType.MATMUL and "out_features" in attrs):
-        n = attrs["out_features"]
-        shapes = [((x[-1], n), False)]
-        if with_bias:
-            shapes.append(((n,), True))
-        return shapes
     if op == OpType.LAYERNORM:
         # per-channel scale/shift on feature maps, per-feature on sequences
         d = x[0] if len(x) >= 3 else x[-1]
         return [((d,), False), ((d,), True)]
-    return []
+    if op == OpType.CONV:
+        n, k = attrs["out_features"], attrs["kernel"]
+        weight = (n, x[-3] // attrs.get("groups", 1), k, k)
+    elif op == OpType.GEMM or (op == OpType.MATMUL and "out_features" in attrs):
+        n = attrs["out_features"]
+        weight = (x[-1], n)
+    else:
+        return []
+    return [(weight, False)] + ([((n,), True)] if with_bias else [])
 
 
 # ---------------------------------------------------------------------------
 # graph construction
 
 class GraphBuilder:
-    """Incrementally builds a validated ModelGraph in topological order."""
+    """Incrementally builds a ModelGraph in topological order; the one
+    place a LayerNode is made."""
 
     def __init__(self, name: str, model_class: ModelClass, precision: Precision):
         self.name = name
         self.model_class = model_class
         self.precision = precision
+        self.layers: list[LayerNode] = []
+        self.activations: dict[int, TensorInfo] = {}  # inputs and layer outputs
         self._inputs: list[TensorInfo] = []
-        self._layers: list[LayerNode] = []
         self._next_weight_id = 1
-        self._producer: dict[int, int] = {}  # activation tensor_id -> layer_id
 
-    def input(self, shape: tuple[int, ...]) -> TensorInfo:
-        t = TensorInfo(EXTERNAL_ID_BASE + len(self._inputs), TensorKind.ACTIVATION,
-                       tuple(shape), self.precision)
+    def input(self, shape: tuple[int, ...], tensor_id: int | None = None) -> TensorInfo:
+        """A graph input, by default with the next external id."""
+        shape = tuple(shape)
+        if not shape or min(shape) < 1:
+            raise ShapeMismatch(f"degenerate input shape {shape}")
+        if tensor_id is None:
+            tensor_id = EXTERNAL_ID_BASE + len(self._inputs)
+        t = TensorInfo(tensor_id, TensorKind.ACTIVATION, shape, self.precision)
         self._inputs.append(t)
-        return t
-
-    def _weight(self, shape: tuple[int, ...], is_bias: bool) -> TensorInfo:
-        if self._next_weight_id >= EXTERNAL_ID_BASE:
-            raise SchemaError("too many weight tensors for the id space")
-        t = TensorInfo(self._next_weight_id, TensorKind.WEIGHT, tuple(shape),
-                       self.precision, bias=is_bias)
-        self._next_weight_id += 1
+        self.activations[tensor_id] = t
         return t
 
     def layer(self, op: OpType, acts: list[TensorInfo], attrs: dict | None = None,
               with_bias: bool = False, name: str | None = None) -> TensorInfo:
+        """Add a layer reading ``acts`` and return its output.  Unknown
+        activations, bad attributes or arity and degenerate weight or
+        output shapes raise a ModelError naming the layer."""
         attrs = dict(attrs or {})
-        layer_id = len(self._layers)
-        in_shapes = [t.shape for t in acts]
-        out_shape = infer_output_shape(op, in_shapes, attrs)
-        weights = [self._weight(s, b)
-                   for s, b in infer_weight_shapes(op, in_shapes, attrs, with_bias)]
+        layer_id = len(self.layers)
+        name = name or f"layer{layer_id}"
+        try:
+            for t in acts:
+                if self.activations.get(t.tensor_id) != t:
+                    raise DanglingTensorRef(f"unknown activation ref {t.tensor_id}")
+            in_shapes = [t.shape for t in acts]
+            out_shape = infer_output_shape(op, in_shapes, attrs)
+            w_shapes = infer_weight_shapes(op, in_shapes, attrs, with_bias)
+            for shape in [s for s, _ in w_shapes] + [out_shape]:
+                if not shape or min(shape) < 1:
+                    raise ShapeMismatch(f"degenerate tensor shape {shape}")
+            if self._next_weight_id + len(w_shapes) > EXTERNAL_ID_BASE:
+                raise SchemaError("too many weight tensors for the id space")
+        except KeyError as e:
+            raise SchemaError(f"layer {name!r}: missing attribute {e}") from None
+        except ModelError as e:
+            raise type(e)(f"layer {name!r}: {e}") from None
+        weights = tuple(TensorInfo(self._next_weight_id + i, TensorKind.WEIGHT, s,
+                                   self.precision, bias=b)
+                        for i, (s, b) in enumerate(w_shapes))
+        self._next_weight_id += len(weights)
         out = TensorInfo(((layer_id + 1) << _ACT_ID_SHIFT), TensorKind.ACTIVATION,
                          out_shape, self.precision)
-        preds = tuple(sorted({self._producer[t.tensor_id] for t in acts
-                              if t.tensor_id in self._producer}))
-        node = LayerNode(layer_id, name or f"layer{layer_id}", op,
-                         tuple(acts) + tuple(weights), (out,), attrs, preds)
-        self._layers.append(node)
-        self._producer[out.tensor_id] = layer_id
+        # a layer output's id names its producer; graph inputs sit below 1 << 16
+        preds = tuple(sorted({(t.tensor_id >> _ACT_ID_SHIFT) - 1 for t in acts
+                              if t.tensor_id >> _ACT_ID_SHIFT}))
+        self.layers.append(LayerNode(layer_id, name, op, tuple(acts) + weights,
+                                     (out,), attrs, preds))
+        self.activations[out.tensor_id] = out
         return out
 
     # convenience wrappers used by the builtin definitions
@@ -338,39 +363,9 @@ class GraphBuilder:
         return self.layer(OpType.TRANSPOSE, [x], {"perm": tuple(perm)}, name=name)
 
     def build(self) -> ModelGraph:
-        g = ModelGraph(self.name, self.model_class, self.precision,
-                       tuple(self._inputs), tuple(self._layers))
-        validate_graph(g)
-        return g
-
-
-def validate_graph(graph: ModelGraph) -> None:
-    known_acts = {t.tensor_id for t in graph.inputs}
-    for i, layer in enumerate(graph.layers):
-        if layer.layer_id != i:
-            raise SchemaError(f"layer ids must be dense, got {layer.layer_id} at {i}")
-        if any(p >= i for p in layer.predecessors):
-            raise CycleDetected(f"layer {layer.name} depends on a later layer")
-        acts = layer.activation_inputs
-        if layer.op in COMPUTE_OPS and not acts:
-            raise SchemaError(f"{layer.name}: compute op without activation input")
-        for t in acts:
-            if t.tensor_id not in known_acts:
-                raise DanglingTensorRef(
-                    f"{layer.name}: unknown activation ref {t.tensor_id}")
-        if layer.op in (OpType.CONV, OpType.GEMM) and not layer.weight_inputs:
-            raise SchemaError(f"{layer.name}: {layer.op.name} needs a weight input")
-        if layer.op == OpType.MATMUL and not layer.weight_inputs and len(acts) != 2:
-            raise SchemaError(f"{layer.name}: MatMul needs a weight or two activations")
-        for t in layer.inputs + layer.outputs:
-            if not t.shape or t.byte_size <= 0:
-                raise ShapeMismatch(f"{layer.name}: degenerate tensor shape {t.shape}")
-        want = infer_output_shape(layer.op, [t.shape for t in acts], layer.attrs)
-        if want != layer.outputs[0].shape:
-            raise ShapeMismatch(
-                f"{layer.name}: output shape {layer.outputs[0].shape}, expected {want}")
-        for t in layer.outputs:
-            known_acts.add(t.tensor_id)
+        return ModelGraph(self.name, self.model_class, self.precision,
+                          tuple(sorted(self._inputs, key=attrgetter("tensor_id"))),
+                          tuple(self.layers))
 
 
 def structure_signature(graph: ModelGraph):
@@ -434,8 +429,7 @@ def ingest_graph(text) -> ModelGraph:
         if key not in doc:
             raise SchemaError(f"missing required key {key!r}")
 
-    specs = []
-    names = set()
+    specs: dict[str, tuple[OpType, dict]] = {}
     for i, spec in enumerate(doc["layers"]):
         if not isinstance(spec, dict) or "op" not in spec or "inputs" not in spec:
             raise SchemaError(f"layer {i}: needs 'op' and 'inputs'")
@@ -443,10 +437,9 @@ def ingest_graph(text) -> ModelGraph:
         if op_name not in _OP_NAMES:
             raise SchemaError(f"layer {i}: unknown op {spec['op']!r}")
         name = spec.get("name", f"layer{i}")
-        if name in names:
+        if name in specs:
             raise SchemaError(f"duplicate layer name {name!r}")
-        names.add(name)
-        specs.append((name, _OP_NAMES[op_name], spec))
+        specs[name] = (_OP_NAMES[op_name], spec)
 
     input_names = []
     input_shapes = {}
@@ -457,10 +450,9 @@ def ingest_graph(text) -> ModelGraph:
         input_shapes[spec["name"]] = tuple(int(d) for d in spec["shape"])
 
     # topological sort over name references (forward references allowed)
-    by_name = {name: (name, op, spec) for name, op, spec in specs}
-    for name, _, spec in specs:
+    for name, (_, spec) in specs.items():
         for ref in spec["inputs"]:
-            if ref not in by_name and ref not in input_shapes:
+            if ref not in specs and ref not in input_shapes:
                 raise SchemaError(f"layer {name!r}: unknown input {ref!r}")
     order: list[str] = []
     state: dict[str, int] = {}  # 1 visiting, 2 done
@@ -471,21 +463,21 @@ def ingest_graph(text) -> ModelGraph:
         if state.get(name) == 1:
             raise CycleDetected(" -> ".join(stack + [name]))
         state[name] = 1
-        for ref in by_name[name][2]["inputs"]:
-            if ref in by_name:
+        for ref in specs[name][1]["inputs"]:
+            if ref in specs:
                 visit(ref, stack + [name])
         state[name] = 2
         order.append(name)
 
-    for name, _, _ in specs:
+    for name in specs:
         visit(name, [])
 
-    mclass = _parse_class(doc.get("class"), (op for _, op, _ in specs))
+    mclass = _parse_class(doc.get("class"), (op for op, _ in specs.values()))
     precision = _parse_precision(doc.get("precision"), mclass)
     b = GraphBuilder(str(doc["name"]), mclass, precision)
     produced: dict[str, TensorInfo] = {n: b.input(input_shapes[n]) for n in input_names}
     for name in order:
-        _, op, spec = by_name[name]
+        op, spec = specs[name]
         acts = [produced[ref] for ref in spec["inputs"]]
         try:
             attrs = {k: int(spec[k]) for k, _ in _SCALAR_ATTRS if k in spec}
@@ -494,11 +486,8 @@ def ingest_graph(text) -> ModelGraph:
         except (TypeError, ValueError):
             raise SchemaError(f"layer {name!r}: attributes must be integers, "
                               f"perm and target lists of integers") from None
-        try:
-            produced[name] = b.layer(op, acts, attrs,
-                                     with_bias=bool(spec.get("bias", False)), name=name)
-        except KeyError as e:
-            raise SchemaError(f"layer {name!r}: missing attribute {e}") from None
+        produced[name] = b.layer(op, acts, attrs,
+                                 with_bias=bool(spec.get("bias", False)), name=name)
     return b.build()
 
 
@@ -744,6 +733,10 @@ def _encode_attrs(layer: LayerNode) -> tuple[tuple[Attr, int], ...]:
     if "target" in a:
         attrs.update(zip(_dim_slots(Attr.TARGET_DIM0, len(a["target"])), a["target"]))
     ext = [t for t in layer.activation_inputs if t.tensor_id < 1 << _ACT_ID_SHIFT]
+    if any(t.shape != ext[0].shape for t in ext):
+        raise SchemaError(f"layer {layer.name!r}: a frame carries one input shape "
+                          f"per layer, but its graph inputs have "
+                          f"{sorted({t.shape for t in ext})}")
     if ext:
         attrs.update(zip(_dim_slots(Attr.INPUT_DIM0, len(ext[0].shape)), ext[0].shape))
     return make_attrs(attrs)
@@ -768,90 +761,57 @@ def to_umf(graph: ModelGraph, *, user_id: int = 0, transaction_id: int = 0,
 
 
 def from_umf(frame: UmfFrame) -> ModelGraph:
-    """Rebuild a graph from a model-load frame.
+    """Rebuild a graph from a model-load frame through ``GraphBuilder.layer``.
 
-    Shapes are reconstructed by re-running shape inference over the packet
-    stream; weight byte sizes are cross-checked against the data packets.
+    The builder re-infers every shape; the weights it infers must match the
+    frame's data packets in tensor id, payload size and precision.
     """
     if PacketType(frame.header.packet_type) != PacketType.MODEL_LOAD:
         raise WrongPacketType(
             f"expected MODEL_LOAD, got {PacketType(frame.header.packet_type).name}")
     data_by_id = {p.tensor_id: p for p in frame.data_packets}
-    precisions = [Precision(p.precision) for p in frame.data_packets]
-    precision = (max(set(precisions), key=precisions.count) if precisions
-                 else Precision.INT8)
-
+    precisions = {Precision(p.precision) for p in frame.data_packets}
+    if len(precisions) > 1:
+        raise ShapeMismatch(f"weights mix precisions "
+                            f"{sorted(p.name for p in precisions)}")
     ops = [OpType(p.op_type) for p in frame.info_packets]
-    mclass = _parse_class(None, ops)
-    graph_inputs: dict[int, TensorInfo] = {}
-    produced: dict[int, TensorInfo] = {}
-    layers: list[LayerNode] = []
+    b = GraphBuilder(f"model_{frame.header.model_id}", _parse_class(None, ops),
+                     precisions.pop() if precisions else Precision.INT8)
 
-    for pkt in frame.info_packets:
+    for i, (pkt, op) in enumerate(zip(frame.info_packets, ops)):
+        if pkt.layer_id != i:
+            raise SchemaError(f"layer ids must be dense, got {pkt.layer_id} at {i}")
         wire = pkt.attr_dict()
         acts: list[TensorInfo] = []
-        weights: list[TensorInfo] = []
+        weight_refs: list[int] = []
         for ref, kind in pkt.inputs:
             if kind == TensorKind.WEIGHT:
                 if ref not in data_by_id:
-                    raise DanglingTensorRef(
-                        f"layer {pkt.layer_id}: weight {ref} has no data packet")
-                weights.append(ref)  # shapes resolved after inference
-            elif ref >= (1 << _ACT_ID_SHIFT):
-                if ref not in produced:
-                    raise DanglingTensorRef(
-                        f"layer {pkt.layer_id}: activation {ref} has no producer")
-                acts.append(produced[ref])
+                    raise DanglingTensorRef(f"layer {i}: weight {ref} has no data packet")
+                weight_refs.append(ref)
+            elif ref in b.activations:
+                acts.append(b.activations[ref])
+            elif ref >= 1 << _ACT_ID_SHIFT:
+                raise DanglingTensorRef(f"layer {i}: activation {ref} has no producer")
             else:
-                if ref not in graph_inputs:
-                    dims = tuple(wire[s] for s in _dim_slots(Attr.INPUT_DIM0) if s in wire)
-                    if not dims:
-                        raise DanglingTensorRef(
-                            f"layer {pkt.layer_id}: external input {ref} "
-                            f"carries no shape attributes")
-                    graph_inputs[ref] = TensorInfo(ref, TensorKind.ACTIVATION,
-                                                   dims, precision)
-                acts.append(graph_inputs[ref])
+                dims = tuple(wire[s] for s in _dim_slots(Attr.INPUT_DIM0) if s in wire)
+                if not dims:
+                    raise DanglingTensorRef(f"layer {i}: external input {ref} "
+                                            f"carries no shape attributes")
+                acts.append(b.input(dims, tensor_id=ref))
 
         attrs = {key: wire[bit] for key, bit in _SCALAR_ATTRS if bit in wire}
         if Attr.PERM in wire:
-            nd = len(acts[0].shape)
-            attrs["perm"] = tuple((wire[Attr.PERM] >> (4 * i)) & 0xF for i in range(nd))
+            nd = len(acts[0].shape) if acts else 0
+            attrs["perm"] = tuple((wire[Attr.PERM] >> (4 * j)) & 0xF for j in range(nd))
         target = tuple(wire[s] for s in _dim_slots(Attr.TARGET_DIM0) if s in wire)
         if target:
             attrs["target"] = target
 
-        op = OpType(pkt.op_type)
-        in_shapes = [t.shape for t in acts]
-        out_shape = infer_output_shape(op, in_shapes, attrs)
-        w_shapes = infer_weight_shapes(op, in_shapes, attrs,
-                                       with_bias=len(weights) > 1)
-        if len(w_shapes) != len(weights):
-            raise ShapeMismatch(
-                f"layer {pkt.layer_id}: expected {len(w_shapes)} weight tensors, "
-                f"frame carries {len(weights)}")
-        weight_infos = []
-        for ref, (shape, is_bias) in zip(weights, w_shapes):
-            d = data_by_id[ref]
-            t = TensorInfo(ref, TensorKind.WEIGHT, shape, Precision(d.precision),
-                           bias=is_bias)
-            if t.byte_size != d.payload_size:
-                raise ShapeMismatch(
-                    f"layer {pkt.layer_id}: weight {ref} carries {d.payload_size} B, "
-                    f"inferred shape {shape} needs {t.byte_size} B")
-            weight_infos.append(t)
-
-        out = TensorInfo((pkt.layer_id + 1) << _ACT_ID_SHIFT, TensorKind.ACTIVATION,
-                         out_shape, precision)
-        preds = tuple(sorted({(t.tensor_id >> _ACT_ID_SHIFT) - 1 for t in acts
-                              if t.tensor_id >= (1 << _ACT_ID_SHIFT)}))
-        layers.append(LayerNode(pkt.layer_id, f"layer{pkt.layer_id}", op,
-                                tuple(acts) + tuple(weight_infos), (out,),
-                                attrs, preds))
-        produced[out.tensor_id] = layers[-1].outputs[0]
-
-    graph = ModelGraph(f"model_{frame.header.model_id}", mclass, precision,
-                       tuple(t for _, t in sorted(graph_inputs.items())),
-                       tuple(layers))
-    validate_graph(graph)
-    return graph
+        b.layer(op, acts, attrs, with_bias=len(weight_refs) > 1)
+        want = [(t.tensor_id, t.byte_size) for t in b.layers[-1].weight_inputs]
+        got = [(ref, data_by_id[ref].payload_size) for ref in weight_refs]
+        if got != want:
+            raise ShapeMismatch(f"layer {i}: frame weights (id, bytes) {got}, "
+                                f"inferred {want}")
+    return b.build()

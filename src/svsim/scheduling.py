@@ -69,12 +69,9 @@ class SubLayerTask:
     task_id: str
     request_id: int
     layer_id: int
-    slice_index: int
-    num_slices: int
     op: OpType
     cost: TaskCost
     deps: tuple[str, ...]
-    model_key: str
     param_keys: tuple[tuple[tuple, int], ...]   # (residency key, bytes)
     act_in_keys: tuple[tuple[tuple, int], ...]
     act_out_key: tuple[tuple, int] | None
@@ -235,7 +232,6 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
     layer_act_keys: dict[int, list[tuple[tuple, int]]] = {}
 
     for layer, slices, param_keys in layers:
-        n = len(slices)
         dep_ids: list[str] = []
         in_keys: list[tuple[tuple, int]] = []
         for p in layer.predecessors:
@@ -254,9 +250,8 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
             if sl.cost.act_out_bytes:
                 out_key = (("a", rtag, layer.layer_id, i), sl.cost.act_out_bytes)
                 out_keys.append(out_key)
-            tasks.append(SubLayerTask(task_id, request_id, layer.layer_id, i, n,
-                                      layer.op, sl.cost, deps, model_key,
-                                      pk, act_in, out_key))
+            tasks.append(SubLayerTask(task_id, request_id, layer.layer_id,
+                                      layer.op, sl.cost, deps, pk, act_in, out_key))
             ids.append(task_id)
         layer_task_ids[layer.layer_id] = ids
         layer_act_keys[layer.layer_id] = out_keys

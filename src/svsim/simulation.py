@@ -24,6 +24,7 @@ import json
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
                        SystolicArraySpec, VECTOR_ENERGY_FOR_OP,
@@ -99,29 +100,6 @@ class TraceLog:
     def makespan(self) -> int:
         ends = [e.t_end for e in self.executions] + [t.t_end for t in self.transfers]
         return max(ends, default=0)
-
-    def events(self) -> list[tuple[int, str, str]]:
-        """Every state change as (cycle, kind, subject), time-ordered;
-        at equal cycles dispatches precede completions."""
-        rank = {"request_arrival": 0, "task_dispatch": 1, "fetch_complete": 2,
-                "flush_complete": 3, "task_complete": 4, "request_complete": 5}
-        out = [(r.arrival, "request_arrival", f"r{r.request_id}") for r in self.requests]
-        out += [(r.completed, "request_complete", f"r{r.request_id}")
-                for r in self.requests if r.completed >= 0]
-        for e in self.executions:
-            out.append((e.t_start, "task_dispatch", e.task_id))
-            out.append((e.t_end, "task_complete", e.task_id))
-        for t in self.transfers:
-            kind = "flush_complete" if t.kind == "write_act" else "fetch_complete"
-            out.append((t.t_end, kind, t.key))
-        return sorted(out, key=lambda ev: (ev[0], rank[ev[1]], ev[2]))
-
-    def busy_intervals(self) -> dict[str, list[tuple[int, int]]]:
-        out: dict[str, list[tuple[int, int]]] = {}
-        for e in self.executions:
-            out.setdefault(f"cluster{e.cluster}/{e.resource}", []).append(
-                (e.t_start, e.t_end))
-        return {k: sorted(v) for k, v in sorted(out.items())}
 
 
 @dataclass(frozen=True)
@@ -409,7 +387,8 @@ def export_trace(trace: TraceLog, path: str) -> None:
 
 
 def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
-    """Replay checker: processor exclusivity, dependency ordering, and
+    """Replay checker: processor exclusivity, HBM channel serialisation,
+    dependency ordering, request completion at its last task's end, and
     shared-memory capacity.  Returns a list of violations (empty = clean)."""
     problems: list[str] = []
 
@@ -424,6 +403,15 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
                     f"cluster{ci}/{res}: {b.task_id} starts at {b.t_start} "
                     f"before {a.task_id} ends at {a.t_end}")
 
+    # one channel per cluster; records sharing (t_start, t_end) are one
+    # fetch chunk split across keys, so only distinct intervals must not
+    # overlap, and in sorted order an overlap shows between neighbours
+    spans = sorted((t.cluster, t.t_start, t.t_end) for t in trace.transfers)
+    for (c1, s1, e1), (c2, s2, e2) in zip(spans, spans[1:]):
+        if s2 < e1 and c1 == c2 and (s1, e1) != (s2, e2):
+            problems.append(f"cluster{c1}/hbm: transfer [{s2}, {e2}) "
+                            f"overlaps [{s1}, {e1})")
+
     end_by_task = {e.task_id: e.t_end for e in trace.executions}
     for e in trace.executions:
         for dep in e.deps:
@@ -434,6 +422,12 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
                 problems.append(
                     f"{e.task_id} starts at {e.t_start} before dependency "
                     f"{dep} ends at {dep_end}")
+    last_end = {e.request_id: e.t_end
+                for e in sorted(trace.executions, key=attrgetter("t_end"))}
+    for r in trace.requests:
+        if r.completed >= 0 and r.completed != last_end.get(r.request_id):
+            problems.append(f"request {r.request_id}: completed at {r.completed}, "
+                            f"its last task ends at {last_end.get(r.request_id)}")
 
     per_cluster: dict[int, list[ResidencyEvent]] = {}
     for r in trace.residency:

@@ -17,10 +17,9 @@ CC = CycleConstants()
 
 
 def make_task(tid, queue, cost, deps=(), param_keys=(), act_in_keys=(),
-              act_out=None, model_key="m"):
-    return SubLayerTask(tid, queue, 0, 0, 1, cost.op, cost, tuple(deps),
-                        model_key, tuple(param_keys), tuple(act_in_keys),
-                        act_out)
+              act_out=None):
+    return SubLayerTask(tid, queue, 0, cost.op, cost, tuple(deps),
+                        tuple(param_keys), tuple(act_in_keys), act_out)
 
 
 def gemm_cost(m, k, n, param_bytes=0, act_in=0, act_out=0):

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from svsim import cli
 from svsim.cli import (compare_results, load_sweep_spec, main, read_results_csv,
                        run_sweep, sweep_configs, sweep_workloads)
 from svsim.hardware import hw_config_to_dict, make_cluster, make_hw
@@ -73,12 +74,18 @@ def test_convert_rejects_unknown_op(tmp_path, capsys):
     ({"op": "GEMM", "out_features": 70000}, [4, 8], "u16 range"),
     ({"op": "Reshape", "target": [1, 1, 1, 1, 4]}, [4], "at most 4 dims"),
     ({"op": "Conv", "out_features": 4, "kernel": "x"}, [4, 8, 8], "integers"),
+    # a packet carries one input shape, so concat's output would decode as (8, 8)
+    ({"op": "Concat", "inputs": ["x", "y"]}, [[4, 8], [2, 8]], "one input shape"),
+    ({"op": "Conv", "out_features": 4, "kernel": 3, "groups": 0}, [4, 8, 8],
+     "layer 'l': groups"),
 ])
 def test_convert_rejects_unencodable_model(tmp_path, capsys, layer, shape, why):
+    shapes = shape if isinstance(shape[0], list) else [shape]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
-        "name": "bad", "inputs": [{"name": "x", "shape": shape}],
-        "layers": [dict(layer, name="l", inputs=["x"])]}))
+        "name": "bad",
+        "inputs": [{"name": n, "shape": s} for n, s in zip("xy", shapes)],
+        "layers": [{"name": "l", "inputs": ["x"], **layer}]}))
     assert main(["convert", str(bad)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
@@ -279,6 +286,21 @@ def test_sweep_cache_keyed_by_hardware(tmp_path):
     rows, _ = run_sweep(slow, out)
     assert rows == run_sweep(slow, str(tmp_path / "fresh"))[0]
     assert len(rows) == 11
+
+
+def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
+    spec = load_sweep_spec(tiny_spec())
+    out = str(tmp_path / "shared")
+    rows, _ = run_sweep(spec, out)
+    ran = []
+    real = cli.run_sweep_point
+    monkeypatch.setattr(cli, "run_sweep_point", lambda *a: ran.append(a) or real(*a))
+    assert run_sweep(spec, out)[0] == rows and ran == []
+    monkeypatch.setattr(cli, "code_digest", lambda: "another cost model")
+    rows2, failures = run_sweep(spec, out)
+    assert failures == [] and len(ran) == len(rows) == 11
+    assert not {r.pop("key") for r in rows} & {r.pop("key") for r in rows2}
+    assert rows2 == rows
 
 
 @pytest.mark.parametrize("doc,word", [({"arrays": [[1, 8]]}, "dim 8"),

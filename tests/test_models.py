@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,8 +12,8 @@ from svsim.models import (BUILTIN_MODELS, CNN_MODELS, CycleDetected,
                           WrongPacketType, builtin_model, from_umf,
                           ingest_graph, layer_macs,
                           structure_equal, to_umf)
-from svsim.umf import (Attr, DataType, FrameHeader, OpType, PacketType, UmfFrame,
-                       decode_frame, encode_frame)
+from svsim.umf import (Attr, DataType, FrameHeader, OpType, PacketType, Precision,
+                       UmfFrame, decode_frame, encode_frame)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -66,12 +67,23 @@ def test_ingest_shape_mismatch():
         })
 
 
+def one_layer(**layer):
+    """A description of one layer named ``l`` over a (4, 8, 8) input ``x``."""
+    return {"name": "x", "inputs": [{"name": "x", "shape": [4, 8, 8]}],
+            "layers": [{"name": "l", "inputs": ["x"], **layer}]}
+
+
 @pytest.mark.parametrize("doc,expect", [
     ({"name": "x"}, SchemaError),  # missing keys
     ({"name": "x", "inputs": [], "layers": [{"op": "Frobnicate", "inputs": []}]},
      SchemaError),
     ({"name": "x", "inputs": [], "layers": [{"op": "Conv", "inputs": ["nope"]}]},
      SchemaError),
+    (one_layer(op="Conv", out_features=4, kernel=3, groups=0), SchemaError),
+    (one_layer(op="Pool", kernel=2, stride=0), SchemaError),
+    (one_layer(op="Activation", inputs=[]), SchemaError),
+    (one_layer(op="Concat", inputs=["x", "x"], axis=7), SchemaError),
+    (one_layer(op="Add"), SchemaError),
 ])
 def test_ingest_schema_errors(doc, expect):
     with pytest.raises(expect):
@@ -183,24 +195,34 @@ def test_umf_round_trip_all_builtins(name):
     assert structure_equal(from_umf(frame), g)
 
 
-# sha256 of each depth-4 builtin's encoded model-load frame; a change that
-# moves one changes what a decoder receives
+# sha256 of each builtin's encoded model-load frame at depth_reduction 4
+# and 1; a change that moves one changes what a decoder receives
 PINNED_FRAMES = {
-    "resnet50": "9359c4ea4b661fc18dd8e04f738cc8b80a03907b3064066c68b6c0de596bab83",
-    "vgg16": "1b7ca6b3c7ad28ebd343c783ec18eb50640303c28eab923f07f31d2a6f9e5332",
-    "mobilenetv2": "687a36d1f0c8c985540d2f5c398a1eb31d92a1ca9d51b2ea37839422a8fcfd70",
-    "alexnet": "1daa67e280a3ef133bf881370d53c559e285240d30db43c57f1cd9a2ab50de06",
-    "bert_base": "9458d94da7c44c0983e8da0545e2003761f9546b5fa1339297b30fd161c1668c",
-    "bert_large": "1ba0d1d25b1e56733efbc161c15a6f690a6a9a155cf5c4258b901e66f8ad4fdf",
-    "gpt2": "40eb001969608d44abfcf29f271bb273c43d8aaff45bfb03c8c0609edc17da42",
-    "gpt2_medium": "37cfad17e083500c186fa2e1d18140d09ceca2c5d25b80f6b56b7aaabe033615",
+    "resnet50": ("9359c4ea4b661fc18dd8e04f738cc8b80a03907b3064066c68b6c0de596bab83",
+                 "0867c8928196aef38618b08fbf0b837ea6f0f6b93c104deb652985f7d09fd83a"),
+    "vgg16": ("1b7ca6b3c7ad28ebd343c783ec18eb50640303c28eab923f07f31d2a6f9e5332",
+              "7ba6b6bc015ada1844da422881df1f45f266ae03232e83bc1e23483fe0da413c"),
+    "mobilenetv2": ("687a36d1f0c8c985540d2f5c398a1eb31d92a1ca9d51b2ea37839422a8fcfd70",
+                    "b14ef095bd0ca3ed27a5268999aeeca1eba0913547aa606c3f0ad8cfd1a722ea"),
+    "alexnet": ("1daa67e280a3ef133bf881370d53c559e285240d30db43c57f1cd9a2ab50de06",
+                "71d3472b311340649d4e6e63e217cb4a2b59ea3e717093a44f7d31a04da96bd7"),
+    "bert_base": ("9458d94da7c44c0983e8da0545e2003761f9546b5fa1339297b30fd161c1668c",
+                  "e901212bb04cbd4477a40eace458d55bddde661aa0e349c0fc83200065169384"),
+    "bert_large": ("1ba0d1d25b1e56733efbc161c15a6f690a6a9a155cf5c4258b901e66f8ad4fdf",
+                   "3117dc46b71c8099c377cc050fccf315be1396101911514979e8b964ac13a9ec"),
+    "gpt2": ("40eb001969608d44abfcf29f271bb273c43d8aaff45bfb03c8c0609edc17da42",
+             "f971fd447f029b312b42d71ce08dc3b4d110b8982238a58a6766eed5d6e37f1d"),
+    "gpt2_medium": ("37cfad17e083500c186fa2e1d18140d09ceca2c5d25b80f6b56b7aaabe033615",
+                    "809696cf2cbf469130182fe99a8eab510c03cebba8b98e7c06290e5fa19d6f63"),
 }
 
 
 @pytest.mark.parametrize("name", BUILTIN_MODELS)
 def test_builtin_frames_pinned(name):
-    buf = encode_frame(to_umf(builtin_model(name, depth_reduction=4), model_id=7))
-    assert hashlib.sha256(buf).hexdigest() == PINNED_FRAMES[name]
+    for depth, want in zip((4, 1), PINNED_FRAMES[name]):
+        buf = encode_frame(to_umf(builtin_model(name, depth_reduction=depth),
+                                  model_id=7))
+        assert hashlib.sha256(buf).hexdigest() == want, depth
 
 
 def test_umf_round_trip_conv_without_groups():
@@ -212,6 +234,44 @@ def test_umf_round_trip_conv_without_groups():
     frame = to_umf(g)
     assert Attr.GROUPS not in frame.info_packets[0].attr_dict()
     assert structure_equal(from_umf(decode_frame(encode_frame(frame))), g)
+
+
+def test_umf_round_trip_inputs_read_out_of_order():
+    # layer 0 reads input b, layer 1 input a: inputs keep their frame ids
+    g = ingest_graph({
+        "name": "two_inputs", "precision": "int8",  # no weight carries fp16
+        "inputs": [{"name": "a", "shape": [4, 8]}, {"name": "b", "shape": [4, 8]}],
+        "layers": [{"name": "r", "op": "Activation", "inputs": ["b"]},
+                   {"name": "s", "op": "Add", "inputs": ["r", "a"]}],
+    })
+    back = from_umf(decode_frame(encode_frame(to_umf(g))))
+    assert [t.tensor_id for t in back.inputs] == [t.tensor_id for t in g.inputs]
+    assert structure_equal(back, g)
+
+
+def _renumber_first_weight(frame):
+    """The frame with weight 1 sent as tensor 100, ids otherwise kept."""
+    pkt = frame.info_packets[0]
+    inputs = tuple((100 if ref == 1 else ref, kind) for ref, kind in pkt.inputs)
+    data = tuple(dataclasses.replace(d, tensor_id=100) if d.tensor_id == 1 else d
+                 for d in frame.data_packets)
+    return UmfFrame(frame.header, (dataclasses.replace(pkt, inputs=inputs),)
+                    + frame.info_packets[1:], data)
+
+
+def _mix_precisions(frame):
+    """The frame with its last weight sent at twice the width."""
+    *rest, last = frame.data_packets
+    wide = dataclasses.replace(last, precision=Precision.FP16,
+                               payload_size=2 * last.payload_size)
+    return UmfFrame(frame.header, frame.info_packets, tuple(rest) + (wide,))
+
+
+@pytest.mark.parametrize("tamper", [_renumber_first_weight, _mix_precisions])
+def test_from_umf_rejects_weights_off_convention(tamper):
+    frame = to_umf(builtin_model("alexnet", depth_reduction=4))
+    with pytest.raises(ShapeMismatch):
+        from_umf(tamper(frame))
 
 
 def test_to_umf_payload_sizes_match_parameter_bytes():

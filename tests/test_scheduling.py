@@ -141,8 +141,7 @@ def test_plan_waits_for_flushable_holder():
     e = table2.residency[("w", "m", 9, 0)]
     e.avail = 10**6
     incoming = make_task("new", 0, gemm_cost(1, 64, 64, param_bytes=40 * MB),
-                         param_keys=((("w", "n", 1, 0), 40 * MB),),
-                         model_key="n")
+                         param_keys=((("w", "n", 1, 0), 40 * MB),))
     table2.queues[0].append(incoming)
     table2.pending_uses[("w", "n", 1, 0)] = 1
     plan = table2.plan_memory(incoming, now=p_old.t_end)

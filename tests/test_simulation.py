@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -106,6 +107,31 @@ def test_causality_and_request_records():
         assert r.completed >= r.dispatched >= r.arrival
         req_ends = [e.t_end for e in trace.executions if e.request_id == r.request_id]
         assert r.completed == max(req_ends)
+    assert verify_trace(trace, hw) == []
+
+
+def _desk_trace():
+    hw = load_hw_config(DESK_HW)
+    trace, _ = run(generate(0.5, 6, 1), hw, scheduler="has")
+    assert verify_trace(trace, hw) == []
+    return trace, hw
+
+
+def test_verify_trace_catches_overlapping_transfers():
+    trace, hw = _desk_trace()
+    t = trace.transfers[0]
+    trace.transfers.append(dataclasses.replace(t, t_start=t.t_start + 1,
+                                               t_end=t.t_end + 1))
+    problems = verify_trace(trace, hw)
+    assert problems and all("/hbm: " in p for p in problems)
+
+
+def test_verify_trace_catches_completion_off_last_task():
+    trace, hw = _desk_trace()
+    r = trace.requests[0]
+    r.completed += 1
+    problems = verify_trace(trace, hw)
+    assert len(problems) == 1 and problems[0].startswith(f"request {r.request_id}:")
 
 
 def test_export_trace_reparse_busy_intervals(tmp_path):
@@ -229,21 +255,3 @@ def test_unknown_scheduler_rejected():
     with pytest.raises(ValueError):
         run(single_model_workload(), hw, scheduler="fifo",
             graphs={"tiny": tiny_gemm_graph()})
-
-
-def test_event_view_is_ordered_and_causal():
-    hw = make_hw(1, make_cluster(1, 32, 2, 64, 45))
-    w = generate(0.5, 4, seed=3)
-    trace, _ = run(w, hw)
-    events = trace.events()
-    assert [t for t, _, _ in events] == sorted(t for t, _, _ in events)
-    seen = {}
-    for t, kind, subject in events:
-        if kind == "task_dispatch":
-            seen[subject] = t
-        elif kind == "task_complete":
-            assert seen[subject] <= t
-    busy = trace.busy_intervals()
-    for intervals in busy.values():
-        for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
-            assert e1 <= s2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svsim.models import builtin_model, to_umf
+from svsim.models import ModelError, builtin_model, from_umf, to_umf
 from svsim.umf import (Attr, BadMagic, DataPacket, DataType, FrameHeader,
                        InfoPacket, InvariantViolation, OpType, PacketType,
                        Precision, SizeChainMismatch, TensorKind, TrailingBytes,
@@ -215,17 +215,24 @@ def test_unknown_attr_bit_reports_offset():
 
 @pytest.mark.parametrize("name", ["alexnet", "bert_base"])
 def test_single_byte_corruption_decodes_or_raises_umf_error(name):
+    # a frame that decodes either rebuilds a graph or raises ModelError
     buf = encode_frame(to_umf(builtin_model(name, depth_reduction=4)))
     for i in range(len(buf)):
         for v in (0, 1, 3, 0x80, 0xFF):
             bad = bytearray(buf)
             bad[i] = v
             try:
-                decode_frame(bytes(bad))
+                frame = decode_frame(bytes(bad))
             except UmfError:
-                pass
+                continue
             except Exception as e:
                 pytest.fail(f"byte {i} set to {v:#x} escaped as {e!r}")
+            try:
+                from_umf(frame)
+            except ModelError:
+                pass
+            except Exception as e:
+                pytest.fail(f"byte {i} set to {v:#x} escaped from_umf as {e!r}")
 
 
 # --- inspect ---------------------------------------------------------------
