@@ -5,8 +5,7 @@ from .costs import (TaskCost, mem_transfer_cycles, systolic_cycles,
                     task_cycles, vector_cycles)
 from .hardware import (ClusterConfig, HardwareConfig, PhysicalModel,
                        SystolicArraySpec, VectorProcessorSpec, energy_of,
-                       load_hw_config, make_cluster, make_hw,
-                       peak_performance, total_area)
+                       load_hw_config, peak_performance, total_area)
 from .models import (ModelGraph, builtin_model, from_umf, ingest_graph,
                      layer_macs, structure_equal, to_umf)
 from .scheduling import (ClusterTable, build_request_tasks, has_schedule,

@@ -78,7 +78,7 @@ def _cmd_simulate(args) -> int:
     try:
         workload = workloads.load_manifest(args.workload)
         hw = hardware.load_hw_config(args.hw)
-    except (OSError, json.JSONDecodeError, hardware.ConfigError, KeyError) as e:
+    except (OSError, ValueError, hardware.ConfigError) as e:
         print(f"error: bad input: {e}", file=sys.stderr)
         return EXIT_USAGE
     if os.path.exists(args.out) and not os.path.isdir(args.out):

@@ -172,25 +172,21 @@ VECTOR_ENERGY_FOR_OP = {
 # ---------------------------------------------------------------------------
 # config file handling
 
-def load_hw_config(source) -> HardwareConfig:
-    """Parse a hardware config from a JSON file path, text, or dict.
+def load_hw_config(source: str | dict) -> HardwareConfig:
+    """Parse a hardware config from a JSON file path or a parsed dict.
 
     Keys: clock_mhz, hbm_gbps, hbm_latency_cycles, clusters[] with
     arrays[].dim, vectors[].lanes, shared_mem_mb and optional
-    num_task_queues, plus optional cycle_constants overrides.
+    num_task_queues, plus optional cycle_constants overrides.  Raises
+    ConfigError on an unreadable file or a bad document.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if isinstance(source, str) and not source.lstrip().startswith("{"):
-            try:
-                with open(source) as f:
-                    text = f.read()
-            except OSError as e:
-                raise ConfigError(f"cannot read hardware config: {e}") from None
+    doc = source
+    if not isinstance(source, dict):
         try:
-            doc = json.loads(text)
+            with open(source) as f:
+                doc = json.load(f)
+        except OSError as e:
+            raise ConfigError(f"cannot read hardware config: {e}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"hardware config is not valid JSON: {e}") from None
     try:
@@ -214,37 +210,3 @@ def load_hw_config(source) -> HardwareConfig:
             cycle_constants=cc)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad hardware config: {e!r}") from None
-
-
-def hw_config_to_dict(config: HardwareConfig) -> dict:
-    return {
-        "clock_mhz": config.clock_hz / 1e6,
-        "hbm_gbps": config.hbm_bandwidth_bytes_per_s / 1e9,
-        "hbm_latency_cycles": config.hbm_latency_cycles,
-        "clusters": [
-            {"arrays": [{"dim": a.dim} for a in cl.arrays],
-             "vectors": [{"lanes": v.lanes} for v in cl.vectors],
-             "shared_mem_mb": cl.shared_mem_bytes / MB,
-             "num_task_queues": cl.num_task_queues}
-            for cl in config.clusters
-        ],
-    }
-
-
-def make_cluster(num_arrays: int, array_dim: int, num_vectors: int,
-                 vector_lanes: int, shared_mem_mb: float, *,
-                 clock_hz: float = 800e6, num_task_queues: int = 8) -> ClusterConfig:
-    return ClusterConfig(
-        arrays=tuple(SystolicArraySpec(array_dim, clock_hz) for _ in range(num_arrays)),
-        vectors=tuple(VectorProcessorSpec(vector_lanes, clock_hz) for _ in range(num_vectors)),
-        shared_mem_bytes=int(shared_mem_mb * MB),
-        num_task_queues=num_task_queues)
-
-
-def make_hw(num_clusters: int, cluster: ClusterConfig, *,
-            hbm_gbps: float = 256, hbm_latency_cycles: int = 100,
-            clock_hz: float = 800e6) -> HardwareConfig:
-    return HardwareConfig(clusters=tuple(cluster for _ in range(num_clusters)),
-                          hbm_bandwidth_bytes_per_s=hbm_gbps * 1e9,
-                          hbm_latency_cycles=hbm_latency_cycles,
-                          clock_hz=clock_hz)

@@ -428,15 +428,20 @@ def ingest_graph(text) -> ModelGraph:
     for key in ("name", "inputs", "layers"):
         if key not in doc:
             raise SchemaError(f"missing required key {key!r}")
+    if not isinstance(doc["inputs"], list) or not isinstance(doc["layers"], list):
+        raise SchemaError("'inputs' and 'layers' must be lists")
 
     specs: dict[str, tuple[OpType, dict]] = {}
     for i, spec in enumerate(doc["layers"]):
-        if not isinstance(spec, dict) or "op" not in spec or "inputs" not in spec:
-            raise SchemaError(f"layer {i}: needs 'op' and 'inputs'")
+        if not (isinstance(spec, dict) and "op" in spec and isinstance(spec.get("inputs"), list)
+                and all(isinstance(ref, str) for ref in spec["inputs"])):
+            raise SchemaError(f"layer {i}: needs 'op' and a list of 'inputs' names")
         op_name = str(spec["op"]).lower()
         if op_name not in _OP_NAMES:
             raise SchemaError(f"layer {i}: unknown op {spec['op']!r}")
         name = spec.get("name", f"layer{i}")
+        if not isinstance(name, str):
+            raise SchemaError(f"layer {i}: name {name!r} is not a string")
         if name in specs:
             raise SchemaError(f"duplicate layer name {name!r}")
         specs[name] = (_OP_NAMES[op_name], spec)
@@ -444,10 +449,13 @@ def ingest_graph(text) -> ModelGraph:
     input_names = []
     input_shapes = {}
     for spec in doc["inputs"]:
-        if "name" not in spec or "shape" not in spec:
-            raise SchemaError("graph inputs need 'name' and 'shape'")
+        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+                and isinstance(spec.get("shape"), list)
+                and all(type(d) is int for d in spec["shape"])):
+            raise SchemaError("graph inputs need a string 'name' and a list of "
+                              "integers as 'shape'")
         input_names.append(spec["name"])
-        input_shapes[spec["name"]] = tuple(int(d) for d in spec["shape"])
+        input_shapes[spec["name"]] = tuple(spec["shape"])
 
     # topological sort over name references (forward references allowed)
     for name, (_, spec) in specs.items():

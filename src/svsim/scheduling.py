@@ -42,9 +42,9 @@ class SchedulingError(Exception):
 class NoReadyTask(SchedulingError):
     """No queue head can be placed now.  ``not_before`` is the earliest
     cycle at which one could be if the table stays unchanged (``math.inf``:
-    not until it changes; None: unknown)."""
+    not until it changes)."""
 
-    def __init__(self, message: str, not_before: float | None = None):
+    def __init__(self, message: str, not_before: float):
         super().__init__(message)
         self.not_before = not_before
 
@@ -75,7 +75,6 @@ class SubLayerTask:
     param_keys: tuple[tuple[tuple, int], ...]   # (residency key, bytes)
     act_in_keys: tuple[tuple[tuple, int], ...]
     act_out_key: tuple[tuple, int] | None
-    queue: int = -1
     _cycles: dict = field(default_factory=dict, repr=False)
 
     def cycles_on(self, spec, cc) -> int:
@@ -148,8 +147,8 @@ def _slice_layer(layer: LayerNode, cost: TaskCost, n: int) -> list[LayerSlice]:
     return slices
 
 
-def partition_layer(layer: LayerNode, cluster: ClusterConfig, *,
-                    alpha: float = 0.5) -> list[TaskCost]:
+def partition_layer(layer: LayerNode, cluster: ClusterConfig,
+                    alpha: float) -> list[LayerSlice]:
     """Split a layer until every slice's working set fits alpha * SM_SIZE.
 
     Matrix layers slice along output columns/channels (weights split, input
@@ -157,11 +156,6 @@ def partition_layer(layer: LayerNode, cluster: ClusterConfig, *,
     grouped convolutions slice along groups; vector and data layers slice
     along their elements.
     """
-    return [s.cost for s in _partition(layer, cluster, alpha)]
-
-
-def _partition(layer: LayerNode, cluster: ClusterConfig,
-               alpha: float) -> list[LayerSlice]:
     cost = layer_cost(layer)
     cap = int(alpha * cluster.shared_mem_bytes)
     ws = cost.param_bytes + cost.act_in_bytes + cost.act_out_bytes
@@ -202,9 +196,8 @@ def _partition(layer: LayerNode, cluster: ClusterConfig,
 
 
 def build_request_tasks(graph: ModelGraph, request_id: int,
-                        cluster: ClusterConfig, *, alpha: float = 0.5,
-                        model_key: str | None = None,
-                        partitions: dict | None = None) -> list[SubLayerTask]:
+                        cluster: ClusterConfig, *, alpha: float,
+                        model_key: str, partitions: dict) -> list[SubLayerTask]:
     """Partition every layer of a request into dependency-wired tasks.
 
     Parameter residency keys are a pure function of (model, tensor, slice),
@@ -217,14 +210,11 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
     share it between two graphs under one model key.  Each request then
     only re-keys its task ids and activations.
     """
-    model_key = model_key or graph.name
     memo_key = (model_key, cluster.shared_mem_bytes, alpha)
-    layers = partitions.get(memo_key) if partitions is not None else None
+    layers = partitions.get(memo_key)
     if layers is None:
-        layers = [_layer_plan(layer, cluster, alpha, model_key)
-                  for layer in graph.layers]
-        if partitions is not None:
-            partitions[memo_key] = layers
+        layers = partitions[memo_key] = [_layer_plan(layer, cluster, alpha, model_key)
+                                         for layer in graph.layers]
     rtag = f"r{request_id}"
     ext_ids = {t.tensor_id: i for i, t in enumerate(graph.inputs)}
     tasks: list[SubLayerTask] = []
@@ -262,7 +252,7 @@ def _layer_plan(layer: LayerNode, cluster: ClusterConfig, alpha: float,
                 model_key: str) -> tuple[LayerNode, list[LayerSlice], list[tuple]]:
     """A layer's slices and each slice's parameter residency keys, which
     depend on the model but not on the request."""
-    slices = _partition(layer, cluster, alpha)
+    slices = partition_layer(layer, cluster, alpha)
     n = len(slices)
     weight_ids = [t.tensor_id for t in layer.weight_inputs]
     param_keys = [tuple((("w", model_key, tid, i if n > 1 else 0), b)
@@ -313,9 +303,7 @@ class MemFetchPlan:
 @dataclass
 class Placement:
     task: SubLayerTask
-    processor: str
-    proc_index: int
-    kind: str
+    proc: Processor
     queue: int
     t_mem: int
     t_task: int
@@ -347,7 +335,7 @@ class ClusterTable:
         # per queue: (head task, latest start and latest end among its
         # dependencies), taken when the task became head
         self._head_deps: list[tuple[SubLayerTask, int, int] | None] = [None] * nq
-        # bumped by every change a policy decision reads: admission,
+        # bumped by every change a policy reads when placing: admission,
         # release and commit
         self.version = 0
         self.rr_ptr = 0
@@ -360,7 +348,6 @@ class ClusterTable:
         self.pending_uses: dict[tuple, int] = {}
         self.scheduled_start: dict[str, int] = {}
         self.scheduled_end: dict[str, int] = {}
-        self.decision_log: list[dict] = []
 
     # -- request admission ---------------------------------------------------
 
@@ -368,7 +355,6 @@ class ClusterTable:
         q = self.queue_request.index(None)
         self.queue_request[q] = request_id
         for t in tasks:
-            t.queue = q
             self.queues[q].append(t)
             for key, _ in t.param_keys + t.act_in_keys:
                 self.pending_uses[key] = self.pending_uses.get(key, 0) + 1
@@ -441,7 +427,7 @@ class ClusterTable:
                                         0, 0)
             # falls through: eviction is required to place the output
 
-        # transfers start no earlier than the decision that requests them
+        # transfers start no earlier than the policy call that requests them
         t = max(self.channel_free, now)
         remaining = fetch_total
         goal_extra = a_size + out_bytes
@@ -531,20 +517,12 @@ class ClusterTable:
                 e.avail = max(e.avail, placement.t_end)
         self.channel_free = max(self.channel_free, plan.channel_end)
 
-        self.processors[placement.proc_index].busy_until = placement.t_end
+        placement.proc.busy_until = placement.t_end
         self.scheduled_start[task.task_id] = placement.t_start
         self.scheduled_end[task.task_id] = placement.t_end
         self.queues[placement.queue].popleft()
         self.rr_ptr = (placement.queue + 1) % len(self.queues)
         self.version += 1
-        self.decision_log.append({
-            "time": placement.t_start, "queue": placement.queue,
-            "task": task.task_id, "processor": placement.processor,
-            "t_mem": placement.t_mem, "t_task": placement.t_task,
-            "t_proc": placement.t_proc, "t_start": placement.t_start,
-            "t_comp": placement.t_comp, "t_end": placement.t_end,
-            "t_idle": placement.t_idle,
-        })
 
 
 def _consume(pairs: deque[tuple[tuple, int]], amount: int):
@@ -582,13 +560,12 @@ def _estimate(table: ClusterTable, q: int, task: SubLayerTask, proc: Processor,
     t_proc = proc.busy_until
     t_start = max(plan.ready, t_task, t_proc, now)
     t_comp = task.cycles_on(proc.spec, table.cc)
-    return Placement(task, proc.name, proc.index, proc.kind, q, plan.ready,
-                     t_task, t_proc, t_start, t_comp, t_start + t_comp,
-                     t_start - t_proc, plan)
+    return Placement(task, proc, q, plan.ready, t_task, t_proc, t_start,
+                     t_comp, t_start + t_comp, t_start - t_proc, plan)
 
 
-def has_schedule(table: ClusterTable, now: int = 0) -> Placement:
-    """One heterogeneity-aware decision: estimate, nominate, pick min idle.
+def has_schedule(table: ClusterTable, now: int) -> Placement:
+    """One heterogeneity-aware placement: estimate, nominate, pick min idle.
 
     A head joins the candidate group once every dependency has started, so
     a successor can be bound (and its parameters prefetched) while its
@@ -635,8 +612,8 @@ def has_schedule(table: ClusterTable, now: int = 0) -> Placement:
     return best
 
 
-def rr_schedule(table: ClusterTable, now: int = 0) -> Placement:
-    """One round-robin decision at ``now``.
+def rr_schedule(table: ClusterTable, now: int) -> Placement:
+    """One round-robin placement at ``now``.
 
     Scans queues circularly and binds the first head whose dedicated
     processor class has an idle instance; task characteristics are never
@@ -666,11 +643,11 @@ def rr_schedule(table: ClusterTable, now: int = 0) -> Placement:
 SCHEDULERS = {"rr": rr_schedule, "has": has_schedule}
 
 
-def load_balance(in_flight: list[int], capacity: list[int] | None = None) -> int | None:
+def load_balance(in_flight: list[int], capacity: list[int]) -> int | None:
     """FIFO dispatch target: among the clusters below their own ``capacity``,
     the one with the fewest in-flight requests, ties to the lowest index.
 
     Returns None when every cluster is full (the request waits).
     """
-    free = [i for i, n in enumerate(in_flight) if capacity is None or n < capacity[i]]
+    free = [i for i, n in enumerate(in_flight) if n < capacity[i]]
     return min(free, key=in_flight.__getitem__, default=None)  # min keeps the first tie

@@ -153,9 +153,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     })
     tables = [ClusterTable(cl, hw) for cl in hw.clusters]
     capacity = [cl.num_task_queues for cl in hw.clusters]
-    # per cluster: the processor size of each processor index
-    proc_sizes = [[getattr(p.spec, "dim", 0) or p.spec.lanes for p in t.processors]
-                  for t in tables]
+    decisions: list[list[dict]] = [[] for _ in tables]  # per cluster, in commit order
     # per cluster: (table version, cycle) before which a drain cannot place
     asleep = [(-1, 0)] * len(tables)
     partitions: dict = {}  # layer slices per (model, shared memory, alpha)
@@ -191,13 +189,17 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
         rec.dispatched = now
 
     def record_placement(ci: int, p: Placement) -> None:
-        task = p.task
+        task, proc = p.task, p.proc
         trace.executions.append(ExecRecord(
-            ci, p.processor, p.kind, proc_sizes[ci][p.proc_index],
+            ci, proc.name, proc.kind, getattr(proc.spec, "dim", 0) or proc.spec.lanes,
             task.task_id, task.request_id, task.layer_id, task.op.name,
             p.queue, p.t_start, p.t_end, task.cost.macs,
             dict(task.cost.vector_counts), task.cost.param_bytes,
             task.cost.act_in_bytes, task.cost.act_out_bytes, task.deps))
+        decisions[ci].append({
+            "time": p.t_start, "queue": p.queue, "task": task.task_id, "processor": proc.name,
+            "t_mem": p.t_mem, "t_task": p.t_task, "t_proc": p.t_proc, "t_start": p.t_start,
+            "t_comp": p.t_comp, "t_end": p.t_end, "t_idle": p.t_idle})
         for a in p.plan.actions:
             key = str(a.key)
             if a.kind == "flush":
@@ -228,8 +230,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             try:
                 placement = policy(table, now)
             except NoReadyTask as e:
-                asleep[ci] = (table.version,
-                              now + 1 if e.not_before is None else e.not_before)
+                asleep[ci] = (table.version, e.not_before)
                 return
             record_placement(ci, placement)
 
@@ -271,8 +272,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
         raise StalledRun(
             f"run ended with {queued} queued tasks and {len(stalled)} "
             f"requests never completed (first: {stalled[:3]})")
-    for table in tables:
-        trace.decisions.extend(table.decision_log)
+    trace.decisions = [d for rows in decisions for d in rows]
     report = compute_report(trace, hw, physical)
     return trace, report
 

@@ -82,20 +82,36 @@ def save_manifest(workload: Workload, path: str) -> None:
         json.dump(doc, f, indent=2, sort_keys=True)
 
 
-def load_manifest(source) -> Workload:
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if isinstance(source, str) and not source.lstrip().startswith("{"):
-            with open(source) as f:
-                text = f.read()
-        doc = json.loads(text)
-    requests = tuple(Request(int(r["request_id"]), r["model"],
-                             int(r["arrival_cycle"]))
+def _non_negative(field: str, value, types=(int,)):
+    if type(value) not in types or value < 0:
+        kinds = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"manifest {field} must be a non-negative {kinds}, got {value!r}")
+    return value
+
+
+def load_manifest(path: str) -> Workload:
+    """Read a manifest file; a bad document raises ValueError naming the
+    field.  Requests need unique integer ``request_id``s, string ``model``s
+    and integer ``arrival_cycle``s; counts and ``model_params`` are >= 0."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict) or not isinstance(doc.get("requests"), list):
+        raise ValueError("a manifest is an object with a list of requests")
+    if not all(isinstance(r, dict) and isinstance(r.get("model"), str)
+               for r in doc["requests"]):
+        raise ValueError("each manifest request is an object with a string model")
+    requests = tuple(Request(_non_negative("request_id", r.get("request_id")), r["model"],
+                             _non_negative("arrival_cycle", r.get("arrival_cycle")))
                      for r in doc["requests"])
-    return Workload(doc.get("name", "workload"), int(doc.get("seed", 0)),
-                    float(doc.get("cnn_ratio", 0.0)),
-                    int(doc.get("request_count", len(requests))), requests,
-                    doc.get("arrival_model", "batch"),
-                    dict(doc.get("model_params", DEFAULT_MODEL_PARAMS)))
+    if len({r.request_id for r in requests}) < len(requests):
+        raise ValueError("manifest request_id values must be unique")
+    params = doc.get("model_params", DEFAULT_MODEL_PARAMS)
+    if not isinstance(params, dict):
+        raise ValueError(f"manifest model_params must be an object, got {params!r}")
+    for key, value in params.items():
+        _non_negative(f"model_params.{key}", value)
+    seed = _non_negative("seed", doc.get("seed", 0))
+    cnn_ratio = float(_non_negative("cnn_ratio", doc.get("cnn_ratio", 0.0), (int, float)))
+    count = _non_negative("request_count", doc.get("request_count", len(requests)))
+    return Workload(doc.get("name", "workload"), seed, cnn_ratio, count, requests,
+                    doc.get("arrival_model", "batch"), dict(params))

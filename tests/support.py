@@ -1,5 +1,5 @@
-"""Shared helpers for scheduler tests: synthetic task instances, a bare
-cluster-table driver, and the exhaustive-search makespan oracle."""
+"""Shared test helpers: hardware builders, synthetic task instances, a
+bare cluster-table driver, and the exhaustive-search makespan oracle."""
 
 from __future__ import annotations
 
@@ -8,12 +8,48 @@ import dataclasses
 import random
 
 from svsim.costs import TaskCost, task_cycles
-from svsim.hardware import CycleConstants, make_cluster, make_hw
+from svsim.hardware import (MB, ClusterConfig, CycleConstants, HardwareConfig,
+                            SystolicArraySpec, VectorProcessorSpec)
 from svsim.scheduling import (ClusterTable, NoReadyTask, SCHEDULERS,
                               SubLayerTask)
 from svsim.umf import OpType
 
 CC = CycleConstants()
+
+
+def make_cluster(num_arrays: int, array_dim: int, num_vectors: int,
+                 vector_lanes: int, shared_mem_mb: float, *,
+                 clock_hz: float = 800e6, num_task_queues: int = 8) -> ClusterConfig:
+    return ClusterConfig(
+        arrays=tuple(SystolicArraySpec(array_dim, clock_hz) for _ in range(num_arrays)),
+        vectors=tuple(VectorProcessorSpec(vector_lanes, clock_hz) for _ in range(num_vectors)),
+        shared_mem_bytes=int(shared_mem_mb * MB),
+        num_task_queues=num_task_queues)
+
+
+def make_hw(num_clusters: int, cluster: ClusterConfig, *,
+            hbm_gbps: float = 256, hbm_latency_cycles: int = 100,
+            clock_hz: float = 800e6) -> HardwareConfig:
+    return HardwareConfig(clusters=tuple(cluster for _ in range(num_clusters)),
+                          hbm_bandwidth_bytes_per_s=hbm_gbps * 1e9,
+                          hbm_latency_cycles=hbm_latency_cycles,
+                          clock_hz=clock_hz)
+
+
+def hw_config_to_dict(config: HardwareConfig) -> dict:
+    """The ``load_hw_config`` document of a config."""
+    return {
+        "clock_mhz": config.clock_hz / 1e6,
+        "hbm_gbps": config.hbm_bandwidth_bytes_per_s / 1e9,
+        "hbm_latency_cycles": config.hbm_latency_cycles,
+        "clusters": [
+            {"arrays": [{"dim": a.dim} for a in cl.arrays],
+             "vectors": [{"lanes": v.lanes} for v in cl.vectors],
+             "shared_mem_mb": cl.shared_mem_bytes / MB,
+             "num_task_queues": cl.num_task_queues}
+            for cl in config.clusters
+        ],
+    }
 
 
 def make_task(tid, queue, cost, deps=(), param_keys=(), act_in_keys=(),
@@ -52,15 +88,17 @@ def fresh_table(hw, queues_by_request):
 
 
 def run_policy(hw, queues_by_request, name):
-    """Drive a policy over a bare table to completion; returns (makespan, table)."""
+    """Drive a policy over a bare table to completion; returns (makespan,
+    placements in commit order)."""
     table = fresh_table(hw, queues_by_request)
     policy = SCHEDULERS[name]
+    placements = []
     now = 0
     guard = 0
     while any(table.queues):
         try:
             while True:
-                policy(table, now)
+                placements.append(policy(table, now))
         except NoReadyTask:
             pass
         pending = [t for t in list(table.scheduled_end.values())
@@ -73,7 +111,7 @@ def run_policy(hw, queues_by_request, name):
         guard += 1
         if guard > 100000:
             raise RuntimeError("driver did not converge")
-    return max(table.scheduled_end.values(), default=0), table
+    return max(table.scheduled_end.values(), default=0), placements
 
 
 def synth_chain_instance(rng: random.Random, max_tasks=8, nq_range=(2, 3)):

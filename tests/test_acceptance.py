@@ -16,8 +16,7 @@ import pytest
 
 from svsim.cli import load_sweep_spec, run_sweep, sweep_configs
 from svsim.costs import TaskCost, systolic_cycles, layer_cost
-from svsim.hardware import (PhysicalModel, SystolicArraySpec, load_hw_config,
-                            make_cluster, make_hw)
+from svsim.hardware import PhysicalModel, SystolicArraySpec, load_hw_config
 from svsim.models import builtin_model, ingest_graph
 from svsim.simulation import run, verify_trace
 from svsim.umf import (Attr, DataPacket, DataType, FrameHeader, InfoPacket,
@@ -26,8 +25,8 @@ from svsim.umf import (Attr, DataPacket, DataType, FrameHeader, InfoPacket,
                        make_attrs)
 from svsim.workloads import Request, Workload, standard_suite
 
-from support import (SMALL_HW, exhaustive_min_makespan, run_policy,
-                     synth_chain_instance)
+from support import (SMALL_HW, exhaustive_min_makespan, make_cluster, make_hw,
+                     run_policy, synth_chain_instance)
 
 HERE = os.path.dirname(__file__)
 DESK_HW = load_hw_config(os.path.join(HERE, "..", "configs", "desk_hw.json"))

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import shutil
 
@@ -9,11 +10,12 @@ import pytest
 from svsim import cli
 from svsim.cli import (compare_results, load_sweep_spec, main, read_results_csv,
                        run_sweep, sweep_configs, sweep_workloads)
-from svsim.hardware import hw_config_to_dict, make_cluster, make_hw
 from svsim.models import builtin_model, to_umf
 from svsim.scheduling import SCHEDULERS, NoReadyTask
 from svsim.umf import FRAME_HEADER_SIZE, INFO_HEADER_SIZE, encode_frame
 from svsim.workloads import generate, save_manifest
+
+from support import hw_config_to_dict, make_cluster, make_hw
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SWEEP_SPEC = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -176,9 +178,34 @@ def test_simulate_bad_model_exit_code(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def _requests(*ids_and_arrivals):
+    return [{"request_id": rid, "model": "alexnet", "arrival_cycle": t}
+            for rid, t in ids_and_arrivals]
+
+
+@pytest.mark.parametrize("doc,word", [
+    ([], "object"),
+    ({"requests": 5}, "list of requests"),
+    ({"requests": _requests(("x", 0))}, "request_id"),
+    ({"requests": _requests((0, 0)), "model_params": {"batch": "x"}}, "batch"),
+    ({"requests": _requests((0, 0), (0, 0))}, "unique"),
+    ({"requests": _requests((0, -5))}, "arrival_cycle"),
+])
+def test_simulate_bad_manifest_exit_code(tmp_path, capsys, doc, word):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    rc = main(["simulate", "--workload", str(path), "--hw", small_hw_file(tmp_path),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input:") and err.count("\n") == 1 and word in err
+    assert not out.exists()
+
+
 def test_simulate_stall_exit_code(tmp_path, monkeypatch, capsys):
     def never(table, now):
-        raise NoReadyTask("never places")
+        raise NoReadyTask("never places", math.inf)
 
     monkeypatch.setitem(SCHEDULERS, "has", never)
     out = tmp_path / "stalled"

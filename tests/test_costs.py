@@ -8,10 +8,11 @@ from svsim.costs import (TaskCost, UnsupportedOp, layer_cost,
                          mem_transfer_cycles, systolic_cycles, task_cycles,
                          vector_cycles)
 from svsim.hardware import (CycleConstants, SystolicArraySpec,
-                            VectorProcessorSpec, make_cluster, make_hw)
+                            VectorProcessorSpec)
 from svsim.models import builtin_model
 from svsim.umf import OpType
 
+from support import make_cluster, make_hw
 from systolic_reference import reference_gemm
 
 CC = CycleConstants()

@@ -3,8 +3,10 @@ import pytest
 from svsim.hardware import (ClusterConfig, ConfigError, HardwareConfig,
                             PhysicalModel, SystolicArraySpec,
                             UndefinedOpForProcessor, VectorProcessorSpec,
-                            energy_of, hw_config_to_dict, load_hw_config,
-                            make_cluster, make_hw, peak_performance, total_area)
+                            energy_of, load_hw_config, peak_performance,
+                            total_area)
+
+from support import hw_config_to_dict, make_cluster, make_hw
 
 PHYS = PhysicalModel()
 
@@ -112,8 +114,11 @@ def test_config_file_round_trip(tmp_path):
     assert loaded == hw
 
 
-def test_config_rejects_garbage():
+def test_config_rejects_garbage(tmp_path):
+    path = tmp_path / "hw.json"
+    path.write_text('{"clusters": [{"arrays": []}]}')
     with pytest.raises(ConfigError):
-        load_hw_config('{"clusters": [{"arrays": []}]}')
+        load_hw_config(str(path))
+    path.write_text("not json {")
     with pytest.raises(ConfigError):
-        load_hw_config("not json {")
+        load_hw_config(str(path))

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -7,7 +8,7 @@ import os
 import pytest
 
 from svsim.models import (BUILTIN_MODELS, CNN_MODELS, CycleDetected,
-                          DanglingTensorRef, ModelClass, SchemaError,
+                          DanglingTensorRef, ModelClass, ModelError, SchemaError,
                           ShapeMismatch, TRANSFORMER_MODELS, UnknownModel,
                           WrongPacketType, builtin_model, from_umf,
                           ingest_graph, layer_macs,
@@ -84,10 +85,47 @@ def one_layer(**layer):
     (one_layer(op="Activation", inputs=[]), SchemaError),
     (one_layer(op="Concat", inputs=["x", "x"], axis=7), SchemaError),
     (one_layer(op="Add"), SchemaError),
+    ({"name": "x", "inputs": [{"name": "x", "shape": ["a"]}], "layers": []}, SchemaError),
+    ({"name": "x", "inputs": [{"name": "x", "shape": [4]}], "layers": 5}, SchemaError),
+    ({"name": "x", "inputs": 5, "layers": []}, SchemaError),
 ])
 def test_ingest_schema_errors(doc, expect):
     with pytest.raises(expect):
         ingest_graph(doc)
+
+
+def _mutations(doc):
+    """(label, copy of ``doc``) with one top-level, input or layer key
+    dropped, or its value retyped to 5, "x", [] or null."""
+    paths = [()] + [(group, i) for group in ("inputs", "layers")
+                    for i in range(len(doc[group]))]
+    for path in paths:
+        where = f"{path[0]}[{path[1]}]." if path else ""
+        for key in (doc[path[0]][path[1]] if path else doc):
+            for value in ("drop", 5, "x", [], None):
+                bad = copy.deepcopy(doc)
+                node = bad[path[0]][path[1]] if path else bad
+                if value == "drop":
+                    del node[key]
+                else:
+                    node[key] = value
+                yield f"{where}{key} {value!r}", bad
+
+
+def test_ingest_mutations_end_in_graph_or_model_error():
+    # the JSON counterpart of the UMF one-byte corruption test
+    with open(os.path.join(FIXTURES, "alexnet.json")) as f:
+        doc = json.load(f)
+    count = 0
+    for label, bad in _mutations(doc):
+        count += 1
+        try:
+            ingest_graph(bad)
+        except ModelError:
+            pass
+        except Exception as e:
+            pytest.fail(f"{label} escaped ingest_graph as {e!r}")
+    assert count == 565
 
 
 def _fixture_param_bytes(doc):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svsim.costs import mem_transfer_cycles
-from svsim.hardware import MB, make_cluster, make_hw
+from svsim.hardware import MB
 from svsim.models import builtin_model, ingest_graph
 from svsim.scheduling import (CapacityDeadlock, ClusterTable, NoReadyTask,
                               UnpartitionableLayer, build_request_tasks,
@@ -14,8 +14,8 @@ from svsim.scheduling import (CapacityDeadlock, ClusterTable, NoReadyTask,
 from svsim.umf import OpType
 
 from support import (SMALL_HW, exhaustive_min_makespan, fresh_table,
-                     gemm_cost, make_task, run_policy, synth_chain_instance,
-                     vector_cost)
+                     gemm_cost, make_cluster, make_hw, make_task, run_policy,
+                     synth_chain_instance, vector_cost)
 
 
 def fc_layer(in_features, out_features, precision="int8"):
@@ -33,13 +33,13 @@ def fc_layer(in_features, out_features, precision="int8"):
 def test_small_layer_is_single_subtask():
     cluster = make_cluster(1, 16, 1, 16, 45)
     layer = fc_layer(512, 2048)  # 1 MiB of parameters
-    assert len(partition_layer(layer, cluster)) == 1
+    assert len(partition_layer(layer, cluster, 0.5)) == 1
 
 
 def test_large_fc_sliced_along_output_columns():
     cluster = make_cluster(1, 16, 1, 16, 45)
     layer = fc_layer(10240, 10240)  # 100 MiB of int8 parameters
-    slices = partition_layer(layer, cluster)
+    slices = [s.cost for s in partition_layer(layer, cluster, 0.5)]
     assert len(slices) >= 5
     cap = 0.5 * 45 * MB
     for s in slices:
@@ -55,7 +55,7 @@ def test_unpartitionable_layer_raises():
     cluster = make_cluster(1, 16, 1, 16, 1)  # 1 MiB shared memory
     layer = fc_layer(2 * MB, 4)  # a single output column exceeds the budget
     with pytest.raises(UnpartitionableLayer):
-        partition_layer(layer, cluster)
+        partition_layer(layer, cluster, 0.5)
 
 
 def test_vector_layer_sliced_by_elements():
@@ -65,7 +65,7 @@ def test_vector_layer_sliced_by_elements():
         "inputs": [{"name": "x", "shape": [1024, 1024]}],
         "layers": [{"name": "a", "op": "Activation", "inputs": ["x"]}],
     })
-    slices = partition_layer(g.layers[0], cluster)
+    slices = [s.cost for s in partition_layer(g.layers[0], cluster, 0.5)]
     assert len(slices) > 1
     assert sum(s.vector_counts["activation"] for s in slices) == 1024 * 1024
 
@@ -75,8 +75,10 @@ def test_partition_memo_only_rekeys_requests():
     g = builtin_model("alexnet", depth_reduction=4)
     memo = {}
     for rid in (0, 1):
-        fresh = build_request_tasks(g, rid, cluster)
-        memoised = build_request_tasks(g, rid, cluster, partitions=memo)
+        fresh = build_request_tasks(g, rid, cluster, alpha=0.5, model_key=g.name,
+                                    partitions={})
+        memoised = build_request_tasks(g, rid, cluster, alpha=0.5, model_key=g.name,
+                                       partitions=memo)
         assert memoised == fresh
     assert list(memo) == [(g.name, cluster.shared_mem_bytes, 0.5)]
 
@@ -84,8 +86,8 @@ def test_partition_memo_only_rekeys_requests():
 def test_request_tasks_share_weight_keys_across_requests():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=4)
-    t0 = build_request_tasks(g, 0, cluster)
-    t1 = build_request_tasks(g, 1, cluster)
+    t0 = build_request_tasks(g, 0, cluster, alpha=0.5, model_key=g.name, partitions={})
+    t1 = build_request_tasks(g, 1, cluster, alpha=0.5, model_key=g.name, partitions={})
     assert [t.param_keys for t in t0] == [t.param_keys for t in t1]
     assert all(k[0][0][0] == "w" for k in (t.param_keys for t in t0) if k)
     # activations are private per request
@@ -176,7 +178,7 @@ def test_rr_serves_queues_in_circular_order():
     p1 = rr_schedule(table, 0)
     p2 = rr_schedule(table, 0)
     assert (p1.task.task_id, p2.task.task_id) == ("a", "b")
-    assert p1.kind == p2.kind == "array"
+    assert p1.proc.kind == p2.proc.kind == "array"
 
 
 def test_rr_dedicated_processor_rule_skips_vector_head():
@@ -232,7 +234,7 @@ def test_has_single_candidate_prefers_faster_processor():
     t = make_task("t", 0, gemm_cost(16, 16, 16))  # 48 array vs 256 vector cycles
     table = fresh_table(hw, [[t]])
     p = has_schedule(table, 0)
-    assert p.kind == "array"
+    assert p.proc.kind == "array"
     assert p.t_comp == 48
     assert p.t_idle == 0
 
@@ -243,10 +245,10 @@ def test_has_offloads_matrix_work_when_array_backlogged():
     gemv = make_task("gemv", 1, gemm_cost(1, 4096, 1024))
     table = fresh_table(hw, [[big], [gemv]])
     p1 = has_schedule(table, 0)
-    assert (p1.task.task_id, p1.kind) == ("big", "array")
+    assert (p1.task.task_id, p1.proc.kind) == ("big", "array")
     p2 = has_schedule(table, 0)
     # queueing behind the array is worse than running on the vector
-    assert (p2.task.task_id, p2.kind) == ("gemv", "vector")
+    assert (p2.task.task_id, p2.proc.kind) == ("gemv", "vector")
 
 
 def test_has_selects_queue_with_smaller_memory_idle():
@@ -259,8 +261,7 @@ def test_has_selects_queue_with_smaller_memory_idle():
     p = has_schedule(table, 0)
     assert p.task.task_id == "t1"
     assert p.t_idle == 0
-    log = table.decision_log[-1]
-    assert log["t_mem"] == 0
+    assert p.t_mem == 0
     # the alternative order is strictly worse for the array
     mk_ab = run_policy(hw, [[t0], [t1]], "has")[0]
     hw2 = make_hw(1, make_cluster(1, 16, 1, 16, 45))
@@ -343,27 +344,27 @@ def test_random_chains_dependency_safety_and_argmin(seed):
     rng = random.Random(seed)
     queues = synth_chain_instance(rng, max_tasks=10)
     for name in ("rr", "has"):
-        mk, table = run_policy(SMALL_HW, queues, name)
-        start = table.scheduled_start
-        end = table.scheduled_end
+        mk, placements = run_policy(SMALL_HW, queues, name)
+        start = {p.task.task_id: p.t_start for p in placements}
+        end = {p.task.task_id: p.t_end for p in placements}
         for q in queues:
             for t in q:
                 for d in t.deps:
                     assert start[t.task_id] >= end[d]
         # per-processor exclusivity
         by_proc = {}
-        for d in table.decision_log:
-            by_proc.setdefault(d["processor"], []).append((d["t_start"], d["t_end"]))
+        for p in placements:
+            by_proc.setdefault(p.proc.name, []).append((p.t_start, p.t_end))
         for windows in by_proc.values():
             windows.sort()
             for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
                 assert s2 >= e1
         # the estimate: start once memory, dependencies and the processor are
         # ready; each decision's idle is the true gap
-        for d in table.decision_log:
-            assert d["t_start"] >= max(d["t_mem"], d["t_task"], d["t_proc"])
-            assert d["t_end"] == d["t_start"] + d["t_comp"]
-            assert d["t_idle"] == d["t_start"] - d["t_proc"]
+        for p in placements:
+            assert p.t_start >= max(p.t_mem, p.t_task, p.t_proc)
+            assert p.t_end == p.t_start + p.t_comp
+            assert p.t_idle == p.t_start - p.t_proc
 
 
 @settings(max_examples=30, deadline=None)
@@ -391,21 +392,23 @@ def test_scheduling_is_deterministic():
     queues = synth_chain_instance(rng, max_tasks=12)
     logs = []
     for _ in range(2):
-        _, table = run_policy(SMALL_HW, queues, "has")
-        logs.append(table.decision_log)
+        _, placements = run_policy(SMALL_HW, queues, "has")
+        logs.append([(p.queue, p.task.task_id, p.proc.name, p.t_mem, p.t_task,
+                      p.t_proc, p.t_start, p.t_comp, p.t_end, p.t_idle)
+                     for p in placements])
     assert logs[0] == logs[1]
 
 
 # --- load balancer ------------------------------------------------------------------
 
 def test_load_balance_single_cluster():
-    assert load_balance([0]) == 0
-    assert load_balance([5]) == 0
+    assert load_balance([0], [8]) == 0
+    assert load_balance([5], [8]) == 0
 
 
 def test_load_balance_fewest_in_flight_lowest_index():
-    assert load_balance([2, 0, 1]) == 1
-    assert load_balance([1, 1, 1]) == 0
+    assert load_balance([2, 0, 1], [8, 8, 8]) == 1
+    assert load_balance([1, 1, 1], [8, 8, 8]) == 0
 
 
 def test_load_balance_respects_capacity():
@@ -423,6 +426,6 @@ def test_load_balance_respects_capacity():
 def test_load_balance_spreads_batch_evenly():
     in_flight = [0, 0, 0, 0]
     for _ in range(8):
-        c = load_balance(in_flight)
+        c = load_balance(in_flight, [8] * 4)
         in_flight[c] += 1
     assert in_flight == [2, 2, 2, 2]

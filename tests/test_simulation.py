@@ -1,18 +1,20 @@
 import dataclasses
 import json
+import math
 import os
 
 import pytest
 
 from svsim.costs import mem_transfer_cycles, systolic_cycles, layer_cost
-from svsim.hardware import (MB, PhysicalModel, load_hw_config, make_cluster,
-                            make_hw, peak_performance)
+from svsim.hardware import PhysicalModel, load_hw_config, peak_performance
 from svsim.models import builtin_model, ingest_graph
 from svsim.scheduling import (SCHEDULERS, NoReadyTask, StalledRun,
                               UnpartitionableLayer)
 from svsim.simulation import (compute_report, energy_from_trace, export_trace,
                               run, trace_digest, verify_trace)
 from svsim.workloads import Request, Workload, generate
+
+from support import make_cluster, make_hw
 
 PHYS = PhysicalModel()
 DESK_HW = os.path.join(os.path.dirname(__file__), "..", "configs", "desk_hw.json")
@@ -225,6 +227,26 @@ def test_desk_trace_digests_pinned(args, scheduler):
     assert trace_digest(trace) == PINNED_DIGESTS[(args, scheduler)]
 
 
+# the same pins on two desk clusters: trace.decisions joins the clusters'
+# decisions in cluster order, so a change to that order moves these digests
+TWO_CLUSTER_DIGESTS = {
+    "rr": "fc23334838c5e289560ee67690637a985a7ced6a73a097333bcf13b96a7819e6",
+    "has": "e343ef129419588f8e237b1b6c8580abb76ed52e25f5e56e391079d542501568",
+}
+
+
+@pytest.mark.parametrize("scheduler", sorted(TWO_CLUSTER_DIGESTS))
+def test_two_cluster_trace_digests_pinned(scheduler):
+    with open(DESK_HW) as f:
+        doc = json.load(f)
+    doc["clusters"] = doc["clusters"] * 2
+    hw = load_hw_config(doc)
+    trace, _ = run(generate(0.5, 12, 1), hw, scheduler=scheduler)
+    assert verify_trace(trace, hw) == []
+    assert {r.cluster for r in trace.requests} == {0, 1}
+    assert trace_digest(trace) == TWO_CLUSTER_DIGESTS[scheduler]
+
+
 @pytest.mark.parametrize("queues", [(8, 2), (2, 8)])
 @pytest.mark.parametrize("scheduler", ["rr", "has"])
 def test_clusters_with_different_queue_counts(queues, scheduler):
@@ -242,7 +264,7 @@ def test_clusters_with_different_queue_counts(queues, scheduler):
 
 def test_run_that_never_places_raises_stalled(monkeypatch):
     def never(table, now):
-        raise NoReadyTask("never places")
+        raise NoReadyTask("never places", math.inf)
 
     monkeypatch.setitem(SCHEDULERS, "has", never)
     hw = make_hw(1, make_cluster(1, 16, 1, 16, 45))
