@@ -103,7 +103,7 @@ class LayerNode:
         return tuple(t for t in self.inputs if t.kind == TensorKind.ACTIVATION)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity; see structure_equal
 class ModelGraph:
     name: str
     model_class: ModelClass
@@ -531,11 +531,11 @@ def builtin_model(name: str, size: int | None = None, *, batch: int = 1,
                   depth_reduction: int = 1) -> ModelGraph:
     """Shape table of a published architecture as a schedulable graph.
 
-    ``size`` is the image edge for CNNs (default 224) and the sequence
-    length for transformers (default 128).  ``depth_reduction`` divides the
-    repeat count of repeated stages/blocks (never touching layer shapes) so
-    big models stay cheap to simulate.  Transformers are single forward
-    passes at batch 1.
+    ``size`` is the image edge for CNNs and the sequence length for
+    transformers; None means 224 and 128, and a size below 1 is refused.
+    ``depth_reduction`` divides the repeat count of repeated stages/blocks
+    (never touching layer shapes) so big models stay cheap to simulate.
+    Transformers are single forward passes at batch 1.
     """
     key = name.lower()
     if key not in _BUILDERS:
@@ -545,6 +545,8 @@ def builtin_model(name: str, size: int | None = None, *, batch: int = 1,
         raise SchemaError("depth_reduction must be >= 1")
     if batch < 1:
         raise SchemaError("batch must be >= 1")
+    if size is not None and size < 1:
+        raise SchemaError(f"image size or sequence length must be >= 1, got {size}")
     if key in TRANSFORMER_MODELS and batch != 1:
         raise SchemaError("transformer builtins run at batch 1")
     return _BUILDERS[key](size, batch, depth_reduction)
@@ -557,7 +559,7 @@ def _repeat(count: int, k: int) -> int:
 def _cnn_builder(name):
     def outer(fn):
         def build(size, batch, k):
-            img = size or 224
+            img = 224 if size is None else size
             b = GraphBuilder(name, ModelClass.CNN, Precision.INT8)
             shape = (batch, 3, img, img) if batch > 1 else (3, img, img)
             fn(b, b.input(shape), k)
@@ -703,7 +705,7 @@ def _transformer_block(b: GraphBuilder, x, hidden: int, ffn: int, tag: str):
 
 def _transformer_builder(name, hidden, blocks, ffn, lm_vocab=None):
     def build(size, batch, k):
-        seq = size or 128
+        seq = 128 if size is None else size
         b = GraphBuilder(name, ModelClass.TRANSFORMER, Precision.FP16)
         x = b.input((seq, hidden))
         for i in range(_repeat(blocks, k)):

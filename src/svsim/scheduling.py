@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from operator import attrgetter
 
 from .costs import TaskCost, layer_cost, mem_transfer_cycles, task_cycles
-from .hardware import ClusterConfig, HardwareConfig
-from .models import (DATA_OPS, MATRIX_OPS, LayerNode, ModelGraph, OpType)
+from .hardware import ClusterConfig, CycleConstants, HardwareConfig
+from .models import DATA_OPS, MATRIX_OPS, LayerNode, ModelGraph, OpType, TensorInfo
 
 
 class SchedulingError(Exception):
@@ -75,13 +76,14 @@ class SubLayerTask:
     param_keys: tuple[tuple[tuple, int], ...]   # (residency key, bytes)
     act_in_keys: tuple[tuple[tuple, int], ...]
     act_out_key: tuple[tuple, int] | None
-    _cycles: dict = field(default_factory=dict, repr=False)
+    # cycles per Processor.cycle_key; the template slice's dict, shared by all its tasks
+    _cycles: dict = field(repr=False, compare=False)
 
-    def cycles_on(self, spec, cc) -> int:
-        key = (type(spec).__name__, getattr(spec, "dim", 0), getattr(spec, "lanes", 0))
-        if key not in self._cycles:
-            self._cycles[key] = task_cycles(self.cost, spec, cc)
-        return self._cycles[key]
+    def cycles_on(self, proc: Processor, cc: CycleConstants) -> int:
+        cycles = self._cycles.get(proc.cycle_key)
+        if cycles is None:
+            cycles = self._cycles[proc.cycle_key] = task_cycles(self.cost, proc.spec, cc)
+        return cycles
 
 
 def _split_units(total: int, n: int) -> list[int]:
@@ -195,53 +197,54 @@ def partition_layer(layer: LayerNode, cluster: ClusterConfig,
         n = min(n * 2, axis_limit)
 
 
+# per graph object, dropped with it: (model key, shared-memory size, alpha) -> layer templates
+_TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def build_request_tasks(graph: ModelGraph, request_id: int,
                         cluster: ClusterConfig, *, alpha: float,
-                        model_key: str, partitions: dict) -> list[SubLayerTask]:
+                        model_key: str) -> list[SubLayerTask]:
     """Partition every layer of a request into dependency-wired tasks.
 
     Parameter residency keys are a pure function of (model, tensor, slice),
     so repeated requests of the same model hit the same shared-memory
     entries; activations are keyed per request.
 
-    ``partitions`` memoises each layer's slices and parameter keys by
-    (model key, shared-memory size, alpha), everything the partitioner
-    reads; a caller building many requests passes one dict, and must not
-    share it between two graphs under one model key.  Each request then
-    only re-keys its task ids and activations.
+    Each layer's slices, parameter keys and cycle counts are a template
+    built once per process for (graph object, model key, shared-memory
+    size, alpha), everything the partitioner reads, and dropped with the
+    graph.  A request only creates its task ids, dependencies and activations.
     """
-    memo_key = (model_key, cluster.shared_mem_bytes, alpha)
-    layers = partitions.get(memo_key)
+    key = (model_key, cluster.shared_mem_bytes, alpha)
+    plans = _TEMPLATES.setdefault(graph, {})
+    layers = plans.get(key)
     if layers is None:
-        layers = partitions[memo_key] = [_layer_plan(layer, cluster, alpha, model_key)
-                                         for layer in graph.layers]
+        layers = plans[key] = [_layer_plan(layer, cluster, alpha, model_key, graph.inputs)
+                               for layer in graph.layers]
     rtag = f"r{request_id}"
-    ext_ids = {t.tensor_id: i for i, t in enumerate(graph.inputs)}
     tasks: list[SubLayerTask] = []
     layer_task_ids: dict[int, list[str]] = {}
     layer_act_keys: dict[int, list[tuple[tuple, int]]] = {}
 
-    for layer, slices, param_keys in layers:
+    for layer, ext_in, slices in layers:
         dep_ids: list[str] = []
         in_keys: list[tuple[tuple, int]] = []
         for p in layer.predecessors:
             dep_ids.extend(layer_task_ids[p])
             in_keys.extend(layer_act_keys[p])
-        for t in layer.activation_inputs:
-            if t.tensor_id in ext_ids:
-                in_keys.append((("a", rtag, -1, ext_ids[t.tensor_id]), t.byte_size))
+        in_keys.extend((("a", rtag, -1, x), b) for x, b in ext_in)
         deps = tuple(dep_ids)
         act_in = tuple(in_keys)
         out_keys: list[tuple[tuple, int]] = []
         ids: list[str] = []
-        for i, (sl, pk) in enumerate(zip(slices, param_keys)):
+        for i, (cost, pk, cycles) in enumerate(slices):
             task_id = f"{rtag}/L{layer.layer_id}/s{i}"
             out_key = None
-            if sl.cost.act_out_bytes:
-                out_key = (("a", rtag, layer.layer_id, i), sl.cost.act_out_bytes)
+            if cost.act_out_bytes:
+                out_key = (("a", rtag, layer.layer_id, i), cost.act_out_bytes)
                 out_keys.append(out_key)
-            tasks.append(SubLayerTask(task_id, request_id, layer.layer_id,
-                                      layer.op, sl.cost, deps, pk, act_in, out_key))
+            tasks.append(SubLayerTask(task_id, request_id, layer.layer_id, layer.op,
+                                      cost, deps, pk, act_in, out_key, cycles))
             ids.append(task_id)
         layer_task_ids[layer.layer_id] = ids
         layer_act_keys[layer.layer_id] = out_keys
@@ -249,16 +252,19 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
 
 
 def _layer_plan(layer: LayerNode, cluster: ClusterConfig, alpha: float,
-                model_key: str) -> tuple[LayerNode, list[LayerSlice], list[tuple]]:
-    """A layer's slices and each slice's parameter residency keys, which
-    depend on the model but not on the request."""
+                model_key: str, inputs: tuple[TensorInfo, ...]) -> tuple:
+    """A layer's template: its graph inputs as (input index, bytes), and per
+    slice its cost, parameter residency keys and cycle counts."""
     slices = partition_layer(layer, cluster, alpha)
     n = len(slices)
     weight_ids = [t.tensor_id for t in layer.weight_inputs]
-    param_keys = [tuple((("w", model_key, tid, i if n > 1 else 0), b)
-                        for tid, b in zip(weight_ids, sl.weight_bytes) if b)
-                  for i, sl in enumerate(slices)]
-    return layer, slices, param_keys
+    ext_ids = {t.tensor_id: i for i, t in enumerate(inputs)}
+    ext_in = tuple((ext_ids[t.tensor_id], t.byte_size)
+                   for t in layer.activation_inputs if t.tensor_id in ext_ids)
+    return layer, ext_in, [
+        (sl.cost, tuple((("w", model_key, tid, i if n > 1 else 0), b)
+                        for tid, b in zip(weight_ids, sl.weight_bytes) if b), {})
+        for i, sl in enumerate(slices)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +275,7 @@ class Processor:
     name: str
     kind: str  # "array" | "vector"
     spec: object
-    index: int
+    cycle_key: tuple  # (kind, size, cycle constants): all a task's cycles read
     busy_until: int = 0
 
 
@@ -322,13 +328,11 @@ class ClusterTable:
         self.cluster = cluster
         self.hw = hw
         self.cc = hw.cycle_constants
-        self.processors: list[Processor] = []
-        for i, spec in enumerate(cluster.arrays):
-            self.processors.append(Processor(f"array{i}", "array", spec, len(self.processors)))
-        for i, spec in enumerate(cluster.vectors):
-            self.processors.append(Processor(f"vector{i}", "vector", spec, len(self.processors)))
-        self.of_kind = {kind: [p for p in self.processors if p.kind == kind]
-                        for kind in ("array", "vector")}
+        cc = astuple(self.cc)
+        self.of_kind = {"array": [Processor(f"array{i}", "array", a, ("array", a.dim) + cc)
+                                  for i, a in enumerate(cluster.arrays)],
+                        "vector": [Processor(f"vector{i}", "vector", v, ("vector", v.lanes) + cc)
+                                   for i, v in enumerate(cluster.vectors)]}
         nq = cluster.num_task_queues
         self.queues: list[deque[SubLayerTask]] = [deque() for _ in range(nq)]
         self.queue_request: list[int | None] = [None] * nq
@@ -369,7 +373,7 @@ class ClusterTable:
     # -- table lookups ---------------------------------------------------------
 
     def earliest_free(self, kind: str) -> Processor:
-        return min(self.of_kind[kind], key=lambda p: (p.busy_until, p.index))
+        return min(self.of_kind[kind], key=attrgetter("busy_until"))  # ties: lowest index
 
     def head_deps(self, q: int) -> tuple[int, int]:
         """Latest start and latest end among the dependencies of queue
@@ -416,15 +420,13 @@ class ClusterTable:
             # wait for already-committed releases to take effect
             still_held = sum(b for _, b in self.pending_releases)
             if need <= free - still_held:
-                return MemFetchPlan(param_ready, tuple(actions), self.channel_free,
-                                    0, 0)
+                return MemFetchPlan(param_ready, (), self.channel_free, 0, 0)
             ready = param_ready
             for t_rel, b in self.pending_releases:
                 still_held -= b
                 ready = max(ready, t_rel)
                 if need <= free - still_held:
-                    return MemFetchPlan(ready, tuple(actions), self.channel_free,
-                                        0, 0)
+                    return MemFetchPlan(ready, (), self.channel_free, 0, 0)
             # falls through: eviction is required to place the output
 
         # transfers start no earlier than the policy call that requests them
@@ -559,7 +561,7 @@ def _estimate(table: ClusterTable, q: int, task: SubLayerTask, proc: Processor,
     processor is free, and never before ``now``."""
     t_proc = proc.busy_until
     t_start = max(plan.ready, t_task, t_proc, now)
-    t_comp = task.cycles_on(proc.spec, table.cc)
+    t_comp = task.cycles_on(proc, table.cc)
     return Placement(task, proc, q, plan.ready, t_task, t_proc, t_start,
                      t_comp, t_start + t_comp, t_start - t_proc, plan)
 

@@ -30,9 +30,11 @@ from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
                        SystolicArraySpec, VECTOR_ENERGY_FOR_OP,
                        VectorProcessorSpec, energy_of, peak_performance,
                        total_area)
-from .models import ModelGraph, builtin_model
+from .models import MATRIX_OPS, ModelGraph, builtin_model
 from .scheduling import (ClusterTable, NoReadyTask, Placement, SCHEDULERS,
                          StalledRun, build_request_tasks, load_balance)
+
+_MATRIX_OP_NAMES = frozenset(op.name for op in MATRIX_OPS)
 
 # event kinds in tie-break order: completions are observed before new work
 _RANK = {"task_complete": 0, "fetch_complete": 1, "flush_complete": 2,
@@ -139,10 +141,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     policy = SCHEDULERS[scheduler]
     params = dict(getattr(workload, "model_params", {}) or {})
     if graphs is None:
-        graphs = {}
-        for req in workload.requests:
-            if req.model not in graphs:
-                graphs[req.model] = _graph_for(req.model, params)
+        graphs = {r.model: _graph_for(r.model, params) for r in workload.requests}
 
     trace = TraceLog(meta={
         "scheduler": scheduler, "seed": seed, "clock_hz": hw.clock_hz,
@@ -156,7 +155,6 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     decisions: list[list[dict]] = [[] for _ in tables]  # per cluster, in commit order
     # per cluster: (table version, cycle) before which a drain cannot place
     asleep = [(-1, 0)] * len(tables)
-    partitions: dict = {}  # layer slices per (model, shared memory, alpha)
     in_flight = [0] * len(tables)
     waiting: deque[int] = deque()
     remaining: dict[int, int] = {}
@@ -180,8 +178,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
         rec = records[rid]
         table = tables[target]
         tasks = build_request_tasks(graphs[rec.model], rid, table.cluster,
-                                    alpha=alpha, model_key=rec.model,
-                                    partitions=partitions)
+                                    alpha=alpha, model_key=rec.model)
         table.enqueue_request(rid, tasks)
         in_flight[target] += 1
         remaining[rid] = len(tasks)
@@ -310,12 +307,9 @@ def compute_report(trace: TraceLog, hw: HardwareConfig,
     joules = energy_from_trace(trace, physical)
     tops = total_ops / seconds / 1e12 if seconds else 0.0
     watts = joules / seconds if seconds else 0.0
-    busy: dict[str, int] = {}
-    for cl_i, cl in enumerate(hw.clusters):
-        for i in range(len(cl.arrays)):
-            busy[f"cluster{cl_i}/array{i}"] = 0
-        for i in range(len(cl.vectors)):
-            busy[f"cluster{cl_i}/vector{i}"] = 0
+    busy = {f"cluster{ci}/{kind}{i}": 0 for ci, cl in enumerate(hw.clusters)
+            for kind, specs in (("array", cl.arrays), ("vector", cl.vectors))
+            for i in range(len(specs))}
     for e in trace.executions:
         busy[f"cluster{e.cluster}/{e.resource}"] += e.t_end - e.t_start
     utilization = {name: (100.0 * b / makespan if makespan else 0.0)
@@ -388,8 +382,9 @@ def export_trace(trace: TraceLog, path: str) -> None:
 
 def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
     """Replay checker: processor exclusivity, HBM channel serialisation,
-    dependency ordering, request completion at its last task's end, and
-    shared-memory capacity.  Returns a list of violations (empty = clean)."""
+    class eligibility (arrays run only matrix work), dependency ordering,
+    request completion at its last task's end, and shared-memory capacity.
+    Returns a list of violations (empty = clean)."""
     problems: list[str] = []
 
     by_resource: dict[tuple[int, str], list[ExecRecord]] = {}
@@ -414,6 +409,8 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
 
     end_by_task = {e.task_id: e.t_end for e in trace.executions}
     for e in trace.executions:
+        if e.resource_kind == "array" and e.op not in _MATRIX_OP_NAMES:
+            problems.append(f"cluster{e.cluster}/{e.resource}: {e.task_id} runs non-matrix {e.op}")
         for dep in e.deps:
             dep_end = end_by_task.get(dep)
             if dep_end is None:

@@ -55,7 +55,7 @@ def hw_config_to_dict(config: HardwareConfig) -> dict:
 def make_task(tid, queue, cost, deps=(), param_keys=(), act_in_keys=(),
               act_out=None):
     return SubLayerTask(tid, queue, 0, cost.op, cost, tuple(deps),
-                        tuple(param_keys), tuple(act_in_keys), act_out)
+                        tuple(param_keys), tuple(act_in_keys), act_out, {})
 
 
 def gemm_cost(m, k, n, param_bytes=0, act_in=0, act_out=0):

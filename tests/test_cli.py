@@ -178,6 +178,23 @@ def test_simulate_bad_model_exit_code(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("model,param", [("alexnet", "image_size"),
+                                         ("bert_base", "seq_len")])
+def test_simulate_zero_model_size_exit_code(tmp_path, capsys, model, param):
+    doc = {"requests": [{"request_id": 0, "model": model, "arrival_cycle": 0}],
+           "model_params": {param: 0, "depth_reduction": 8}}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    rc = main(["simulate", "--workload", str(path), "--hw", small_hw_file(tmp_path),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input:") and err.count("\n") == 1
+    assert "must be >= 1" in err
+    assert not out.exists()
+
+
 def _requests(*ids_and_arrivals):
     return [{"request_id": rid, "model": "alexnet", "arrival_cycle": t}
             for rid, t in ids_and_arrivals]

@@ -207,6 +207,16 @@ def test_unknown_model():
         builtin_model("lenet9000")
 
 
+@pytest.mark.parametrize("name,default_shape", [("alexnet", (3, 224, 224)),
+                                                ("bert_base", (128, 768))])
+def test_builtin_model_refuses_size_below_one(name, default_shape):
+    # None is the only way to ask for the default size
+    assert builtin_model(name, depth_reduction=8).inputs[0].shape == default_shape
+    for size in (0, -3):
+        with pytest.raises(SchemaError, match="must be >= 1"):
+            builtin_model(name, size, depth_reduction=8)
+
+
 def test_depth_reduction_shrinks_but_validates():
     for name in BUILTIN_MODELS:
         full = builtin_model(name)

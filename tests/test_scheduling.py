@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from svsim.costs import mem_transfer_cycles
 from svsim.hardware import MB
 from svsim.models import builtin_model, ingest_graph
-from svsim.scheduling import (CapacityDeadlock, ClusterTable, NoReadyTask,
+from svsim.scheduling import (_TEMPLATES, CapacityDeadlock, ClusterTable, NoReadyTask,
                               UnpartitionableLayer, build_request_tasks,
                               has_schedule, load_balance, partition_layer,
                               rr_schedule)
@@ -73,21 +76,37 @@ def test_vector_layer_sliced_by_elements():
 def test_partition_memo_only_rekeys_requests():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=4)
-    memo = {}
     for rid in (0, 1):
-        fresh = build_request_tasks(g, rid, cluster, alpha=0.5, model_key=g.name,
-                                    partitions={})
-        memoised = build_request_tasks(g, rid, cluster, alpha=0.5, model_key=g.name,
-                                       partitions=memo)
-        assert memoised == fresh
-    assert list(memo) == [(g.name, cluster.shared_mem_bytes, 0.5)]
+        # a copy is another graph to the template cache: partitioned afresh
+        fresh = build_request_tasks(dataclasses.replace(g), rid, cluster, alpha=0.5,
+                                    model_key=g.name)
+        templated = build_request_tasks(g, rid, cluster, alpha=0.5, model_key=g.name)
+        assert templated == fresh
+        assert not any(a.cost is b.cost for a, b in zip(templated, fresh))
+    t0 = build_request_tasks(g, 0, cluster, alpha=0.5, model_key=g.name)
+    t1 = build_request_tasks(g, 1, cluster, alpha=0.5, model_key=g.name)
+    # two requests of one model share its slice costs and cycle counts
+    assert all(a.cost is b.cost and a._cycles is b._cycles for a, b in zip(t0, t1))
+
+
+def test_templates_are_dropped_with_their_graph():
+    cluster = make_cluster(1, 16, 1, 16, 45)
+    g = builtin_model("alexnet", depth_reduction=8)
+    tasks = build_request_tasks(g, 0, cluster, alpha=0.5, model_key=g.name)
+    gc.collect()  # so only this graph's entry can go below
+    entries = len(_TEMPLATES)
+    graph = weakref.ref(g)
+    del g
+    gc.collect()
+    # the tasks outlive their graph; the template does not hold it
+    assert tasks and graph() is None and len(_TEMPLATES) == entries - 1
 
 
 def test_request_tasks_share_weight_keys_across_requests():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=4)
-    t0 = build_request_tasks(g, 0, cluster, alpha=0.5, model_key=g.name, partitions={})
-    t1 = build_request_tasks(g, 1, cluster, alpha=0.5, model_key=g.name, partitions={})
+    t0 = build_request_tasks(g, 0, cluster, alpha=0.5, model_key=g.name)
+    t1 = build_request_tasks(g, 1, cluster, alpha=0.5, model_key=g.name)
     assert [t.param_keys for t in t0] == [t.param_keys for t in t1]
     assert all(k[0][0][0] == "w" for k in (t.param_keys for t in t0) if k)
     # activations are private per request

@@ -8,11 +8,11 @@ import pytest
 from svsim.costs import mem_transfer_cycles, systolic_cycles, layer_cost
 from svsim.hardware import PhysicalModel, load_hw_config, peak_performance
 from svsim.models import builtin_model, ingest_graph
-from svsim.scheduling import (SCHEDULERS, NoReadyTask, StalledRun,
+from svsim.scheduling import (_TEMPLATES, SCHEDULERS, NoReadyTask, StalledRun,
                               UnpartitionableLayer)
 from svsim.simulation import (compute_report, energy_from_trace, export_trace,
                               run, trace_digest, verify_trace)
-from svsim.workloads import Request, Workload, generate
+from svsim.workloads import Request, Workload, generate, standard_suite
 
 from support import make_cluster, make_hw
 
@@ -134,6 +134,60 @@ def test_verify_trace_catches_completion_off_last_task():
     r.completed += 1
     problems = verify_trace(trace, hw)
     assert len(problems) == 1 and problems[0].startswith(f"request {r.request_id}:")
+
+
+def test_verify_trace_catches_vector_work_on_an_array():
+    trace, hw = _desk_trace()
+    i, e = next((i, e) for i, e in enumerate(trace.executions)
+                if e.resource_kind == "vector" and e.op in ("ACTIVATION", "POOL"))
+    trace.executions[i] = dataclasses.replace(e, resource_kind="array")
+    assert verify_trace(trace, hw) == [
+        f"cluster0/{e.resource}: {e.task_id} runs non-matrix {e.op}"]
+
+
+def _cold_digests(runs):
+    """Digest of each ``run`` call with the template cache emptied first."""
+    digests = []
+    for args, kwargs in runs:
+        _TEMPLATES.clear()
+        digests.append(trace_digest(run(*args, **kwargs)[0]))
+    return digests
+
+
+def _warm_digests(runs):
+    """Digests of the ``run`` calls in turn, sharing one template cache."""
+    _TEMPLATES.clear()
+    return [trace_digest(run(*args, **kwargs)[0]) for args, kwargs in runs]
+
+
+def test_templates_never_shared_between_graphs_under_one_model_key():
+    hw = make_hw(1, make_cluster(1, 16, 1, 16, 45))
+    w = single_model_workload("tiny", n=2)
+    runs = [((w, hw), {"graphs": {"tiny": g}})
+            for g in (tiny_gemm_graph(), tiny_gemm_graph(64, 32, 48))]
+    cold = _cold_digests(runs)
+    assert cold[0] != cold[1]
+    assert _warm_digests(runs) == cold
+
+
+def test_templates_keep_cycle_counts_per_cycle_constants():
+    with open(DESK_HW) as f:
+        doc = json.load(f)
+    slow = dict(doc, cycle_constants={"activation": 3, "pooling": 2, "layernorm": 9,
+                                      "softmax_exp": 7})
+    w = generate(0.5, 6, 1)
+    runs = [((w, load_hw_config(d)), {}) for d in (doc, slow)]
+    cold = _cold_digests(runs)
+    assert cold[0] != cold[1]
+    assert _warm_digests(runs) == cold
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "has"])
+def test_templates_repeat_a_desk_run_digest_for_digest(scheduler):
+    runs = [((standard_suite(16, seeds=(1,))[5], load_hw_config(DESK_HW)),
+             {"scheduler": scheduler})] * 2
+    cold = _cold_digests(runs)
+    assert _warm_digests(runs) == cold
 
 
 def test_export_trace_reparse_busy_intervals(tmp_path):
