@@ -34,8 +34,8 @@ class SystolicArraySpec:
     clock_hz: float = 800e6
 
     def __post_init__(self):
-        if self.dim not in SUPPORTED_DIMS:
-            raise ConfigError(f"unsupported systolic array dim {self.dim}")
+        if type(self.dim) is not int or self.dim not in SUPPORTED_DIMS:
+            raise ConfigError(f"unsupported systolic array dim {self.dim!r}")
 
     @property
     def peak_gops(self) -> float:
@@ -48,8 +48,8 @@ class VectorProcessorSpec:
     clock_hz: float = 800e6
 
     def __post_init__(self):
-        if self.lanes not in SUPPORTED_DIMS:
-            raise ConfigError(f"unsupported vector lane count {self.lanes}")
+        if type(self.lanes) is not int or self.lanes not in SUPPORTED_DIMS:
+            raise ConfigError(f"unsupported vector lane count {self.lanes!r}")
 
     @property
     def peak_gops(self) -> float:
@@ -68,6 +68,11 @@ class CycleConstants:
     softmax_acc: int = 1
     softmax_div: int = 8
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"cycle constant {name} must be an integer >= 0")
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -81,8 +86,8 @@ class ClusterConfig:
             raise ConfigError("a cluster needs >=1 systolic array and >=1 vector processor")
         if self.shared_mem_bytes <= 0:
             raise ConfigError("shared_mem_bytes must be positive")
-        if self.num_task_queues < 1:
-            raise ConfigError("num_task_queues must be >= 1")
+        if type(self.num_task_queues) is not int or self.num_task_queues < 1:
+            raise ConfigError("num_task_queues must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,8 @@ class HardwareConfig:
             raise ConfigError("hbm bandwidth must be positive")
         if self.clock_hz <= 0:
             raise ConfigError("clock must be positive")
+        if type(self.hbm_latency_cycles) is not int or self.hbm_latency_cycles < 0:
+            raise ConfigError("hbm_latency_cycles must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -177,8 +184,9 @@ def load_hw_config(source: str | dict) -> HardwareConfig:
 
     Keys: clock_mhz, hbm_gbps, hbm_latency_cycles, clusters[] with
     arrays[].dim, vectors[].lanes, shared_mem_mb and optional
-    num_task_queues, plus optional cycle_constants overrides.  Raises
-    ConfigError on an unreadable file or a bad document.
+    num_task_queues, plus optional cycle_constants overrides.  The latency,
+    dims, lane and queue counts and cycle constants are JSON integers.
+    Raises ConfigError on an unreadable file or a bad document.
     """
     doc = source
     if not isinstance(source, dict):
@@ -194,18 +202,16 @@ def load_hw_config(source: str | dict) -> HardwareConfig:
         cc = CycleConstants(**doc.get("cycle_constants", {}))
         clusters = []
         for cl in doc["clusters"]:
-            arrays = tuple(SystolicArraySpec(int(a["dim"]), clock_hz)
-                           for a in cl["arrays"])
-            vectors = tuple(VectorProcessorSpec(int(v["lanes"]), clock_hz)
-                            for v in cl["vectors"])
+            arrays = tuple(SystolicArraySpec(a["dim"], clock_hz) for a in cl["arrays"])
+            vectors = tuple(VectorProcessorSpec(v["lanes"], clock_hz) for v in cl["vectors"])
             clusters.append(ClusterConfig(
                 arrays, vectors,
                 shared_mem_bytes=int(float(cl["shared_mem_mb"]) * MB),
-                num_task_queues=int(cl.get("num_task_queues", 8))))
+                num_task_queues=cl.get("num_task_queues", 8)))
         return HardwareConfig(
             clusters=tuple(clusters),
             hbm_bandwidth_bytes_per_s=float(doc.get("hbm_gbps", 256)) * 1e9,
-            hbm_latency_cycles=int(doc.get("hbm_latency_cycles", 100)),
+            hbm_latency_cycles=doc.get("hbm_latency_cycles", 100),
             clock_hz=clock_hz,
             cycle_constants=cc)
     except (KeyError, TypeError, ValueError) as e:

@@ -462,23 +462,24 @@ def ingest_graph(text) -> ModelGraph:
         for ref in spec["inputs"]:
             if ref not in specs and ref not in input_shapes:
                 raise SchemaError(f"layer {name!r}: unknown input {ref!r}")
+    # depth-first post-order over each layer's inputs, on a stack of its own
     order: list[str] = []
-    state: dict[str, int] = {}  # 1 visiting, 2 done
-
-    def visit(name: str, stack: list[str]):
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            raise CycleDetected(" -> ".join(stack + [name]))
-        state[name] = 1
-        for ref in specs[name][1]["inputs"]:
-            if ref in specs:
-                visit(ref, stack + [name])
-        state[name] = 2
-        order.append(name)
-
-    for name in specs:
-        visit(name, [])
+    state: dict[str, int] = {}  # 1 on the stack, 2 done
+    stack = [(None, iter(specs))]  # a root whose inputs are all layers, in order
+    while stack:
+        name, refs = stack[-1]
+        for ref in refs:
+            if ref in specs and state.get(ref) != 2:
+                if ref in state:
+                    raise CycleDetected(" -> ".join([n for n, _ in stack[1:]] + [ref]))
+                state[ref] = 1
+                stack.append((ref, iter(specs[ref][1]["inputs"])))
+                break
+        else:
+            stack.pop()
+            state[name] = 2
+            order.append(name)
+    order.pop()  # the root
 
     mclass = _parse_class(doc.get("class"), (op for op, _ in specs.values()))
     precision = _parse_precision(doc.get("precision"), mclass)

@@ -303,7 +303,6 @@ class MemFetchPlan:
     actions: tuple[MemAction, ...]
     channel_end: int
     fetch_bytes: int
-    act_read_bytes: int
 
 
 @dataclass
@@ -339,9 +338,9 @@ class ClusterTable:
         # per queue: (head task, latest start and latest end among its
         # dependencies), taken when the task became head
         self._head_deps: list[tuple[SubLayerTask, int, int] | None] = [None] * nq
-        # bumped by every change a policy reads when placing: admission,
-        # release and commit
-        self.version = 0
+        # the cycle before which a policy call finds nothing to place; every
+        # change a policy reads (admission, release, commit) clears it
+        self.wake = 0
         self.rr_ptr = 0
         self.residency: dict[tuple, ResidencyEntry] = {}
         self.used_bytes = 0
@@ -362,13 +361,13 @@ class ClusterTable:
             self.queues[q].append(t)
             for key, _ in t.param_keys + t.act_in_keys:
                 self.pending_uses[key] = self.pending_uses.get(key, 0) + 1
-        self.version += 1
+        self.wake = 0
         return q
 
     def release_request(self, request_id: int) -> None:
         q = self.queue_request.index(request_id)
         self.queue_request[q] = None
-        self.version += 1
+        self.wake = 0
 
     # -- table lookups ---------------------------------------------------------
 
@@ -420,13 +419,13 @@ class ClusterTable:
             # wait for already-committed releases to take effect
             still_held = sum(b for _, b in self.pending_releases)
             if need <= free - still_held:
-                return MemFetchPlan(param_ready, (), self.channel_free, 0, 0)
+                return MemFetchPlan(param_ready, (), self.channel_free, 0)
             ready = param_ready
             for t_rel, b in self.pending_releases:
                 still_held -= b
                 ready = max(ready, t_rel)
                 if need <= free - still_held:
-                    return MemFetchPlan(ready, (), self.channel_free, 0, 0)
+                    return MemFetchPlan(ready, (), self.channel_free, 0)
             # falls through: eviction is required to place the output
 
         # transfers start no earlier than the policy call that requests them
@@ -449,30 +448,27 @@ class ClusterTable:
         if remaining > 0 or free < goal_extra:
             order = sorted((e for e in res.values() if e.key not in protected),
                            key=attrgetter("avail", "key"))
-            released: set[tuple] = set()
-            for forced in (False, True):
-                for e in order:
-                    if e.key in released:
-                        continue
-                    pend = self.pending_uses.get(e.key, 0)
-                    if pend > 0 and e.kind == "param" and not forced:
-                        continue  # still wanted by queued tasks; keep resident
-                    t = max(t, e.avail)
-                    if e.kind == "act" and pend > 0:
-                        dt = mem_transfer_cycles(e.bytes, self.hw)
-                        actions.append(MemAction("write_act", t, t + dt, e.bytes, e.key))
-                        t += dt
-                    else:
-                        actions.append(MemAction("flush", t, t, e.bytes, e.key))
-                    released.add(e.key)
-                    free += e.bytes
-                    if remaining:
-                        t, free = fetch(t, free)
-                    if remaining == 0 and free >= goal_extra:
-                        break
+            # one walk; a parameter queued tasks still want moves past index n,
+            # after all the rest, tested only on the entries the walk reaches
+            n = len(order)
+            for i, e in enumerate(order):
+                wanted = e.key in self.pending_uses
+                if wanted and e.kind == "param" and i < n:
+                    order.append(e)
+                    continue
+                t = max(t, e.avail)
+                if wanted and e.kind == "act":
+                    dt = mem_transfer_cycles(e.bytes, self.hw)
+                    actions.append(MemAction("write_act", t, t + dt, e.bytes, e.key))
+                    t += dt
+                else:
+                    actions.append(MemAction("flush", t, t, e.bytes, e.key))
+                free += e.bytes
+                if remaining:
+                    t, free = fetch(t, free)
                 if remaining == 0 and free >= goal_extra:
                     break
-            if remaining > 0 or free < goal_extra:
+            else:
                 raise CapacityDeadlock(
                     f"task {task.task_id}: cannot free {need} B of shared "
                     f"memory (short {remaining + max(goal_extra - free, 0)} B)")
@@ -483,19 +479,17 @@ class ClusterTable:
             t += dt
         ready = max(t, param_ready)
         channel_end = max([self.channel_free] + [a.end for a in actions])
-        return MemFetchPlan(ready, tuple(actions), channel_end,
-                            fetch_total, a_size)
+        return MemFetchPlan(ready, tuple(actions), channel_end, fetch_total)
 
     def commit(self, placement: Placement) -> None:
         task = placement.task
         plan = placement.plan
         for a in plan.actions:
-            if a.kind in ("flush", "write_act"):
+            if a.kind in ("flush", "write_act"):  # frees its bytes at its end
                 e = self.residency.pop(a.key)
                 self.used_bytes -= e.bytes
-                t_rel = a.start if a.kind == "flush" else a.end
-                bisect.insort(self.pending_releases, (t_rel, e.bytes))
-            elif a.kind in ("fetch_param", "read_act"):
+                bisect.insort(self.pending_releases, (a.end, e.bytes))
+            else:
                 kind = "param" if a.kind == "fetch_param" else "act"
                 e = self.residency.get(a.key)
                 if e is None:
@@ -524,7 +518,7 @@ class ClusterTable:
         self.scheduled_end[task.task_id] = placement.t_end
         self.queues[placement.queue].popleft()
         self.rr_ptr = (placement.queue + 1) % len(self.queues)
-        self.version += 1
+        self.wake = 0
 
 
 def _consume(pairs: deque[tuple[tuple, int]], amount: int):

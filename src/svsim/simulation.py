@@ -132,8 +132,8 @@ def _graph_for(name: str, params: dict) -> ModelGraph:
 
 
 def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
-        *, graphs: dict[str, ModelGraph] | None = None, alpha: float = 0.5,
-        physical: PhysicalModel = DEFAULT_PHYSICAL) -> tuple[TraceLog, PerfReport]:
+        *, graphs: dict[str, ModelGraph] | None = None,
+        alpha: float = 0.5) -> tuple[TraceLog, PerfReport]:
     """Simulate a workload and return its trace and performance report."""
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}; pick from "
@@ -153,8 +153,6 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     tables = [ClusterTable(cl, hw) for cl in hw.clusters]
     capacity = [cl.num_task_queues for cl in hw.clusters]
     decisions: list[list[dict]] = [[] for _ in tables]  # per cluster, in commit order
-    # per cluster: (table version, cycle) before which a drain cannot place
-    asleep = [(-1, 0)] * len(tables)
     in_flight = [0] * len(tables)
     waiting: deque[int] = deque()
     remaining: dict[int, int] = {}
@@ -199,35 +197,35 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             "t_comp": p.t_comp, "t_end": p.t_end, "t_idle": p.t_idle})
         for a in p.plan.actions:
             key = str(a.key)
-            if a.kind == "flush":
-                trace.residency.append(ResidencyEvent(ci, a.start, -a.bytes, key))
-                push(a.start, "flush_complete", (ci, key))
-                continue
-            trace.transfers.append(TransferRecord(
-                ci, a.kind, a.start, a.end, a.bytes, key))
-            if a.kind == "write_act":
+            # a flush or spill frees its bytes at its end, a fetch or read
+            # holds them from its start
+            if a.kind in ("flush", "write_act"):
                 trace.residency.append(ResidencyEvent(ci, a.end, -a.bytes, key))
             else:
                 trace.residency.append(ResidencyEvent(ci, a.start, a.bytes, key))
-            push(a.end, "fetch_complete", (ci, key))
+            if a.kind == "flush":
+                push(a.end, "flush_complete", ci)
+            else:
+                trace.transfers.append(TransferRecord(
+                    ci, a.kind, a.start, a.end, a.bytes, key))
+                push(a.end, "fetch_complete", ci)
         if task.act_out_key:
             key, b = task.act_out_key
             trace.residency.append(ResidencyEvent(ci, p.t_start, b, str(key)))
-        push(p.t_end, "task_complete", (ci, task.request_id, task.task_id))
+        push(p.t_end, "task_complete", (ci, task.request_id))
 
     def drain(ci: int, now: int) -> None:
-        # place until the policy runs dry; until the table changes, a drain
-        # before the cycle the policy named as its earliest would find the
-        # same nothing, so it returns at once
+        # place until the policy runs dry; a dry call changes nothing, so
+        # until the table changes a drain before the cycle the policy named
+        # as its earliest would find the same nothing
         table = tables[ci]
-        version, wake = asleep[ci]
-        if version == table.version and now < wake:
+        if now < table.wake:
             return
         while True:
             try:
                 placement = policy(table, now)
             except NoReadyTask as e:
-                asleep[ci] = (table.version, e.not_before)
+                table.wake = e.not_before
                 return
             record_placement(ci, placement)
 
@@ -247,7 +245,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             waiting.append(payload)
             admit_waiting(now)
         elif kind == "task_complete":
-            ci, rid, _task = payload
+            ci, rid = payload
             remaining[rid] -= 1
             if remaining[rid] == 0:
                 push(now, "request_complete", (ci, rid))
@@ -260,8 +258,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             admit_waiting(now)
             drain(ci, now)
         else:  # fetch_complete / flush_complete are scheduler invocation points
-            ci = payload[0]
-            drain(ci, now)
+            drain(payload, now)
 
     queued = sum(len(q) for table in tables for q in table.queues)
     stalled = [r.request_id for r in trace.requests if r.completed < 0]
@@ -270,7 +267,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             f"run ended with {queued} queued tasks and {len(stalled)} "
             f"requests never completed (first: {stalled[:3]})")
     trace.decisions = [d for rows in decisions for d in rows]
-    report = compute_report(trace, hw, physical)
+    report = compute_report(trace, hw)
     return trace, report
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
+import os
 import random
 
 from svsim.costs import TaskCost, task_cycles
@@ -50,6 +52,29 @@ def hw_config_to_dict(config: HardwareConfig) -> dict:
             for cl in config.clusters
         ],
     }
+
+
+DESK_HW = os.path.join(os.path.dirname(__file__), "..", "configs", "desk_hw.json")
+
+
+def desk_hw_doc_with(path: tuple, value) -> dict:
+    """The desk config's document with the entry at ``path`` set to ``value``."""
+    with open(DESK_HW) as f:
+        doc = json.load(f)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def chain_description(n: int, *, reverse: bool = False) -> dict:
+    """A model description of ``n`` activations in a chain, listed from the
+    first layer or, with ``reverse``, from the last."""
+    layers = [{"name": f"l{i}", "op": "Activation", "inputs": [f"l{i - 1}" if i else "x"]}
+              for i in range(n)]
+    return {"name": "chain", "class": "cnn", "inputs": [{"name": "x", "shape": [8]}],
+            "layers": layers[::-1] if reverse else layers}
 
 
 def make_task(tid, queue, cost, deps=(), param_keys=(), act_in_keys=(),

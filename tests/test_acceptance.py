@@ -18,7 +18,7 @@ from svsim.cli import load_sweep_spec, run_sweep, sweep_configs
 from svsim.costs import TaskCost, systolic_cycles, layer_cost
 from svsim.hardware import PhysicalModel, SystolicArraySpec, load_hw_config
 from svsim.models import builtin_model, ingest_graph
-from svsim.simulation import run, verify_trace
+from svsim.simulation import compute_report, run, verify_trace
 from svsim.umf import (Attr, DataPacket, DataType, FrameHeader, InfoPacket,
                        OpType, PacketType, Precision, TensorKind,
                        UmfDecodeError, UmfFrame, decode_frame, encode_frame,
@@ -166,7 +166,8 @@ def test_criterion_4_energy_exactness():
                  (Request(0, "mixed", 0), Request(1, "mixed", 0)), model_params={})
     # round-robin pins matrix work to arrays and the rest to vectors, so an
     # independent per-layer count over the graph fixes the exact joules
-    trace, report = run(w, hw, scheduler="rr", graphs={"mixed": g}, physical=phys)
+    trace, _ = run(w, hw, scheduler="rr", graphs={"mixed": g})
+    report = compute_report(trace, hw, phys)
     for e in trace.executions:
         assert (e.resource_kind == "array") == (e.op in ("CONV", "GEMM", "MATMUL"))
     expected = 0.0

@@ -15,7 +15,8 @@ from svsim.scheduling import SCHEDULERS, NoReadyTask
 from svsim.umf import FRAME_HEADER_SIZE, INFO_HEADER_SIZE, encode_frame
 from svsim.workloads import generate, save_manifest
 
-from support import hw_config_to_dict, make_cluster, make_hw
+from support import (chain_description, desk_hw_doc_with, hw_config_to_dict,
+                     make_cluster, make_hw)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SWEEP_SPEC = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -61,6 +62,12 @@ def test_convert_byte_sizes_match_graph(tmp_path):
     with open(ALEXNET) as f:
         g = ingest_graph(f.read())
     assert sum(p.payload_size for p in frame.data_packets) == g.total_param_bytes
+
+
+def test_convert_long_chain_listed_last_first(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_description(1100, reverse=True)))
+    assert main(["convert", str(path), "-o", str(tmp_path / "chain.umf")]) == 0
 
 
 def test_convert_rejects_unknown_op(tmp_path, capsys):
@@ -192,6 +199,24 @@ def test_simulate_zero_model_size_exit_code(tmp_path, capsys, model, param):
     err = capsys.readouterr().err
     assert err.startswith("error: bad input:") and err.count("\n") == 1
     assert "must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path,value", [
+    (("hbm_latency_cycles",), -1000), (("cycle_constants",), {"activation": -3}),
+    (("cycle_constants",), {"activation": 1.5}), (("clusters", 0, "num_task_queues"), 2.5),
+    (("clusters", 0, "arrays", 0, "dim"), "32"),
+])
+def test_simulate_bad_hw_value_exit_code(tmp_path, capsys, path, value):
+    doc = desk_hw_doc_with(path, value)
+    hw = tmp_path / "hw.json"
+    hw.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    rc = main(["simulate", "--workload", small_workload_file(tmp_path), "--hw", str(hw),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input:") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -362,6 +387,44 @@ def test_sweep_rejects_bad_spec_before_any_point(tmp_path, capsys, doc, word):
     assert not (out / "points").exists()
 
 
+def _one_request_spec(tmp_path, **changes):
+    spec = {**tiny_spec(), "workload_suite": {"request_count": 1, "seeds": [1],
+                                              "model_params": {"depth_reduction": 8}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, **changes}))
+    return str(path)
+
+
+def test_sweep_cli_one_config_one_seed_one_request(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", _one_request_spec(tmp_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("sweep complete: 11 rows")
+    assert len(read_results_csv(str(out / "results.csv"))) == 11
+
+
+def test_sweep_cli_lists_failed_points(tmp_path, capsys):
+    out = tmp_path / "out"
+    spec = _one_request_spec(tmp_path, shared_mem_mb=[1])
+    assert main(["sweep", "--spec", spec, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("sweep complete: 1 rows")
+    err = captured.err.splitlines()
+    assert err[0] == "10 failed points:"
+    assert len(err) == 11
+    kinds = [line.split(": ")[1] for line in err[1:]]
+    assert all(line.startswith("  a1x16_v1x64_sm1_c1__") for line in err[1:])
+    assert (kinds.count("UnpartitionableLayer"), kinds.count("CapacityDeadlock")) == (7, 3)
+
+
+def test_sweep_cli_rejects_unknown_scheduler(tmp_path, capsys):
+    out = tmp_path / "out"
+    spec = _one_request_spec(tmp_path, scheduler="fifo")
+    assert main(["sweep", "--spec", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad sweep spec:") and err.count("\n") == 1
+    assert "fifo" in err and not out.exists()
+
+
 def test_sweep_sample_fraction(tmp_path):
     spec = load_sweep_spec(tiny_spec())
     rows, _ = run_sweep(spec, str(tmp_path / "s"), sample=0.3)
@@ -404,3 +467,20 @@ def test_compare_cli_exit_codes(tmp_path):
                  "c,other,0.5,1,has,2.0,1.0,2.0,10,100,200,1.0\n")
     assert main(["compare", str(a), str(a)]) == 0
     assert main(["compare", str(a), str(b)]) == 1
+
+
+def test_compare_cli_writes_one_row_per_key_and_the_geomean(tmp_path, capsys):
+    header = ("config,workload,cnn_ratio,seed,scheduler,tops,watts,"
+              "tops_per_watt,area_mm2,makespan_cycles,total_ops,joules\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(header + "c,w1,0.5,1,has,2.0,1.0,2.0,10,100,200,1.0\n"
+                          "c,w2,0.5,1,has,4.0,1.0,4.0,10,100,200,1.0\n")
+    b.write_text(header + "c,w1,0.5,1,has,4.0,1.0,4.0,10,100,200,1.0\n"
+                          "c,w2,0.5,1,has,2.0,1.0,2.0,10,100,200,1.0\n")
+    out = tmp_path / "out.csv"
+    assert main(["compare", str(a), str(b), "-o", str(out)]) == 0
+    rows = read_results_csv(str(out))
+    assert [(r["config"], r["workload"]) for r in rows] == [("c", "w1"), ("c", "w2"),
+                                                          ("geomean", "*")]
+    assert [float(r["speedup"]) for r in rows] == pytest.approx([2.0, 0.5, 1.0])
+    assert capsys.readouterr().out == "geomean speedup=1.0000 efficiency_ratio=1.0000\n"

@@ -1,12 +1,12 @@
 import pytest
 
-from svsim.hardware import (ClusterConfig, ConfigError, HardwareConfig,
+from svsim.hardware import (ClusterConfig, ConfigError, CycleConstants, HardwareConfig,
                             PhysicalModel, SystolicArraySpec,
                             UndefinedOpForProcessor, VectorProcessorSpec,
                             energy_of, load_hw_config, peak_performance,
                             total_area)
 
-from support import hw_config_to_dict, make_cluster, make_hw
+from support import desk_hw_doc_with, hw_config_to_dict, make_cluster, make_hw
 
 PHYS = PhysicalModel()
 
@@ -122,3 +122,27 @@ def test_config_rejects_garbage(tmp_path):
     path.write_text("not json {")
     with pytest.raises(ConfigError):
         load_hw_config(str(path))
+
+
+def test_hw_refuses_negative_latency():
+    with pytest.raises(ConfigError, match="hbm_latency_cycles"):
+        make_hw(1, make_cluster(1, 16, 1, 16, 45), hbm_latency_cycles=-1)
+
+
+@pytest.mark.parametrize("value", [-3, 1.5, True, "1"])
+def test_cycle_constants_are_integers_of_at_least_zero(value):
+    with pytest.raises(ConfigError, match="activation"):
+        CycleConstants(activation=value)
+
+
+# each a JSON value that is not an integer, or an integer out of range
+@pytest.mark.parametrize("path,value", [
+    (("hbm_latency_cycles",), -1000), (("hbm_latency_cycles",), 100.0),
+    (("hbm_latency_cycles",), "100"), (("cycle_constants",), {"activation": -3}),
+    (("cycle_constants",), {"activation": 1.5}), (("clusters", 0, "num_task_queues"), 2.5),
+    (("clusters", 0, "num_task_queues"), True), (("clusters", 0, "arrays", 0, "dim"), "32"),
+    (("clusters", 0, "arrays", 0, "dim"), 32.0), (("clusters", 0, "vectors", 0, "lanes"), 64.0),
+])
+def test_config_integers_must_be_json_integers(path, value):
+    with pytest.raises(ConfigError):
+        load_hw_config(desk_hw_doc_with(path, value))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from svsim.models import (BUILTIN_MODELS, CNN_MODELS, CycleDetected,
                           structure_equal, to_umf)
 from svsim.umf import (Attr, DataType, FrameHeader, OpType, PacketType, Precision,
                        UmfFrame, decode_frame, encode_frame)
+
+from support import chain_description
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -48,7 +51,7 @@ def test_ingest_two_layer_description():
 
 
 def test_ingest_cycle_detected():
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CycleDetected, match="^a -> b -> a$"):
         ingest_graph({
             "name": "loop",
             "inputs": [{"name": "x", "shape": [8]}],
@@ -57,6 +60,44 @@ def test_ingest_cycle_detected():
                 {"name": "b", "op": "Activation", "inputs": ["a"]},
             ],
         })
+
+
+def test_ingest_long_chain_listed_last_first():
+    forward = ingest_graph(chain_description(1100))
+    backward = ingest_graph(chain_description(1100, reverse=True))
+    assert structure_equal(forward, backward)
+
+
+def _reference_order(layers):
+    """Layer names in recursive depth-first post-order over each layer's
+    inputs, in description order."""
+    by_name = {spec["name"]: spec for spec in layers}
+    order = []
+
+    def visit(name):
+        if name not in order:
+            for ref in by_name[name]["inputs"]:
+                if ref in by_name:
+                    visit(ref)
+            order.append(name)
+
+    for spec in layers:
+        visit(spec["name"])
+    return order
+
+
+def test_ingest_orders_layers_as_a_recursive_depth_first_walk():
+    for seed in range(40):
+        rng = random.Random(seed)
+        layers = []
+        for i in range(rng.randint(1, 12)):
+            refs = rng.sample(["x"] + [f"l{j}" for j in range(i)], min(i + 1, rng.randint(1, 2)))
+            layers.append({"name": f"l{i}", "inputs": refs,
+                           "op": "ElementwiseAdd" if len(refs) == 2 else "Activation"})
+        rng.shuffle(layers)
+        g = ingest_graph({"name": "dag", "class": "cnn",
+                          "inputs": [{"name": "x", "shape": [8]}], "layers": layers})
+        assert [layer.name for layer in g.layers] == _reference_order(layers), seed
 
 
 def test_ingest_shape_mismatch():

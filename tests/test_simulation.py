@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+from operator import attrgetter
 
 import pytest
 
@@ -10,8 +11,8 @@ from svsim.hardware import PhysicalModel, load_hw_config, peak_performance
 from svsim.models import builtin_model, ingest_graph
 from svsim.scheduling import (_TEMPLATES, SCHEDULERS, NoReadyTask, StalledRun,
                               UnpartitionableLayer)
-from svsim.simulation import (compute_report, energy_from_trace, export_trace,
-                              run, trace_digest, verify_trace)
+from svsim.simulation import (ResidencyEvent, compute_report, energy_from_trace,
+                              export_trace, run, trace_digest, verify_trace)
 from svsim.workloads import Request, Workload, generate, standard_suite
 
 from support import make_cluster, make_hw
@@ -145,6 +146,56 @@ def test_verify_trace_catches_vector_work_on_an_array():
         f"cluster0/{e.resource}: {e.task_id} runs non-matrix {e.op}"]
 
 
+def test_verify_trace_catches_two_tasks_on_one_processor():
+    trace, hw = _desk_trace()
+    a, b = sorted((e for e in trace.executions if e.resource == "array0"),
+                  key=attrgetter("t_start"))[:2]
+    start = a.t_end - 1
+    trace.executions[trace.executions.index(b)] = dataclasses.replace(
+        b, t_start=start, t_end=start + b.t_end - b.t_start)
+    assert (f"cluster0/array0: {b.task_id} starts at {start} before {a.task_id} "
+            f"ends at {a.t_end}") in verify_trace(trace, hw)
+
+
+def test_verify_trace_catches_a_dependency_that_never_executed():
+    trace, hw = _desk_trace()
+    e = trace.executions[-1]
+    trace.executions[-1] = dataclasses.replace(e, deps=e.deps + ("r99/L0/s0",))
+    assert verify_trace(trace, hw) == [f"{e.task_id}: dependency r99/L0/s0 never executed"]
+
+
+def test_verify_trace_catches_a_task_starting_before_its_dependency_ends():
+    trace, hw = _desk_trace()
+    e = trace.executions[0]
+    later = next(f for f in trace.executions if f.t_end > e.t_start and f is not e)
+    trace.executions[0] = dataclasses.replace(e, deps=(later.task_id,))
+    assert verify_trace(trace, hw) == [
+        f"{e.task_id} starts at {e.t_start} before dependency {later.task_id} "
+        f"ends at {later.t_end}"]
+
+
+def _residency_tail(trace):
+    """The last residency cycle on cluster 0 and the level it ends at."""
+    return (max(r.time for r in trace.residency),
+            sum(r.delta for r in trace.residency))
+
+
+def test_verify_trace_catches_shared_memory_over_capacity():
+    trace, hw = _desk_trace()
+    cap = hw.clusters[0].shared_mem_bytes
+    t, level = _residency_tail(trace)
+    trace.residency.append(ResidencyEvent(0, t + 1, cap + 1 - level, "extra"))
+    assert verify_trace(trace, hw) == [
+        f"cluster0: shared memory at {cap + 1} B > {cap} B at cycle {t + 1} (extra)"]
+
+
+def test_verify_trace_catches_negative_residency_at_the_end():
+    trace, hw = _desk_trace()
+    t, level = _residency_tail(trace)
+    trace.residency.append(ResidencyEvent(0, t + 1, -level - 1, "extra"))
+    assert verify_trace(trace, hw) == ["cluster0: negative residency at end (-1)"]
+
+
 def _cold_digests(runs):
     """Digest of each ``run`` call with the template cache emptied first."""
     digests = []
@@ -242,8 +293,9 @@ def test_energy_accounting_matches_independent_count():
     hw = make_hw(1, make_cluster(1, 16, 2, 32, 256))
     phys = PhysicalModel(sram_pj_per_byte=0.0, dram_pj_per_byte=0.0)
     g = builtin_model("alexnet", depth_reduction=4)
-    trace, report = run(single_model_workload("alexnet"), hw, scheduler="rr",
-                        graphs={"alexnet": g}, physical=phys)
+    trace, _ = run(single_model_workload("alexnet"), hw, scheduler="rr",
+                   graphs={"alexnet": g})
+    report = compute_report(trace, hw, phys)
     expected = 0.0
     for layer in g.layers:
         c = layer_cost(layer)
