@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -322,35 +323,44 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _positive(row: dict, key: str) -> float:
+    try:
+        value = float(row.get(key))  # a missing column or a short row reads None
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ValueError(f"{key} of {row['config']}/{row['workload']} is "
+                         f"{row.get(key)!r}, not a positive number")
+    return value
+
+
 def compare_results(rows_a: list[dict], rows_b: list[dict]) -> list[dict]:
-    """Per-(config, workload) B/A ratios plus geometric-mean summary rows."""
+    """Per-(config, workload) B/A ratios plus geometric-mean summary rows.
+    Differing keys raise KeyError; no rows, or a ``tops`` or
+    ``tops_per_watt`` that is not a positive number, raise ValueError."""
     index_a = {(r["config"], r["workload"]): r for r in rows_a}
     index_b = {(r["config"], r["workload"]): r for r in rows_b}
     if set(index_a) != set(index_b):
         missing = set(index_a) ^ set(index_b)
         raise KeyError(f"result keys differ on {len(missing)} entries, "
                        f"e.g. {sorted(missing)[:3]}")
-    out = []
-    speedups, eff = [], []
-    for key in sorted(index_a):
-        a, b = index_a[key], index_b[key]
-        s = float(b["tops"]) / float(a["tops"])
-        e = (float(b["tops_per_watt"]) / float(a["tops_per_watt"])
-             if float(a["tops_per_watt"]) else 0.0)
-        speedups.append(s)
-        eff.append(e)
-        out.append({"config": key[0], "workload": key[1],
-                    "speedup": s, "efficiency_ratio": e})
+    if not index_a:
+        raise ValueError("no result rows to compare")
+
+    def ratio(key: tuple, field: str) -> float:  # B over A
+        return _positive(index_b[key], field) / _positive(index_a[key], field)
+    out = [{"config": key[0], "workload": key[1], "speedup": ratio(key, "tops"),
+            "efficiency_ratio": ratio(key, "tops_per_watt")} for key in sorted(index_a)]
     out.append({"config": "geomean", "workload": "*",
-                "speedup": statistics.geometric_mean(speedups),
-                "efficiency_ratio": statistics.geometric_mean([e for e in eff if e > 0] or [1.0])})
+                "speedup": statistics.geometric_mean(r["speedup"] for r in out),
+                "efficiency_ratio": statistics.geometric_mean(r["efficiency_ratio"] for r in out)})
     return out
 
 
 def _cmd_compare(args) -> int:
     try:
         rows = compare_results(read_results_csv(args.a), read_results_csv(args.b))
-    except OSError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except KeyError as e:
@@ -362,9 +372,8 @@ def _cmd_compare(args) -> int:
                                                    "speedup", "efficiency_ratio"))
             writer.writeheader()
             writer.writerows(rows)
-    for r in rows[-1:]:
-        print(f"geomean speedup={r['speedup']:.4f} "
-              f"efficiency_ratio={r['efficiency_ratio']:.4f}")
+    g = rows[-1]  # compare_results ends with the geomean row
+    print(f"geomean speedup={g['speedup']:.4f} efficiency_ratio={g['efficiency_ratio']:.4f}")
     return EXIT_OK
 
 

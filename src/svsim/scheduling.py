@@ -43,7 +43,7 @@ class SchedulingError(Exception):
 class NoReadyTask(SchedulingError):
     """No queue head can be placed now.  ``not_before`` is the earliest
     cycle at which one could be if the table stays unchanged (``math.inf``:
-    not until it changes)."""
+    not until it changes); the engine wakes the cluster at that cycle."""
 
     def __init__(self, message: str, not_before: float):
         super().__init__(message)
@@ -298,14 +298,6 @@ class MemAction:
 
 
 @dataclass
-class MemFetchPlan:
-    ready: int
-    actions: tuple[MemAction, ...]
-    channel_end: int
-    fetch_bytes: int
-
-
-@dataclass
 class Placement:
     task: SubLayerTask
     proc: Processor
@@ -317,7 +309,7 @@ class Placement:
     t_comp: int
     t_end: int
     t_idle: int
-    plan: MemFetchPlan
+    actions: tuple[MemAction, ...]  # memory actions, in channel order
 
 
 class ClusterTable:
@@ -340,7 +332,7 @@ class ClusterTable:
         self._head_deps: list[tuple[SubLayerTask, int, int] | None] = [None] * nq
         # the cycle before which a policy call finds nothing to place; every
         # change a policy reads (admission, release, commit) clears it
-        self.wake = 0
+        self.wake = -math.inf
         self.rr_ptr = 0
         self.residency: dict[tuple, ResidencyEntry] = {}
         self.used_bytes = 0
@@ -361,13 +353,13 @@ class ClusterTable:
             self.queues[q].append(t)
             for key, _ in t.param_keys + t.act_in_keys:
                 self.pending_uses[key] = self.pending_uses.get(key, 0) + 1
-        self.wake = 0
+        self.wake = -math.inf
         return q
 
     def release_request(self, request_id: int) -> None:
         q = self.queue_request.index(request_id)
         self.queue_request[q] = None
-        self.wake = 0
+        self.wake = -math.inf
 
     # -- table lookups ---------------------------------------------------------
 
@@ -390,8 +382,9 @@ class ClusterTable:
 
     # -- external memory access scheduling ------------------------------------
 
-    def plan_memory(self, task: SubLayerTask, now: int) -> MemFetchPlan:
-        """Ready time for a task's parameters and activations.
+    def plan_memory(self, task: SubLayerTask, now: int) -> tuple[int, tuple[MemAction, ...]]:
+        """Ready time for a task's parameters and activations, and the
+        memory actions that make them ready, in channel order.
 
         Follows the residency-first rule: parameters already in shared
         memory are reused; otherwise fetch into free capacity, then walk the
@@ -419,13 +412,13 @@ class ClusterTable:
             # wait for already-committed releases to take effect
             still_held = sum(b for _, b in self.pending_releases)
             if need <= free - still_held:
-                return MemFetchPlan(param_ready, (), self.channel_free, 0)
+                return param_ready, ()
             ready = param_ready
             for t_rel, b in self.pending_releases:
                 still_held -= b
                 ready = max(ready, t_rel)
                 if need <= free - still_held:
-                    return MemFetchPlan(ready, (), self.channel_free, 0)
+                    return ready, ()
             # falls through: eviction is required to place the output
 
         # transfers start no earlier than the policy call that requests them
@@ -477,14 +470,11 @@ class ClusterTable:
             for k, b in missing_acts:
                 actions.append(MemAction("read_act", t, t + dt, b, k))
             t += dt
-        ready = max(t, param_ready)
-        channel_end = max([self.channel_free] + [a.end for a in actions])
-        return MemFetchPlan(ready, tuple(actions), channel_end, fetch_total)
+        return max(t, param_ready), tuple(actions)
 
     def commit(self, placement: Placement) -> None:
         task = placement.task
-        plan = placement.plan
-        for a in plan.actions:
+        for a in placement.actions:
             if a.kind in ("flush", "write_act"):  # frees its bytes at its end
                 e = self.residency.pop(a.key)
                 self.used_bytes -= e.bytes
@@ -511,14 +501,15 @@ class ClusterTable:
             e = self.residency.get(key)
             if e is not None:
                 e.avail = max(e.avail, placement.t_end)
-        self.channel_free = max(self.channel_free, plan.channel_end)
+        if placement.actions:  # in channel order: the last one ends latest
+            self.channel_free = max(self.channel_free, placement.actions[-1].end)
 
         placement.proc.busy_until = placement.t_end
         self.scheduled_start[task.task_id] = placement.t_start
         self.scheduled_end[task.task_id] = placement.t_end
         self.queues[placement.queue].popleft()
         self.rr_ptr = (placement.queue + 1) % len(self.queues)
-        self.wake = 0
+        self.wake = -math.inf
 
 
 def _consume(pairs: deque[tuple[tuple, int]], amount: int):
@@ -549,15 +540,16 @@ def _eligible_kinds(task: SubLayerTask, vector_slack: bool) -> tuple[str, ...]:
 
 
 def _estimate(table: ClusterTable, q: int, task: SubLayerTask, proc: Processor,
-              plan: MemFetchPlan, t_task: int, now: int) -> Placement:
+              plan: tuple, t_task: int, now: int) -> Placement:
     """Placement of queue ``q``'s head on ``proc``: it starts once its
-    operands are in shared memory, its dependencies have ended and the
-    processor is free, and never before ``now``."""
+    operands are in shared memory (``plan_memory``'s ``plan``), its
+    dependencies have ended and the processor is free, and never before ``now``."""
+    t_mem, actions = plan
     t_proc = proc.busy_until
-    t_start = max(plan.ready, t_task, t_proc, now)
+    t_start = max(t_mem, t_task, t_proc, now)
     t_comp = task.cycles_on(proc, table.cc)
-    return Placement(task, proc, q, plan.ready, t_task, t_proc, t_start,
-                     t_comp, t_start + t_comp, t_start - t_proc, plan)
+    return Placement(task, proc, q, t_mem, t_task, t_proc, t_start,
+                     t_comp, t_start + t_comp, t_start - t_proc, actions)
 
 
 def has_schedule(table: ClusterTable, now: int) -> Placement:

@@ -3,11 +3,10 @@
 The engine binds workloads, the hardware config, and a scheduling policy
 into timed execution.  Requests arrive at their workload timestamps, the
 load balancer admits them to systolic-vector clusters (FIFO, fewest
-in-flight first, one task queue per in-flight request), and each cluster's
-scheduler is invoked on every arrival, fetch completion and task completion,
-except that a cluster whose table has not changed since it last ran dry is
-not asked again before the cycle its policy named as the earliest it could
-place anything.
+in-flight first, one task queue per in-flight request), and a cluster's
+scheduler places tasks until it runs dry on every admission, task completion
+and request completion on it, and at a wake event: the cycle its policy named
+as the earliest it could place anything when it last ran dry.
 Cost-model estimates are exact in this model, so committed reservations are
 the execution; the event loop paces decisions and records the trace.
 
@@ -21,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -37,8 +37,7 @@ from .scheduling import (ClusterTable, NoReadyTask, Placement, SCHEDULERS,
 _MATRIX_OP_NAMES = frozenset(op.name for op in MATRIX_OPS)
 
 # event kinds in tie-break order: completions are observed before new work
-_RANK = {"task_complete": 0, "fetch_complete": 1, "flush_complete": 2,
-         "request_complete": 3, "request_arrival": 4}
+_RANK = {"task_complete": 0, "wake": 1, "request_complete": 2, "request_arrival": 3}
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             "time": p.t_start, "queue": p.queue, "task": task.task_id, "processor": proc.name,
             "t_mem": p.t_mem, "t_task": p.t_task, "t_proc": p.t_proc, "t_start": p.t_start,
             "t_comp": p.t_comp, "t_end": p.t_end, "t_idle": p.t_idle})
-        for a in p.plan.actions:
+        for a in p.actions:
             key = str(a.key)
             # a flush or spill frees its bytes at its end, a fetch or read
             # holds them from its start
@@ -203,21 +202,18 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
                 trace.residency.append(ResidencyEvent(ci, a.end, -a.bytes, key))
             else:
                 trace.residency.append(ResidencyEvent(ci, a.start, a.bytes, key))
-            if a.kind == "flush":
-                push(a.end, "flush_complete", ci)
-            else:
+            if a.kind != "flush":
                 trace.transfers.append(TransferRecord(
                     ci, a.kind, a.start, a.end, a.bytes, key))
-                push(a.end, "fetch_complete", ci)
         if task.act_out_key:
             key, b = task.act_out_key
             trace.residency.append(ResidencyEvent(ci, p.t_start, b, str(key)))
         push(p.t_end, "task_complete", (ci, task.request_id))
 
     def drain(ci: int, now: int) -> None:
-        # place until the policy runs dry; a dry call changes nothing, so
-        # until the table changes a drain before the cycle the policy named
-        # as its earliest would find the same nothing
+        # place until the policy runs dry, then wake the cluster at the cycle
+        # the policy named; a dry call changes nothing, so until the table
+        # changes a drain before that cycle would find the same nothing
         table = tables[ci]
         if now < table.wake:
             return
@@ -226,6 +222,8 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
                 placement = policy(table, now)
             except NoReadyTask as e:
                 table.wake = e.not_before
+                if e.not_before < math.inf:
+                    push(e.not_before, "wake", ci)
                 return
             record_placement(ci, placement)
 
@@ -257,7 +255,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             tables[ci].release_request(rid)
             admit_waiting(now)
             drain(ci, now)
-        else:  # fetch_complete / flush_complete are scheduler invocation points
+        else:  # wake
             drain(payload, now)
 
     queued = sum(len(q) for table in tables for q in table.queues)

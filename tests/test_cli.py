@@ -469,6 +469,26 @@ def test_compare_cli_exit_codes(tmp_path):
     assert main(["compare", str(a), str(b)]) == 1
 
 
+RESULTS_HEADER = ("config,workload,cnn_ratio,seed,scheduler,tops,watts,"
+                  "tops_per_watt,area_mm2,makespan_cycles,total_ops,joules\n")
+GOOD_ROW = "c,w,0.5,1,has,2.0,1.0,2.0,10,100,200,1.0\n"
+
+
+@pytest.mark.parametrize("row_a,message", [
+    ("c,w,0.5,1,has,fast,1.0,2.0,10,100,200,1.0\n", "tops of c/w is 'fast'"),
+    ("c,w,0.5,1,has,0,1.0,2.0,10,100,200,1.0\n", "tops of c/w is '0'"),
+    ("", "no result rows"),  # every point of a sweep failed
+], ids=["non_numeric_tops", "zero_tops", "header_only"])
+def test_compare_bad_results_exit_2_with_one_error_line(tmp_path, capsys, row_a, message):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(RESULTS_HEADER + row_a)
+    b.write_text(RESULTS_HEADER + (GOOD_ROW if row_a else ""))
+    assert main(["compare", str(a), str(b)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_compare_cli_writes_one_row_per_key_and_the_geomean(tmp_path, capsys):
     header = ("config,workload,cnn_ratio,seed,scheduler,tops,watts,"
               "tops_per_watt,area_mm2,makespan_cycles,total_ops,joules\n")

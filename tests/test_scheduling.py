@@ -130,11 +130,12 @@ def test_plan_resident_parameters_are_free():
                   param_keys=((("w", "m", 1, 0), MB),))
     table2 = fresh_table(hw, [[a, b]])
     p1 = has_schedule(table2, 0)
-    assert p1.plan.fetch_bytes == MB
+    assert sum(a.bytes for a in p1.actions if a.kind == "fetch_param") == MB
     p2 = has_schedule(table2, 0)
-    assert p2.plan.fetch_bytes == 0  # second request hits residency
-    assert p2.plan.actions == ()
-    assert p2.t_mem == p1.plan.actions[0].end
+    # second request hits residency
+    assert sum(a.bytes for a in p2.actions if a.kind == "fetch_param") == 0
+    assert p2.actions == ()
+    assert p2.t_mem == p1.actions[0].end
 
 
 def test_plan_empty_memory_single_fetch_arithmetic():
@@ -146,7 +147,7 @@ def test_plan_empty_memory_single_fetch_arithmetic():
     p = has_schedule(table2, 0)
     expected = mem_transfer_cycles(4 * MB, hw) + mem_transfer_cycles(4096, hw)
     assert p.t_mem == expected
-    kinds = [a.kind for a in p.plan.actions]
+    kinds = [a.kind for a in p.actions]
     assert kinds == ["fetch_param", "read_act"]
 
 
@@ -165,9 +166,9 @@ def test_plan_waits_for_flushable_holder():
                          param_keys=((("w", "n", 1, 0), 40 * MB),))
     table2.queues[0].append(incoming)
     table2.pending_uses[("w", "n", 1, 0)] = 1
-    plan = table2.plan_memory(incoming, now=p_old.t_end)
-    fetches = [a for a in plan.actions if a.kind == "fetch_param"]
-    flushes = [a for a in plan.actions if a.kind == "flush"]
+    _, actions = table2.plan_memory(incoming, now=p_old.t_end)
+    fetches = [a for a in actions if a.kind == "fetch_param"]
+    flushes = [a for a in actions if a.kind == "flush"]
     assert [f.bytes for f in fetches] == [15 * MB, 25 * MB]
     assert len(flushes) == 1 and flushes[0].bytes == 30 * MB
     assert flushes[0].start == 10**6

@@ -5,15 +5,17 @@ import os
 from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svsim.costs import mem_transfer_cycles, systolic_cycles, layer_cost
 from svsim.hardware import PhysicalModel, load_hw_config, peak_performance
-from svsim.models import builtin_model, ingest_graph
-from svsim.scheduling import (_TEMPLATES, SCHEDULERS, NoReadyTask, StalledRun,
-                              UnpartitionableLayer)
+from svsim.models import ModelError, builtin_model, ingest_graph
+from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, NoReadyTask,
+                              StalledRun, UnpartitionableLayer)
 from svsim.simulation import (ResidencyEvent, compute_report, energy_from_trace,
                               export_trace, run, trace_digest, verify_trace)
-from svsim.workloads import Request, Workload, generate, standard_suite
+from svsim.workloads import RATIO_GRID, Request, Workload, generate, standard_suite
 
 from support import make_cluster, make_hw
 
@@ -353,6 +355,44 @@ def test_two_cluster_trace_digests_pinned(scheduler):
     assert trace_digest(trace) == TWO_CLUSTER_DIGESTS[scheduler]
 
 
+# four desk clusters, where executions and transfers interleave the clusters'
+# records cycle by cycle: a change to which events drain a cluster, or in
+# what order, moves these digests
+FOUR_CLUSTER_DIGESTS = {
+    ("rate", "rr"): "4f98f565e81a8024ab11dbe33aa86309a3f3a20277234c79e705a7e3431b1030",
+    ("rate", "has"): "0ccec4f26663793abc4f88003ff63c210377a7848b7a118f3b54bd4db6730803",
+    ("batch", "rr"): "5e3fed0f9efdc0b0fcf23f6a25b7e1df751ec822a738cdc91d83eba192f52979",
+    ("batch", "has"): "19386d2cbb4fe6b2f4b32d1c893356fbd65d49416ce4131165c90124c6ad4690",
+}
+
+
+@pytest.mark.parametrize("arrivals,scheduler", sorted(FOUR_CLUSTER_DIGESTS))
+def test_four_cluster_trace_digests_pinned(arrivals, scheduler):
+    with open(DESK_HW) as f:
+        doc = json.load(f)
+    doc["clusters"] = doc["clusters"] * 4
+    hw = load_hw_config(doc)
+    workload = (generate(0.5, 16, 1, arrival_model="rate", arrival_interval=3_000_000)
+                if arrivals == "rate" else generate(0.5, 24, 1))
+    trace, _ = run(workload, hw, scheduler=scheduler)
+    assert verify_trace(trace, hw) == []
+    assert {r.cluster for r in trace.requests} == {0, 1, 2, 3}
+    assert trace_digest(trace) == FOUR_CLUSTER_DIGESTS[(arrivals, scheduler)]
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "has"])
+def test_request_arriving_before_cycle_zero_completes(scheduler):
+    # the policy names cycle 0 as its earliest placement; only an event the
+    # engine queues at that cycle lets the run go on
+    hw = load_hw_config(DESK_HW)
+    workload = Workload(name="early", seed=0, cnn_ratio=1.0, request_count=1,
+                        requests=(Request(0, "alexnet", -5),),
+                        model_params={"depth_reduction": 8})
+    trace, _ = run(workload, hw, scheduler=scheduler)
+    assert verify_trace(trace, hw) == []
+    assert trace.requests[0].completed > 0
+
+
 @pytest.mark.parametrize("queues", [(8, 2), (2, 8)])
 @pytest.mark.parametrize("scheduler", ["rr", "has"])
 def test_clusters_with_different_queue_counts(queues, scheduler):
@@ -383,3 +423,45 @@ def test_unknown_scheduler_rejected():
     with pytest.raises(ValueError):
         run(single_model_workload(), hw, scheduler="fifo",
             graphs={"tiny": tiny_gemm_graph()})
+
+
+# --- random hardware x workload --------------------------------------------------
+
+SIZES = st.sampled_from([16, 32, 64])
+clusters = st.fixed_dictionaries({
+    "arrays": st.lists(st.builds(lambda d: {"dim": d}, SIZES), min_size=1, max_size=2),
+    "vectors": st.lists(st.builds(lambda n: {"lanes": n}, SIZES), min_size=1, max_size=4),
+    "shared_mem_mb": st.sampled_from([2, 8, 16, 45]),
+    "num_task_queues": st.integers(1, 4),
+})
+hw_docs = st.fixed_dictionaries({
+    "clock_mhz": st.just(800),
+    "hbm_gbps": st.sampled_from([8, 64, 256]),
+    "hbm_latency_cycles": st.integers(0, 200),
+    "clusters": st.lists(clusters, min_size=1, max_size=3),
+})
+
+
+@st.composite
+def workloads(draw):
+    params = {"depth_reduction": 8, "image_size": draw(st.sampled_from([32, 64, 224])),
+              "seq_len": draw(st.sampled_from([16, 64, 128]))}
+    interval = draw(st.sampled_from([None, 0, 1_000, 300_000, 3_000_000]))
+    return generate(draw(st.sampled_from(RATIO_GRID)), draw(st.integers(1, 5)),
+                    draw(st.integers(0, 100)), model_params=params,
+                    arrival_model="batch" if interval is None else "rate",
+                    arrival_interval=interval or 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hw_docs, workloads(), st.sampled_from(["rr", "has"]))
+def test_random_runs_complete_clean_or_raise_a_typed_error(doc, workload, scheduler):
+    # a run either completes every request with a clean replay or ends in an
+    # error naming why; it never stalls and never escapes as anything else
+    hw = load_hw_config(doc)
+    try:
+        trace, _ = run(workload, hw, scheduler=scheduler)
+    except (UnpartitionableLayer, CapacityDeadlock, ModelError):
+        return
+    assert all(r.completed >= 0 for r in trace.requests)
+    assert verify_trace(trace, hw) == []
