@@ -3,8 +3,7 @@ accelerators serving multi-tenant DNN inference."""
 
 from .costs import (TaskCost, mem_transfer_cycles, systolic_cycles,
                     task_cycles, vector_cycles)
-from .hardware import (ClusterConfig, HardwareConfig, PhysicalModel,
-                       SystolicArraySpec, VectorProcessorSpec, energy_of,
+from .hardware import (ClusterConfig, HardwareConfig, PhysicalModel, energy_of,
                        load_hw_config, peak_performance, total_area)
 from .models import (ModelGraph, builtin_model, from_umf, ingest_graph,
                      layer_macs, structure_equal, to_umf)

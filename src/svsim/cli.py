@@ -54,8 +54,12 @@ def _cmd_convert(args) -> int:
         print(f"error: {args.model}: {e}", file=sys.stderr)
         return EXIT_USAGE
     out = args.output or os.path.splitext(args.model)[0] + ".umf"
-    with open(out, "wb") as f:
-        f.write(buf)
+    try:
+        with open(out, "wb") as f:
+            f.write(buf)
+    except OSError as e:
+        print(f"error: cannot write {out}: {e}", file=sys.stderr)
+        return EXIT_ERROR
     print(f"wrote {out}: {len(graph.layers)} layers, "
           f"{graph.total_param_bytes} parameter bytes")
     return EXIT_OK
@@ -280,12 +284,12 @@ def run_sweep(spec: dict, out_dir: str, *, scheduler: str | None = None,
     return rows, failures
 
 
-def write_results_csv(rows: list[dict], path: str) -> None:
+def write_results_csv(rows: list[dict], path: str, fields: tuple = RESULT_FIELDS) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=RESULT_FIELDS)
+        writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: row[k] for k in RESULT_FIELDS})
+            writer.writerow({k: row[k] for k in fields})
 
 
 def read_results_csv(path: str) -> list[dict]:
@@ -312,6 +316,9 @@ def _cmd_sweep(args) -> int:
             TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: bad sweep spec: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        print(f"error: --out {args.out} is not a directory", file=sys.stderr)
+        return EXIT_USAGE
     rows, failures = run_sweep(spec, args.out, scheduler=args.scheduler,
                                parallelism=args.parallelism, sample=args.sample)
     print(f"sweep complete: {len(rows)} rows -> {args.out}/results.csv")
@@ -334,12 +341,24 @@ def _positive(row: dict, key: str) -> float:
     return value
 
 
+def _index_results(rows: list[dict]) -> dict[tuple, dict]:
+    index = {}
+    for r in rows:
+        missing = [c for c in ("config", "workload") if r.get(c) is None]  # or a short row
+        if missing:
+            raise ValueError(f"results have no {missing[0]!r} column")
+        key = (r["config"], r["workload"])
+        if index.setdefault(key, r) is not r:
+            raise ValueError(f"result key {key} appears more than once")
+    return index
+
+
 def compare_results(rows_a: list[dict], rows_b: list[dict]) -> list[dict]:
     """Per-(config, workload) B/A ratios plus geometric-mean summary rows.
-    Differing keys raise KeyError; no rows, or a ``tops`` or
-    ``tops_per_watt`` that is not a positive number, raise ValueError."""
-    index_a = {(r["config"], r["workload"]): r for r in rows_a}
-    index_b = {(r["config"], r["workload"]): r for r in rows_b}
+    Differing keys raise KeyError; a missing key column, a repeated key, no
+    rows, or a ``tops`` or ``tops_per_watt`` that is not a positive number,
+    raise ValueError."""
+    index_a, index_b = _index_results(rows_a), _index_results(rows_b)
     if set(index_a) != set(index_b):
         missing = set(index_a) ^ set(index_b)
         raise KeyError(f"result keys differ on {len(missing)} entries, "
@@ -367,21 +386,26 @@ def _cmd_compare(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     if args.output:
-        with open(args.output, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=("config", "workload",
-                                                   "speedup", "efficiency_ratio"))
-            writer.writeheader()
-            writer.writerows(rows)
+        try:
+            write_results_csv(rows, args.output,
+                              ("config", "workload", "speedup", "efficiency_ratio"))
+        except OSError as e:
+            print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
+            return EXIT_ERROR
     g = rows[-1]  # compare_results ends with the geomean row
     print(f"geomean speedup={g['speedup']:.4f} efficiency_ratio={g['efficiency_ratio']:.4f}")
     return EXIT_OK
 
 
-def _alpha(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1], got {text}")
-    return value
+def _fraction(name: str):
+    """An argparse type for a fraction in (0, 1], named ``name`` in errors."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not 0 < value <= 1:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"{name} must be in (0, 1], got {text}")
+        return value
+    parse.__name__ = name  # argparse names the type in "invalid <name> value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--hw", required=True)
     s.add_argument("--scheduler", choices=("rr", "has"), default="has")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--alpha", type=_alpha, default=0.5,
+    s.add_argument("--alpha", type=_fraction("alpha"), default=0.5,
                    help="working-set budget per task, a fraction in (0, 1] "
                         "of shared memory")
     s.add_argument("--out", default="out")
@@ -418,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--spec", help="sweep spec JSON (defaults to the full single-cluster space)")
     w.add_argument("--scheduler", choices=("rr", "has"))
     w.add_argument("--parallelism", type=int, default=1)
-    w.add_argument("--sample", type=float, default=1.0,
-                   help="run a deterministic sample of the points")
+    w.add_argument("--sample", type=_fraction("sample"), default=1.0,
+                   help="run a deterministic sample, a fraction in (0, 1], of the points")
     w.add_argument("--out", default="sweep_out")
     w.set_defaults(fn=_cmd_sweep)
 

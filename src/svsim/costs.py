@@ -14,7 +14,8 @@ channels (per group).
 
 Vector processors run one MAC per lane per cycle for matrix work, process
 element-wise kinds at a per-element cycle cost, and run softmax rows through
-multi-cycle exponent / accumulate / divide stages.
+multi-cycle exponent / accumulate / divide stages.  A processor enters as its
+kind and size (PE dim d or lane count): nothing else of it sets the cycles.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .hardware import (CycleConstants, HardwareConfig, SystolicArraySpec,
-                       VectorProcessorSpec)
+from .hardware import CycleConstants, HardwareConfig
 from .models import (DATA_OPS, MATRIX_OPS, LayerNode, OpType, layer_macs,
                      matrix_dims)
 
@@ -85,20 +85,18 @@ def layer_cost(layer: LayerNode) -> TaskCost:
                     act_in_bytes=act_in, act_out_bytes=act_out)
 
 
-def systolic_cycles(cost: TaskCost, spec: SystolicArraySpec) -> int:
+def systolic_cycles(cost: TaskCost, d: int) -> int:
     """Cycles for a matrix task on a weight-stationary d x d array."""
     if cost.matrix is None:
         raise UnsupportedOp(f"{cost.op.name} cannot run on a systolic array")
     m, k, n, groups = cost.matrix
-    d = spec.dim
     passes = math.ceil(n / d) * math.ceil(k / d)
     return groups * passes * (m + 2 * d)
 
 
-def vector_cycles(cost: TaskCost, spec: VectorProcessorSpec,
+def vector_cycles(cost: TaskCost, lanes: int,
                   cc: CycleConstants = CycleConstants()) -> int:
-    """Cycles for any task on a SIMD vector processor."""
-    lanes = spec.lanes
+    """Cycles for any task on a SIMD vector processor with ``lanes`` lanes."""
     if cost.op in MATRIX_OPS:
         return math.ceil(cost.macs / lanes)
     if cost.op in DATA_OPS:
@@ -112,10 +110,11 @@ def vector_cycles(cost: TaskCost, spec: VectorProcessorSpec,
                for kind, n in cost.vector_counts.items())
 
 
-def task_cycles(cost: TaskCost, spec, cc: CycleConstants = CycleConstants()) -> int:
-    if isinstance(spec, SystolicArraySpec):
-        return systolic_cycles(cost, spec)
-    return vector_cycles(cost, spec, cc)
+def task_cycles(cost: TaskCost, kind: str, size: int,
+                cc: CycleConstants = CycleConstants()) -> int:
+    if kind == "array":
+        return systolic_cycles(cost, size)
+    return vector_cycles(cost, size, cc)
 
 
 def mem_transfer_cycles(num_bytes: int, hw: HardwareConfig) -> int:

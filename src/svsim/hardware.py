@@ -1,12 +1,12 @@
 """Hardware topology configuration and the 28nm physical PPA model.
 
-Processor peak rates, die areas, and per-operation energies come from
-post-layout characterization of the 16x16 array / 16-lane vector baseline at
-800 MHz, extrapolated to the 32 and 64 variants.  Shared-memory area uses a
-per-MiB constant calibrated so the 4-cluster reference configuration
-(4x 64x64 arrays + 8x 64-lane vectors + 40 MiB per cluster) lands on its
-known 633.8 mm2 total.  Memory access energies are generic 28nm SRAM / HBM2
-constants; both are configurable.
+A processor is its kind ("array" or "vector") and size (PE dim or lane count);
+``HardwareConfig.clock_hz`` is the one clock.  Peak rates, die areas and per-op
+energies come from post-layout characterization of the 16x16 array / 16-lane
+vector baseline at 800 MHz, extrapolated to 32 and 64.  Shared-memory area
+uses a per-MiB constant calibrated so the 4-cluster reference configuration
+(4x 64x64 arrays + 8x 64-lane vectors + 40 MiB per cluster) lands on 633.8
+mm2.  Memory energies are generic 28nm SRAM / HBM2 constants, in PhysicalModel.
 
 Capacities use MiB (2**20 bytes); bandwidths use GB/s (1e9 bytes/s).
 """
@@ -29,34 +29,6 @@ class UndefinedOpForProcessor(Exception):
 
 
 @dataclass(frozen=True)
-class SystolicArraySpec:
-    dim: int
-    clock_hz: float = 800e6
-
-    def __post_init__(self):
-        if type(self.dim) is not int or self.dim not in SUPPORTED_DIMS:
-            raise ConfigError(f"unsupported systolic array dim {self.dim!r}")
-
-    @property
-    def peak_gops(self) -> float:
-        return self.dim * self.dim * 2 * self.clock_hz / 1e9
-
-
-@dataclass(frozen=True)
-class VectorProcessorSpec:
-    lanes: int
-    clock_hz: float = 800e6
-
-    def __post_init__(self):
-        if type(self.lanes) is not int or self.lanes not in SUPPORTED_DIMS:
-            raise ConfigError(f"unsupported vector lane count {self.lanes!r}")
-
-    @property
-    def peak_gops(self) -> float:
-        return self.lanes * 2 * self.clock_hz / 1e9
-
-
-@dataclass(frozen=True)
 class CycleConstants:
     """Per-element vector costs and the multi-cycle softmax stage costs."""
 
@@ -76,14 +48,19 @@ class CycleConstants:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    arrays: tuple[SystolicArraySpec, ...]
-    vectors: tuple[VectorProcessorSpec, ...]
+    arrays: tuple[int, ...]  # PE dim of each systolic array
+    vectors: tuple[int, ...]  # lane count of each vector processor
     shared_mem_bytes: int
     num_task_queues: int = 8
 
     def __post_init__(self):
         if not self.arrays or not self.vectors:
             raise ConfigError("a cluster needs >=1 systolic array and >=1 vector processor")
+        for what, sizes in (("systolic array dim", self.arrays),
+                            ("vector lane count", self.vectors)):
+            for size in sizes:
+                if type(size) is not int or size not in SUPPORTED_DIMS:
+                    raise ConfigError(f"unsupported {what} {size!r}")
         if self.shared_mem_bytes <= 0:
             raise ConfigError("shared_mem_bytes must be positive")
         if type(self.num_task_queues) is not int or self.num_task_queues < 1:
@@ -132,37 +109,44 @@ class PhysicalModel:
 DEFAULT_PHYSICAL = PhysicalModel()
 
 
+def peak_gops(kind: str, size: int, clock_hz: float) -> float:
+    """Peak rate in GOPS (2 ops per MAC) of one processor."""
+    if kind == "array":
+        return size * size * 2 * clock_hz / 1e9
+    return size * 2 * clock_hz / 1e9
+
+
 def peak_performance(config: HardwareConfig) -> float:
-    """Aggregate peak rate in GOPS (2 ops per MAC)."""
-    return sum(spec.peak_gops
+    """Aggregate peak rate in GOPS at the config's clock."""
+    return sum(peak_gops(kind, size, config.clock_hz)
                for cl in config.clusters
-               for spec in cl.arrays + cl.vectors)
+               for kind, sizes in (("array", cl.arrays), ("vector", cl.vectors))
+               for size in sizes)
 
 
 def total_area(config: HardwareConfig, physical: PhysicalModel = DEFAULT_PHYSICAL) -> float:
     """Die area in mm2: processors plus shared memories."""
     area = 0.0
     for cl in config.clusters:
-        area += sum(physical.systolic_area_mm2[a.dim] for a in cl.arrays)
-        area += sum(physical.vector_area_mm2[v.lanes] for v in cl.vectors)
+        area += sum(physical.systolic_area_mm2[d] for d in cl.arrays)
+        area += sum(physical.vector_area_mm2[lanes] for lanes in cl.vectors)
         area += physical.shared_mem_mm2_per_mb * (cl.shared_mem_bytes / MB)
     return area
 
 
-def energy_of(op_kind: str, count: int,
-              spec: SystolicArraySpec | VectorProcessorSpec,
+def energy_of(op_kind: str, count: int, kind: str, size: int,
               physical: PhysicalModel = DEFAULT_PHYSICAL) -> float:
-    """Joules for ``count`` operations of ``op_kind`` on the given processor."""
+    """Joules for ``count`` operations of ``op_kind`` on a (kind, size) processor."""
     if count < 0:
         raise ValueError("op count must be non-negative")
-    if isinstance(spec, SystolicArraySpec):
+    if kind == "array":
         if op_kind != "mac":
             raise UndefinedOpForProcessor(
                 f"systolic arrays only run MACs, not {op_kind!r}")
-        return count * physical.systolic_mac_pj[spec.dim] * 1e-12
+        return count * physical.systolic_mac_pj[size] * 1e-12
     if op_kind not in physical.vector_pj:
         raise UndefinedOpForProcessor(f"no vector energy entry for {op_kind!r}")
-    return count * physical.vector_pj[op_kind][spec.lanes] * 1e-12
+    return count * physical.vector_pj[op_kind][size] * 1e-12
 
 
 # map op-level vector work onto the energy table rows; normalization and
@@ -202,10 +186,9 @@ def load_hw_config(source: str | dict) -> HardwareConfig:
         cc = CycleConstants(**doc.get("cycle_constants", {}))
         clusters = []
         for cl in doc["clusters"]:
-            arrays = tuple(SystolicArraySpec(a["dim"], clock_hz) for a in cl["arrays"])
-            vectors = tuple(VectorProcessorSpec(v["lanes"], clock_hz) for v in cl["vectors"])
             clusters.append(ClusterConfig(
-                arrays, vectors,
+                tuple(a["dim"] for a in cl["arrays"]),
+                tuple(v["lanes"] for v in cl["vectors"]),
                 shared_mem_bytes=int(float(cl["shared_mem_mb"]) * MB),
                 num_task_queues=cl.get("num_task_queues", 8)))
         return HardwareConfig(

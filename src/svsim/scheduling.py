@@ -82,7 +82,8 @@ class SubLayerTask:
     def cycles_on(self, proc: Processor, cc: CycleConstants) -> int:
         cycles = self._cycles.get(proc.cycle_key)
         if cycles is None:
-            cycles = self._cycles[proc.cycle_key] = task_cycles(self.cost, proc.spec, cc)
+            cycles = self._cycles[proc.cycle_key] = task_cycles(
+                self.cost, proc.kind, proc.size, cc)
         return cycles
 
 
@@ -274,7 +275,7 @@ def _layer_plan(layer: LayerNode, cluster: ClusterConfig, alpha: float,
 class Processor:
     name: str
     kind: str  # "array" | "vector"
-    spec: object
+    size: int  # PE dim of an array, lane count of a vector processor
     cycle_key: tuple  # (kind, size, cycle constants): all a task's cycles read
     busy_until: int = 0
 
@@ -320,10 +321,10 @@ class ClusterTable:
         self.hw = hw
         self.cc = hw.cycle_constants
         cc = astuple(self.cc)
-        self.of_kind = {"array": [Processor(f"array{i}", "array", a, ("array", a.dim) + cc)
-                                  for i, a in enumerate(cluster.arrays)],
-                        "vector": [Processor(f"vector{i}", "vector", v, ("vector", v.lanes) + cc)
-                                   for i, v in enumerate(cluster.vectors)]}
+        self.of_kind = {kind: [Processor(f"{kind}{i}", kind, size, (kind, size) + cc)
+                               for i, size in enumerate(sizes)]
+                        for kind, sizes in (("array", cluster.arrays),
+                                            ("vector", cluster.vectors))}
         nq = cluster.num_task_queues
         self.queues: list[deque[SubLayerTask]] = [deque() for _ in range(nq)]
         self.queue_request: list[int | None] = [None] * nq

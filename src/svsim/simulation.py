@@ -27,8 +27,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
-                       SystolicArraySpec, VECTOR_ENERGY_FOR_OP,
-                       VectorProcessorSpec, energy_of, peak_performance,
+                       VECTOR_ENERGY_FOR_OP, energy_of, peak_performance,
                        total_area)
 from .models import MATRIX_OPS, ModelGraph, builtin_model
 from .scheduling import (ClusterTable, NoReadyTask, Placement, SCHEDULERS,
@@ -185,7 +184,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     def record_placement(ci: int, p: Placement) -> None:
         task, proc = p.task, p.proc
         trace.executions.append(ExecRecord(
-            ci, proc.name, proc.kind, getattr(proc.spec, "dim", 0) or proc.spec.lanes,
+            ci, proc.name, proc.kind, proc.size,
             task.task_id, task.request_id, task.layer_id, task.op.name,
             p.queue, p.t_start, p.t_end, task.cost.macs,
             dict(task.cost.vector_counts), task.cost.param_bytes,
@@ -272,20 +271,15 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
 # ---------------------------------------------------------------------------
 # report
 
-@lru_cache(maxsize=None)  # one spec per (kind, supported size)
-def _processor_spec(kind: str, size: int) -> SystolicArraySpec | VectorProcessorSpec:
-    return (SystolicArraySpec if kind == "array" else VectorProcessorSpec)(size)
-
-
 def energy_from_trace(trace: TraceLog, physical: PhysicalModel = DEFAULT_PHYSICAL) -> float:
     """Joules, recomputable from the trace alone: op counts times the
     per-op table plus byte-transfer energies."""
     joules = 0.0
     for e in trace.executions:
-        spec = _processor_spec(e.resource_kind, e.resource_size)
-        joules += energy_of("mac", e.macs, spec, physical)
+        joules += energy_of("mac", e.macs, e.resource_kind, e.resource_size, physical)
         for kind, count in e.vector_counts.items():
-            joules += energy_of(VECTOR_ENERGY_FOR_OP[kind], count, spec, physical)
+            joules += energy_of(VECTOR_ENERGY_FOR_OP[kind], count,
+                                e.resource_kind, e.resource_size, physical)
         sram_bytes = e.param_bytes + e.act_in_bytes + e.act_out_bytes
         joules += sram_bytes * physical.sram_pj_per_byte * 1e-12
     for t in trace.transfers:
@@ -303,8 +297,8 @@ def compute_report(trace: TraceLog, hw: HardwareConfig,
     tops = total_ops / seconds / 1e12 if seconds else 0.0
     watts = joules / seconds if seconds else 0.0
     busy = {f"cluster{ci}/{kind}{i}": 0 for ci, cl in enumerate(hw.clusters)
-            for kind, specs in (("array", cl.arrays), ("vector", cl.vectors))
-            for i in range(len(specs))}
+            for kind, sizes in (("array", cl.arrays), ("vector", cl.vectors))
+            for i in range(len(sizes))}
     for e in trace.executions:
         busy[f"cluster{e.cluster}/{e.resource}"] += e.t_end - e.t_start
     utilization = {name: (100.0 * b / makespan if makespan else 0.0)
@@ -342,8 +336,7 @@ def export_trace(trace: TraceLog, path: str) -> None:
     """Write the trace in Trace Event Format (one duration event per task
     per resource lane, plus memory-channel lanes), loadable in standard
     trace viewers."""
-    clock = trace.meta.get("clock_hz", 800e6)
-    to_us = 1e6 / clock
+    to_us = 1e6 / trace.meta["clock_hz"]
     events = []
     for e in trace.executions:
         events.append({

@@ -10,8 +10,7 @@ import os
 import random
 
 from svsim.costs import TaskCost, task_cycles
-from svsim.hardware import (MB, ClusterConfig, CycleConstants, HardwareConfig,
-                            SystolicArraySpec, VectorProcessorSpec)
+from svsim.hardware import MB, ClusterConfig, CycleConstants, HardwareConfig
 from svsim.scheduling import (ClusterTable, NoReadyTask, SCHEDULERS,
                               SubLayerTask)
 from svsim.umf import OpType
@@ -21,10 +20,10 @@ CC = CycleConstants()
 
 def make_cluster(num_arrays: int, array_dim: int, num_vectors: int,
                  vector_lanes: int, shared_mem_mb: float, *,
-                 clock_hz: float = 800e6, num_task_queues: int = 8) -> ClusterConfig:
+                 num_task_queues: int = 8) -> ClusterConfig:
     return ClusterConfig(
-        arrays=tuple(SystolicArraySpec(array_dim, clock_hz) for _ in range(num_arrays)),
-        vectors=tuple(VectorProcessorSpec(vector_lanes, clock_hz) for _ in range(num_vectors)),
+        arrays=(array_dim,) * num_arrays,
+        vectors=(vector_lanes,) * num_vectors,
         shared_mem_bytes=int(shared_mem_mb * MB),
         num_task_queues=num_task_queues)
 
@@ -45,8 +44,8 @@ def hw_config_to_dict(config: HardwareConfig) -> dict:
         "hbm_gbps": config.hbm_bandwidth_bytes_per_s / 1e9,
         "hbm_latency_cycles": config.hbm_latency_cycles,
         "clusters": [
-            {"arrays": [{"dim": a.dim} for a in cl.arrays],
-             "vectors": [{"lanes": v.lanes} for v in cl.vectors],
+            {"arrays": [{"dim": d} for d in cl.arrays],
+             "vectors": [{"lanes": lanes} for lanes in cl.vectors],
              "shared_mem_mb": cl.shared_mem_bytes / MB,
              "num_task_queues": cl.num_task_queues}
             for cl in config.clusters
@@ -169,8 +168,7 @@ def synth_chain_instance(rng: random.Random, max_tasks=8, nq_range=(2, 3)):
 def exhaustive_min_makespan(hw, queues_by_request):
     """Minimal makespan over every queue interleaving and every legal
     processor-class assignment, with list placement (memory-free)."""
-    aspec = hw.clusters[0].arrays[0]
-    vspec = hw.clusters[0].vectors[0]
+    size = {"array": hw.clusters[0].arrays[0], "vector": hw.clusters[0].vectors[0]}
     n_arrays = len(hw.clusters[0].arrays)
     n_vectors = len(hw.clusters[0].vectors)
     per_q = [list(q) for q in queues_by_request]
@@ -205,8 +203,7 @@ def exhaustive_min_makespan(hw, queues_by_request):
                     mi += 1
                 else:
                     kind = "vector"
-                spec = aspec if kind == "array" else vspec
-                c = task_cycles(t.cost, spec, CC)
+                c = task_cycles(t.cost, kind, size[kind], CC)
                 dep_end = max((ends[d] for d in t.deps), default=0)
                 slot = min(range(len(free[kind])), key=lambda i: free[kind][i])
                 s = max(free[kind][slot], dep_end)

@@ -70,6 +70,13 @@ def test_convert_long_chain_listed_last_first(tmp_path):
     assert main(["convert", str(path), "-o", str(tmp_path / "chain.umf")]) == 0
 
 
+def test_convert_unwritable_output_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.umf"
+    assert main(["convert", ALEXNET, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_convert_rejects_unknown_op(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -425,6 +432,24 @@ def test_sweep_cli_rejects_unknown_scheduler(tmp_path, capsys):
     assert "fifo" in err and not out.exists()
 
 
+def test_sweep_out_naming_a_file_exit_code(tmp_path, capsys):
+    out = tmp_path / "afile"
+    out.write_text("")
+    assert main(["sweep", "--spec", _one_request_spec(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
+
+
+@pytest.mark.parametrize("sample", ["nan", "0", "-0.5", "1.5"])
+def test_sweep_rejects_sample_outside_unit_interval(tmp_path, capsys, sample):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--spec", _one_request_spec(tmp_path), "--sample", sample,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"sample must be in (0, 1], got {sample}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_sample_fraction(tmp_path):
     spec = load_sweep_spec(tiny_spec())
     rows, _ = run_sweep(spec, str(tmp_path / "s"), sample=0.3)
@@ -474,19 +499,35 @@ RESULTS_HEADER = ("config,workload,cnn_ratio,seed,scheduler,tops,watts,"
 GOOD_ROW = "c,w,0.5,1,has,2.0,1.0,2.0,10,100,200,1.0\n"
 
 
-@pytest.mark.parametrize("row_a,message", [
-    ("c,w,0.5,1,has,fast,1.0,2.0,10,100,200,1.0\n", "tops of c/w is 'fast'"),
-    ("c,w,0.5,1,has,0,1.0,2.0,10,100,200,1.0\n", "tops of c/w is '0'"),
-    ("", "no result rows"),  # every point of a sweep failed
-], ids=["non_numeric_tops", "zero_tops", "header_only"])
-def test_compare_bad_results_exit_2_with_one_error_line(tmp_path, capsys, row_a, message):
+@pytest.mark.parametrize("text_a,row_b,message", [
+    (RESULTS_HEADER + "c,w,0.5,1,has,fast,1.0,2.0,10,100,200,1.0\n", GOOD_ROW,
+     "tops of c/w is 'fast'"),
+    (RESULTS_HEADER + "c,w,0.5,1,has,0,1.0,2.0,10,100,200,1.0\n", GOOD_ROW,
+     "tops of c/w is '0'"),
+    (RESULTS_HEADER, "", "no result rows"),  # every point of a sweep failed
+    ("workload,tops,tops_per_watt\nw,2.0,2.0\n", GOOD_ROW, "no 'config' column"),
+    (RESULTS_HEADER + GOOD_ROW + GOOD_ROW, GOOD_ROW,
+     "result key ('c', 'w') appears more than once"),
+], ids=["non_numeric_tops", "zero_tops", "header_only", "missing_config_column",
+        "repeated_key"])
+def test_compare_bad_results_exit_2_with_one_error_line(tmp_path, capsys, text_a, row_b,
+                                                        message):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.write_text(RESULTS_HEADER + row_a)
-    b.write_text(RESULTS_HEADER + (GOOD_ROW if row_a else ""))
+    a.write_text(text_a)
+    b.write_text(RESULTS_HEADER + row_b)
     assert main(["compare", str(a), str(b)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_compare_unwritable_output_one_error_line(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    a.write_text(RESULTS_HEADER + GOOD_ROW)
+    out = tmp_path / "missing" / "r.csv"
+    assert main(["compare", str(a), str(a), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
 
 def test_compare_cli_writes_one_row_per_key_and_the_geomean(tmp_path, capsys):

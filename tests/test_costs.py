@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from svsim.costs import (TaskCost, UnsupportedOp, layer_cost,
                          mem_transfer_cycles, systolic_cycles, task_cycles,
                          vector_cycles)
-from svsim.hardware import (CycleConstants, SystolicArraySpec,
-                            VectorProcessorSpec)
+from svsim.hardware import CycleConstants
 from svsim.models import builtin_model
 from svsim.umf import OpType
 
@@ -25,11 +24,11 @@ def matrix_cost(m, k, n, groups=1):
 # --- systolic timing ---------------------------------------------------------
 
 def test_single_tile_16():
-    assert systolic_cycles(matrix_cost(16, 16, 16), SystolicArraySpec(16)) == 48
+    assert systolic_cycles(matrix_cost(16, 16, 16), 16) == 48
 
 
 def test_tall_skinny_amortizes_fill_drain():
-    cycles = systolic_cycles(matrix_cost(4096, 16, 16), SystolicArraySpec(16))
+    cycles = systolic_cycles(matrix_cost(4096, 16, 16), 16)
     assert cycles == 4128
     # effective rate within 1% of peak MAC rate
     assert 4096 * 16 * 16 / (cycles * 256) > 0.99
@@ -37,14 +36,13 @@ def test_tall_skinny_amortizes_fill_drain():
 
 def test_tiling_counts():
     for m in (1, 7, 100):
-        assert systolic_cycles(matrix_cost(m, 64, 64), SystolicArraySpec(16)) \
-            == 16 * (m + 32)
+        assert systolic_cycles(matrix_cost(m, 64, 64), 16) == 16 * (m + 32)
 
 
 def test_grouped_matrix_sums_group_passes():
     # depthwise-style: 8 groups of K=9, N=1
     c = matrix_cost(100, 9, 1, groups=8)
-    assert systolic_cycles(c, SystolicArraySpec(16)) == 8 * (100 + 32)
+    assert systolic_cycles(c, 16) == 8 * (100 + 32)
 
 
 @pytest.mark.parametrize("m,k,n,d", [
@@ -53,7 +51,7 @@ def test_grouped_matrix_sums_group_passes():
 ])
 def test_matches_pe_level_reference(m, k, n, d):
     cycles, _ = reference_gemm(m, k, n, d, seed=m + k + n)
-    formula = systolic_cycles(matrix_cost(m, k, n), SystolicArraySpec(d))
+    formula = systolic_cycles(matrix_cost(m, k, n), d)
     assert abs(formula - cycles) <= 0.01 * cycles
 
 
@@ -61,46 +59,45 @@ def test_matches_pe_level_reference(m, k, n, d):
 @given(st.integers(1, 512), st.integers(1, 512), st.integers(1, 512),
        st.sampled_from([16, 32, 64]))
 def test_systolic_cycles_monotone(m, k, n, d):
-    spec = SystolicArraySpec(d)
-    base = systolic_cycles(matrix_cost(m, k, n), spec)
-    assert systolic_cycles(matrix_cost(m + 1, k, n), spec) >= base
-    assert systolic_cycles(matrix_cost(m, k + 1, n), spec) >= base
-    assert systolic_cycles(matrix_cost(m, k, n + 1), spec) >= base
+    base = systolic_cycles(matrix_cost(m, k, n), d)
+    assert systolic_cycles(matrix_cost(m + 1, k, n), d) >= base
+    assert systolic_cycles(matrix_cost(m, k + 1, n), d) >= base
+    assert systolic_cycles(matrix_cost(m, k, n + 1), d) >= base
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 512), st.integers(1, 512), st.integers(1, 512),
        st.sampled_from([16, 32, 64]))
 def test_mac_rate_never_exceeds_array_capacity(m, k, n, d):
-    cycles = systolic_cycles(matrix_cost(m, k, n), SystolicArraySpec(d))
+    cycles = systolic_cycles(matrix_cost(m, k, n), d)
     assert m * k * n / cycles <= d * d
 
 
 def test_vector_only_op_unsupported_on_array():
     pool = TaskCost(OpType.POOL, vector_counts={"pool": 100})
     with pytest.raises(UnsupportedOp):
-        systolic_cycles(pool, SystolicArraySpec(16))
+        systolic_cycles(pool, 16)
     with pytest.raises(UnsupportedOp):
-        task_cycles(pool, SystolicArraySpec(16), CC)
+        task_cycles(pool, "array", 16, CC)
 
 
 # --- vector timing -----------------------------------------------------------
 
 def test_elementwise_cycles():
     relu = TaskCost(OpType.ACTIVATION, vector_counts={"activation": 4096})
-    assert vector_cycles(relu, VectorProcessorSpec(16), CycleConstants(activation=1)) == 256
+    assert vector_cycles(relu, 16, CycleConstants(activation=1)) == 256
 
 
 def test_vector_matrix_one_mac_per_lane():
     gemm = TaskCost(OpType.GEMM, macs=8192, matrix=(8, 32, 32, 1))
-    assert vector_cycles(gemm, VectorProcessorSpec(16), CC) == 512
+    assert vector_cycles(gemm, 16, CC) == 512
 
 
 def test_softmax_stage_cycles():
     sm = TaskCost(OpType.SOFTMAX, vector_counts={"softmax": 1024},
                   softmax_rows=1, softmax_width=1024)
     cc = CycleConstants(softmax_exp=4, softmax_acc=1, softmax_div=8)
-    assert vector_cycles(sm, VectorProcessorSpec(16), cc) == 832
+    assert vector_cycles(sm, 16, cc) == 832
 
 
 def test_softmax_matches_unit_occupancy_reference():
@@ -119,19 +116,17 @@ def test_softmax_matches_unit_occupancy_reference():
     for rows, width, lanes in ((1, 1024, 16), (128, 128, 64), (7, 33, 32)):
         sm = TaskCost(OpType.SOFTMAX, vector_counts={"softmax": rows * width},
                       softmax_rows=rows, softmax_width=width)
-        assert vector_cycles(sm, VectorProcessorSpec(lanes), cc) == \
-            reference(rows, width, lanes, cc)
+        assert vector_cycles(sm, lanes, cc) == reference(rows, width, lanes, cc)
 
 
 def test_data_ops_take_no_compute_cycles():
     c = TaskCost(OpType.RESHAPE, act_in_bytes=1024, act_out_bytes=1024)
-    assert vector_cycles(c, VectorProcessorSpec(16), CC) == 0
+    assert vector_cycles(c, 16, CC) == 0
 
 
 def test_systolic_wins_at_scale_vector_owns_special_functions():
     big = matrix_cost(512, 512, 512)
-    assert systolic_cycles(big, SystolicArraySpec(16)) < \
-        vector_cycles(big, VectorProcessorSpec(64), CC)
+    assert systolic_cycles(big, 16) < vector_cycles(big, 64, CC)
 
 
 # --- memory transfers ----------------------------------------------------------

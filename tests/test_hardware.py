@@ -1,9 +1,8 @@
 import pytest
 
 from svsim.hardware import (ClusterConfig, ConfigError, CycleConstants, HardwareConfig,
-                            PhysicalModel, SystolicArraySpec,
-                            UndefinedOpForProcessor, VectorProcessorSpec,
-                            energy_of, load_hw_config, peak_performance,
+                            PhysicalModel, UndefinedOpForProcessor, energy_of,
+                            load_hw_config, peak_gops, peak_performance,
                             total_area)
 
 from support import desk_hw_doc_with, hw_config_to_dict, make_cluster, make_hw
@@ -20,8 +19,7 @@ PEAK_TABLE = {
 
 @pytest.mark.parametrize("kind,size", sorted(PEAK_TABLE))
 def test_peak_rate_cells_exact(kind, size):
-    spec = SystolicArraySpec(size) if kind == "array" else VectorProcessorSpec(size)
-    assert spec.peak_gops == pytest.approx(PEAK_TABLE[(kind, size)], abs=0)
+    assert peak_gops(kind, size, 800e6) == pytest.approx(PEAK_TABLE[(kind, size)], abs=0)
 
 
 def test_peak_performance_single_processors():
@@ -32,6 +30,12 @@ def test_peak_performance_single_processors():
 def test_peak_performance_reference_scale_config():
     hw = make_hw(4, make_cluster(4, 64, 8, 64, 40))
     assert peak_performance(hw) == pytest.approx(108134.4)
+
+
+def test_peak_performance_at_hardware_clock():
+    # a processor has no clock of its own: at 1 GHz, 16x16x2 + 64x2 GOPS
+    hw = make_hw(1, make_cluster(1, 16, 1, 64, 45), clock_hz=1e9)
+    assert peak_performance(hw) == pytest.approx(640.0)
 
 
 def test_area_lookups():
@@ -56,45 +60,47 @@ def test_area_monotone_in_size_and_count():
 
 
 def test_energy_macs_on_16x16_array():
-    assert energy_of("mac", 10**6, SystolicArraySpec(16)) == pytest.approx(2.07e-6)
+    assert energy_of("mac", 10**6, "array", 16) == pytest.approx(2.07e-6)
 
 
 def test_energy_softmax_on_16_lane_vector():
-    assert energy_of("softmax", 10**3, VectorProcessorSpec(16)) == pytest.approx(155.8e-9)
+    assert energy_of("softmax", 10**3, "vector", 16) == pytest.approx(155.8e-9)
 
 
 def test_energy_pooling_undefined_on_array():
     with pytest.raises(UndefinedOpForProcessor):
-        energy_of("pooling", 10, SystolicArraySpec(16))
+        energy_of("pooling", 10, "array", 16)
 
 
 def test_energy_linear_and_zero():
-    one = energy_of("mac", 1, VectorProcessorSpec(64))
-    assert energy_of("mac", 0, VectorProcessorSpec(64)) == 0.0
-    assert energy_of("mac", 1000, VectorProcessorSpec(64)) == pytest.approx(1000 * one)
+    one = energy_of("mac", 1, "vector", 64)
+    assert energy_of("mac", 0, "vector", 64) == 0.0
+    assert energy_of("mac", 1000, "vector", 64) == pytest.approx(1000 * one)
 
 
 def test_energy_table_covers_all_vector_rows():
     for row in ("mac", "pooling", "lut", "reduction", "softmax", "etc"):
         for lanes in (16, 32, 64):
-            assert energy_of(row, 1, VectorProcessorSpec(lanes)) > 0
+            assert energy_of(row, 1, "vector", lanes) > 0
 
 
 # --- config validation -------------------------------------------------------
 
 def test_unsupported_dim_rejected():
-    with pytest.raises(ConfigError):
-        SystolicArraySpec(24)
-    with pytest.raises(ConfigError):
-        VectorProcessorSpec(128)
+    for arrays, vectors, message in (((24,), (16,), "systolic array dim 24"),
+                                     ((True,), (16,), "systolic array dim True"),
+                                     ((32.0,), (16,), "systolic array dim 32.0"),
+                                     ((16,), (128,), "vector lane count 128")):
+        with pytest.raises(ConfigError, match=f"unsupported {message}$"):
+            ClusterConfig(arrays=arrays, vectors=vectors, shared_mem_bytes=1 << 20)
 
 
 def test_cluster_needs_both_processor_kinds():
     with pytest.raises(ConfigError):
-        ClusterConfig(arrays=(), vectors=(VectorProcessorSpec(16),),
+        ClusterConfig(arrays=(), vectors=(16,),
                       shared_mem_bytes=1 << 20)
     with pytest.raises(ConfigError):
-        ClusterConfig(arrays=(SystolicArraySpec(16),), vectors=(),
+        ClusterConfig(arrays=(16,), vectors=(),
                       shared_mem_bytes=1 << 20)
 
 
