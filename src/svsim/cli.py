@@ -54,12 +54,8 @@ def _cmd_convert(args) -> int:
         print(f"error: {args.model}: {e}", file=sys.stderr)
         return EXIT_USAGE
     out = args.output or os.path.splitext(args.model)[0] + ".umf"
-    try:
-        with open(out, "wb") as f:
-            f.write(buf)
-    except OSError as e:
-        print(f"error: cannot write {out}: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    with open(out, "wb") as f:
+        f.write(buf)
     print(f"wrote {out}: {len(graph.layers)} layers, "
           f"{graph.total_param_bytes} parameter bytes")
     return EXIT_OK
@@ -104,8 +100,8 @@ def _cmd_simulate(args) -> int:
                   f, indent=2, sort_keys=True)
     simulation.export_trace(trace, os.path.join(args.out, "trace.json"))
     with open(os.path.join(args.out, "decisions.jsonl"), "w") as f:
-        for d in trace.decisions:
-            f.write(json.dumps(d, sort_keys=True) + "\n")
+        encode = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(d, sort_keys=True)
+        f.writelines(encode(d) + "\n" for d in trace.decisions)
     print(f"workload={workload.name} scheduler={args.scheduler} "
           f"makespan={report.makespan_cycles} cycles "
           f"tops={report.tops:.4f} tops_per_watt={report.tops_per_watt:.4f} "
@@ -386,12 +382,8 @@ def _cmd_compare(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     if args.output:
-        try:
-            write_results_csv(rows, args.output,
-                              ("config", "workload", "speedup", "efficiency_ratio"))
-        except OSError as e:
-            print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
-            return EXIT_ERROR
+        write_results_csv(rows, args.output,
+                          ("config", "workload", "speedup", "efficiency_ratio"))
     g = rows[-1]  # compare_results ends with the geomean row
     print(f"geomean speedup={g['speedup']:.4f} efficiency_ratio={g['efficiency_ratio']:.4f}")
     return EXIT_OK
@@ -462,6 +454,9 @@ def main(argv=None) -> int:
     except (CapacityDeadlock, StalledRun, UnpartitionableLayer) as e:
         print(f"deadlock: {e}", file=sys.stderr)
         return EXIT_DEADLOCK
+    except OSError as e:  # every command reads its inputs under its own handler
+        print(f"error: cannot write {e.filename or 'output'}: {e}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

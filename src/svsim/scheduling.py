@@ -65,7 +65,7 @@ class StalledRun(SchedulingError):
 # ---------------------------------------------------------------------------
 # sub-layer tasks
 
-@dataclass
+@dataclass(slots=True)
 class SubLayerTask:
     task_id: str
     request_id: int
@@ -271,7 +271,7 @@ def _layer_plan(layer: LayerNode, cluster: ClusterConfig, alpha: float,
 # ---------------------------------------------------------------------------
 # scheduling table
 
-@dataclass
+@dataclass(slots=True)
 class Processor:
     name: str
     kind: str  # "array" | "vector"
@@ -280,7 +280,7 @@ class Processor:
     busy_until: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ResidencyEntry:
     key: tuple
     bytes: int
@@ -289,7 +289,7 @@ class ResidencyEntry:
     avail: int  # latest end among scheduled users
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemAction:
     kind: str  # fetch_param | read_act | write_act | flush
     start: int
@@ -298,7 +298,7 @@ class MemAction:
     key: tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class Placement:
     task: SubLayerTask
     proc: Processor

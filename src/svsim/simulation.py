@@ -24,7 +24,7 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
                        VECTOR_ENERGY_FOR_OP, energy_of, peak_performance,
@@ -39,7 +39,7 @@ _MATRIX_OP_NAMES = frozenset(op.name for op in MATRIX_OPS)
 _RANK = {"task_complete": 0, "wake": 1, "request_complete": 2, "request_arrival": 3}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExecRecord:
     cluster: int
     resource: str
@@ -60,7 +60,7 @@ class ExecRecord:
     deps: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TransferRecord:
     cluster: int
     kind: str  # fetch_param | read_act | write_act
@@ -70,7 +70,7 @@ class TransferRecord:
     key: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResidencyEvent:
     cluster: int
     time: int
@@ -332,40 +332,44 @@ def trace_digest(trace: TraceLog) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+# trace events export_trace builds and encodes per write
+_EXPORT_CHUNK = 1024
+
+
 def export_trace(trace: TraceLog, path: str) -> None:
     """Write the trace in Trace Event Format (one duration event per task
     per resource lane, plus memory-channel lanes), loadable in standard
     trace viewers."""
     to_us = 1e6 / trace.meta["clock_hz"]
-    events = []
-    for e in trace.executions:
-        events.append({
-            "name": f"{e.task_id} {e.op}",
-            "cat": e.op,
-            "ph": "X",
-            "ts": e.t_start * to_us,
-            "dur": (e.t_end - e.t_start) * to_us,
-            "pid": e.cluster,
-            "tid": f"{e.resource}",
-            "args": {"request": e.request_id, "layer": e.layer_id,
-                     "macs": e.macs, "cycles": e.t_end - e.t_start},
-        })
-    for t in trace.transfers:
-        events.append({
-            "name": f"{t.kind} {t.bytes}B",
-            "cat": "memory",
-            "ph": "X",
-            "ts": t.t_start * to_us,
-            "dur": (t.t_end - t.t_start) * to_us,
-            "pid": t.cluster,
-            "tid": "hbm",
-            "args": {"bytes": t.bytes, "key": t.key},
-        })
-    events.sort(key=lambda ev: (ev["ts"], str(ev["pid"]), str(ev["tid"]), ev["name"]))
-    doc = {"traceEvents": events, "displayTimeUnit": "ms",
-           "otherData": {k: str(v) for k, v in sorted(trace.meta.items())}}
+    # (sort key, record) rows; a stable sort keeps full ties in record order,
+    # and event dicts exist one chunk at a time
+    rows = [((e.t_start * to_us, str(e.cluster), e.resource, f"{e.task_id} {e.op}"), e)
+            for e in trace.executions]
+    rows += [((t.t_start * to_us, str(t.cluster), "hbm", f"{t.kind} {t.bytes}B"), t)
+             for t in trace.transfers]
+    rows.sort(key=itemgetter(0))
+    # the bytes json.dump(doc, sort_keys=True, separators=(",", ":")) writes,
+    # through the C encoder
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    other = {k: str(v) for k, v in trace.meta.items()}
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=None, separators=(",", ":"))
+        f.write(f'{{"displayTimeUnit":"ms","otherData":{encode(other)},"traceEvents":[')
+        for i in range(0, len(rows), _EXPORT_CHUNK):
+            events = [_trace_event(ts, tid, name, r, to_us)
+                      for (ts, _, tid, name), r in rows[i:i + _EXPORT_CHUNK]]
+            f.write(("," if i else "") + encode(events)[1:-1])
+        f.write("]}")
+
+
+def _trace_event(ts: float, tid: str, name: str, r, to_us: float) -> dict:
+    if isinstance(r, TransferRecord):
+        cat, args = "memory", {"bytes": r.bytes, "key": r.key}
+    else:
+        cat, args = r.op, {"request": r.request_id, "layer": r.layer_id,
+                           "macs": r.macs, "cycles": r.t_end - r.t_start}
+    return {"name": name, "cat": cat, "ph": "X", "ts": ts,
+            "dur": (r.t_end - r.t_start) * to_us, "pid": r.cluster, "tid": tid,
+            "args": args}
 
 
 def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:

@@ -15,7 +15,7 @@ from svsim.scheduling import SCHEDULERS, NoReadyTask
 from svsim.umf import FRAME_HEADER_SIZE, INFO_HEADER_SIZE, encode_frame
 from svsim.workloads import generate, save_manifest
 
-from support import (chain_description, desk_hw_doc_with, hw_config_to_dict,
+from support import (DESK_HW, chain_description, desk_hw_doc_with, hw_config_to_dict,
                      make_cluster, make_hw)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -288,6 +288,49 @@ def test_simulate_out_naming_a_file_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --out")
 
 
+def test_simulate_unwritable_output_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    rc = main(["simulate", "--workload", small_workload_file(tmp_path),
+               "--hw", small_hw_file(tmp_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'report.json'}: ")
+    assert err.count("\n") == 1
+
+
+# sha256 of report.json, trace.json and decisions.jsonl: a change to how
+# svsim simulate writes its outputs that moves a byte moves these
+OUTPUT_PINS = {
+    "small": ("f7a3a04cfb5f3c7d3d7f33915946e3240ec4168f27694ea9a2b4efb699ac0243",
+              "22c0b9010a509b50d2ec36e4bc1f4007500d81fdd4a6708586a598b5a262f6f3",
+              "4fcdc6fa65bfd9819e1f007751c05737eae31ac93d23cab36efd3ddc1f337e12"),
+    "desk4_rate": ("670419dd4993ffe4a5432dfb65eb2c43c568b0daea7fca9581e8b1f7b8b328e1",
+                   "48eeed8c8c9ac27af9588714229cf4219ce7f938687f47aeb8227ac75f5f4989",
+                   "ed47ed170c51643c095e507b412f920d7a25b065cf4df310604871041f7850f0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_PINS))
+def test_simulate_output_bytes_pinned(tmp_path, name):
+    if name == "small":
+        w, hw = small_workload_file(tmp_path), small_hw_file(tmp_path)
+    else:  # perfbench's serve stream 1 unshuffled: 3,032 events, several export chunks
+        with open(DESK_HW) as f:
+            doc = json.load(f)
+        doc["clusters"] = doc["clusters"] * 4
+        hw = tmp_path / "hw4.json"
+        hw.write_text(json.dumps(doc))
+        w = tmp_path / "rate.json"
+        save_manifest(generate(0.5, 16, 1, arrival_model="rate",
+                               arrival_interval=3_000_000), str(w))
+    out = tmp_path / "out"
+    assert main(["simulate", "--workload", str(w), "--hw", str(hw), "--out", str(out)]) == 0
+    got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                for f in ("report.json", "trace.json", "decisions.jsonl"))
+    assert got == OUTPUT_PINS[name]
+
+
 def test_simulate_rejects_alpha_outside_unit_interval(tmp_path):
     w, hw = small_workload_file(tmp_path), small_hw_file(tmp_path)
     for alpha in ("nan", "0", "1.5"):
@@ -437,6 +480,16 @@ def test_sweep_out_naming_a_file_exit_code(tmp_path, capsys):
     out.write_text("")
     assert main(["sweep", "--spec", _one_request_spec(tmp_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
+
+
+def test_sweep_unwritable_points_dir_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "points").write_text("")
+    assert main(["sweep", "--spec", _one_request_spec(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'points'}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("sample", ["nan", "0", "-0.5", "1.5"])

@@ -2,7 +2,7 @@ import dataclasses
 import json
 import math
 import os
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from svsim.costs import mem_transfer_cycles, systolic_cycles, layer_cost
 from svsim.hardware import PhysicalModel, load_hw_config, peak_performance
 from svsim.models import ModelError, builtin_model, ingest_graph
-from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, NoReadyTask,
-                              StalledRun, UnpartitionableLayer)
-from svsim.simulation import (ResidencyEvent, compute_report, energy_from_trace,
-                              export_trace, run, trace_digest, verify_trace)
+from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, MemAction,
+                              NoReadyTask, Placement, Processor, ResidencyEntry,
+                              StalledRun, SubLayerTask, UnpartitionableLayer)
+from svsim.simulation import (ExecRecord, ResidencyEvent, TransferRecord, compute_report,
+                              energy_from_trace, export_trace, run, trace_digest,
+                              verify_trace)
 from svsim.workloads import RATIO_GRID, Request, Workload, generate, standard_suite
 
 from support import make_cluster, make_hw
@@ -260,6 +262,47 @@ def test_export_trace_reparse_busy_intervals(tmp_path):
         assert (c1, r1) == (c2, r2)
         assert s1 == pytest.approx(s2)
         assert d1 == pytest.approx(d2)
+
+
+def test_export_keeps_the_order_of_events_tied_on_time_and_lane(tmp_path):
+    # same-cycle HBM chunks split across keys tie on (ts, pid, tid): they go
+    # by name, and those whose names tie too keep their record order
+    trace, hw = _desk_trace()
+    path = tmp_path / "trace.json"
+    export_trace(trace, str(path))
+    got, want = {}, {}
+    for ev in json.loads(path.read_text())["traceEvents"]:
+        if ev["tid"] == "hbm":
+            got.setdefault((ev["pid"], ev["ts"]), []).append((ev["name"], ev["args"]["key"]))
+    to_us = 1e6 / hw.clock_hz
+    for t in trace.transfers:
+        want.setdefault((t.cluster, t.t_start * to_us), []).append(
+            (f"{t.kind} {t.bytes}B", t.key))
+    for events in want.values():
+        events.sort(key=itemgetter(0))  # stable
+    assert got == want
+    assert any(len({name for name, _ in events}) < len(events) for events in want.values())
+
+
+def test_per_placement_classes_are_slotted(monkeypatch):
+    # an instance __dict__ on these would take back the trace writer's speed-up
+    placements, entries = [], []
+    policy = SCHEDULERS["has"]
+
+    def spy(table, now):
+        placements.append(policy(table, now))
+        entries.extend(table.residency.values())
+        return placements[-1]
+
+    monkeypatch.setitem(SCHEDULERS, "has", spy)
+    trace, _ = _desk_trace()
+    p = next(p for p in placements if p.actions)
+    built = {ExecRecord: trace.executions[0], TransferRecord: trace.transfers[0],
+             ResidencyEvent: trace.residency[0], SubLayerTask: p.task, Processor: p.proc,
+             ResidencyEntry: entries[0], MemAction: p.actions[0], Placement: p}
+    for cls, obj in built.items():
+        assert "__slots__" in vars(cls), cls.__name__
+        assert type(obj) is cls and not hasattr(obj, "__dict__"), cls.__name__
 
 
 def test_export_empty_trace_is_valid(tmp_path):
