@@ -400,6 +400,13 @@ def _fraction(name: str):
     return parse
 
 
+def _workers(text: str) -> int:
+    """An argparse type for ``--parallelism``: a whole number of workers, at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"parallelism must be an integer >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="svsim",
                                 description="systolic-vector accelerator simulator")
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="design-space exploration sweep")
     w.add_argument("--spec", help="sweep spec JSON (defaults to the full single-cluster space)")
     w.add_argument("--scheduler", choices=("rr", "has"))
-    w.add_argument("--parallelism", type=int, default=1)
+    w.add_argument("--parallelism", type=_workers, default=1)
     w.add_argument("--sample", type=_fraction("sample"), default=1.0,
                    help="run a deterministic sample, a fraction in (0, 1], of the points")
     w.add_argument("--out", default="sweep_out")

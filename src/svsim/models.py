@@ -786,8 +786,9 @@ def from_umf(frame: UmfFrame) -> ModelGraph:
         raise ShapeMismatch(f"weights mix precisions "
                             f"{sorted(p.name for p in precisions)}")
     ops = [OpType(p.op_type) for p in frame.info_packets]
-    b = GraphBuilder(f"model_{frame.header.model_id}", _parse_class(None, ops),
-                     precisions.pop() if precisions else Precision.INT8)
+    mclass = _parse_class(None, ops)  # a frame without weights is at its class default
+    b = GraphBuilder(f"model_{frame.header.model_id}", mclass,
+                     precisions.pop() if precisions else _parse_precision(None, mclass))
 
     for i, (pkt, op) in enumerate(zip(frame.info_packets, ops)):
         if pkt.layer_id != i:

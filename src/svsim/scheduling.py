@@ -25,6 +25,7 @@ on the cluster's channel.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import weakref
 from collections import deque
@@ -330,7 +331,7 @@ class ClusterTable:
         self.queue_request: list[int | None] = [None] * nq
         # per queue: (head task, latest start and latest end among its
         # dependencies), taken when the task became head
-        self._head_deps: list[tuple[SubLayerTask, int, int] | None] = [None] * nq
+        self._head_deps: list[tuple[SubLayerTask | None, int, int]] = [(None, 0, 0)] * nq
         # the cycle before which a policy call finds nothing to place; every
         # change a policy reads (admission, release, commit) clears it
         self.wake = -math.inf
@@ -374,7 +375,7 @@ class ClusterTable:
         bounds are taken once per head."""
         task = self.queues[q][0]
         cached = self._head_deps[q]
-        if cached is None or cached[0] is not task:
+        if cached[0] is not task:
             cached = self._head_deps[q] = (
                 task,
                 max((self.scheduled_start[d] for d in task.deps), default=0),
@@ -393,17 +394,22 @@ class ClusterTable:
         spilling unconsumed activations until the remaining bytes fit.
         """
         res = self.residency
-        protected = {k for k, _ in task.param_keys} | {k for k, _ in task.act_in_keys}
-        missing_params = deque((k, b) for k, b in task.param_keys if k not in res)
-        param_ready = max((res[k].ready for k, _ in task.param_keys if k in res),
-                          default=0)
+        missing_params: deque[tuple[tuple, int]] = deque()
+        fetch_total = param_ready = 0
+        for k, b in task.param_keys:
+            e = res.get(k)
+            if e is None:
+                missing_params.append((k, b))
+                fetch_total += b
+            elif e.ready > param_ready:
+                param_ready = e.ready
         missing_acts = [(k, b) for k, b in task.act_in_keys if k not in res]
-        fetch_total = sum(b for _, b in missing_params)
         a_size = sum(b for _, b in missing_acts)
         out_bytes = task.act_out_key[1] if task.act_out_key else 0
 
-        del self.pending_releases[:bisect.bisect_right(self.pending_releases,
-                                                       (now, math.inf))]
+        releases = self.pending_releases
+        if releases and releases[0][0] <= now:
+            del releases[:bisect.bisect_right(releases, (now, math.inf))]
         free = self.cluster.shared_mem_bytes - self.used_bytes
         need = fetch_total + a_size + out_bytes
         actions: list[MemAction] = []
@@ -411,11 +417,11 @@ class ClusterTable:
         if fetch_total == 0 and a_size == 0:
             # no transfers: only the output needs space, which may have to
             # wait for already-committed releases to take effect
-            still_held = sum(b for _, b in self.pending_releases)
+            still_held = sum(b for _, b in releases)
             if need <= free - still_held:
                 return param_ready, ()
             ready = param_ready
-            for t_rel, b in self.pending_releases:
+            for t_rel, b in releases:
                 still_held -= b
                 ready = max(ready, t_rel)
                 if need <= free - still_held:
@@ -426,46 +432,40 @@ class ClusterTable:
         t = max(self.channel_free, now)
         remaining = fetch_total
         goal_extra = a_size + out_bytes
-
-        def fetch(upto_t: int, free_now: int) -> tuple[int, int]:
-            nonlocal remaining
-            amt = min(free_now, remaining)
-            if amt <= 0:
-                return upto_t, free_now
-            dt = mem_transfer_cycles(amt, self.hw)
-            for k, b in _consume(missing_params, amt):
-                actions.append(MemAction("fetch_param", upto_t, upto_t + dt, b, k))
-            remaining -= amt
-            return upto_t + dt, free_now - amt
-
-        t, free = fetch(t, free)
-        if remaining > 0 or free < goal_extra:
-            order = sorted((e for e in res.values() if e.key not in protected),
-                           key=attrgetter("avail", "key"))
-            # one walk; a parameter queued tasks still want moves past index n,
-            # after all the rest, tested only on the entries the walk reaches
-            n = len(order)
-            for i, e in enumerate(order):
-                wanted = e.key in self.pending_uses
-                if wanted and e.kind == "param" and i < n:
-                    order.append(e)
-                    continue
-                t = max(t, e.avail)
-                if wanted and e.kind == "act":
-                    dt = mem_transfer_cycles(e.bytes, self.hw)
-                    actions.append(MemAction("write_act", t, t + dt, e.bytes, e.key))
-                    t += dt
-                else:
-                    actions.append(MemAction("flush", t, t, e.bytes, e.key))
-                free += e.bytes
-                if remaining:
-                    t, free = fetch(t, free)
-                if remaining == 0 and free >= goal_extra:
-                    break
-            else:
+        walk = None
+        while True:
+            # fetch what fits, then evict the next resident until all fits
+            amt = min(free, remaining)
+            if amt > 0:
+                dt = mem_transfer_cycles(amt, self.hw)
+                free -= amt
+                remaining -= amt
+                while amt:  # the chunk's bytes go to the missing keys in order
+                    k, b = missing_params.popleft()
+                    if b > amt:  # the rest of this key goes in a later chunk
+                        missing_params.appendleft((k, b - amt))
+                        b = amt
+                    actions.append(MemAction("fetch_param", t, t + dt, b, k))
+                    amt -= b
+                t += dt
+            if remaining == 0 and free >= goal_extra:
+                break
+            if walk is None:
+                protected = {k for k, _ in task.param_keys} | {k for k, _ in task.act_in_keys}
+                walk = _eviction_order(res.values(), protected, self.pending_uses)
+            e = next(walk, None)
+            if e is None:
                 raise CapacityDeadlock(
                     f"task {task.task_id}: cannot free {need} B of shared "
                     f"memory (short {remaining + max(goal_extra - free, 0)} B)")
+            t = max(t, e.avail)
+            if e.kind == "act" and e.key in self.pending_uses:
+                dt = mem_transfer_cycles(e.bytes, self.hw)
+                actions.append(MemAction("write_act", t, t + dt, e.bytes, e.key))
+                t += dt
+            else:
+                actions.append(MemAction("flush", t, t, e.bytes, e.key))
+            free += e.bytes
         if a_size:
             dt = mem_transfer_cycles(a_size, self.hw)
             for k, b in missing_acts:
@@ -475,58 +475,61 @@ class ClusterTable:
 
     def commit(self, placement: Placement) -> None:
         task = placement.task
+        res, uses = self.residency, self.pending_uses
+        t_end = placement.t_end
         for a in placement.actions:
             if a.kind in ("flush", "write_act"):  # frees its bytes at its end
-                e = self.residency.pop(a.key)
+                e = res.pop(a.key)
                 self.used_bytes -= e.bytes
                 bisect.insort(self.pending_releases, (a.end, e.bytes))
             else:
-                kind = "param" if a.kind == "fetch_param" else "act"
-                e = self.residency.get(a.key)
+                e = res.get(a.key)
                 if e is None:
-                    self.residency[a.key] = ResidencyEntry(
-                        a.key, a.bytes, kind, a.end, placement.t_end)
+                    res[a.key] = ResidencyEntry(
+                        a.key, a.bytes, "param" if a.kind == "fetch_param" else "act",
+                        a.end, t_end)
                 else:  # a split fetch of one tensor accumulates
                     e.bytes += a.bytes
-                    e.ready = max(e.ready, a.end)
+                    if a.end > e.ready:
+                        e.ready = a.end
                 self.used_bytes += a.bytes
         if task.act_out_key:
             key, b = task.act_out_key
-            self.residency[key] = ResidencyEntry(key, b, "act",
-                                                 placement.t_end, placement.t_end)
+            res[key] = ResidencyEntry(key, b, "act", t_end, t_end)
             self.used_bytes += b
-        for key, _ in task.param_keys + task.act_in_keys:
-            self.pending_uses[key] = self.pending_uses.get(key, 1) - 1
-            if self.pending_uses[key] <= 0:
-                self.pending_uses.pop(key, None)
-            e = self.residency.get(key)
-            if e is not None:
-                e.avail = max(e.avail, placement.t_end)
-        if placement.actions:  # in channel order: the last one ends latest
-            self.channel_free = max(self.channel_free, placement.actions[-1].end)
+        for keys in (task.param_keys, task.act_in_keys):
+            for key, _ in keys:
+                n = uses[key] = uses.get(key, 1) - 1
+                if n <= 0:
+                    del uses[key]
+                e = res.get(key)
+                if e is not None and e.avail < t_end:
+                    e.avail = t_end
+        # actions are in channel order: the last one ends latest
+        if placement.actions and placement.actions[-1].end > self.channel_free:
+            self.channel_free = placement.actions[-1].end
 
-        placement.proc.busy_until = placement.t_end
+        placement.proc.busy_until = t_end
         self.scheduled_start[task.task_id] = placement.t_start
-        self.scheduled_end[task.task_id] = placement.t_end
+        self.scheduled_end[task.task_id] = t_end
         self.queues[placement.queue].popleft()
         self.rr_ptr = (placement.queue + 1) % len(self.queues)
         self.wake = -math.inf
 
 
-def _consume(pairs: deque[tuple[tuple, int]], amount: int):
-    """Attribute ``amount`` fetched bytes to keys, mutating the backlog."""
-    taken = []
-    while amount > 0 and pairs:
-        k, b = pairs[0]
-        if b <= amount:
-            taken.append((k, b))
-            amount -= b
-            pairs.popleft()
+def _eviction_order(entries, protected: set, wanted: dict):
+    """Unprotected entries lazily by (latest user end, key), then the still
+    wanted parameters in that order.  Keys are unique: entries never compare."""
+    heap = [(e.avail, e.key, e) for e in entries if e.key not in protected]
+    heapq.heapify(heap)
+    deferred = []
+    while heap:
+        e = heapq.heappop(heap)[2]
+        if e.kind == "param" and e.key in wanted:
+            deferred.append(e)
         else:
-            taken.append((k, amount))
-            pairs[0] = (k, b - amount)
-            amount = 0
-    return taken
+            yield e
+    yield from deferred
 
 
 # ---------------------------------------------------------------------------
@@ -566,27 +569,29 @@ def has_schedule(table: ClusterTable, now: int) -> Placement:
     otherwise pending vector operations keep their dedicated processors and
     matrix work stays on the arrays.
     """
-    heads = []
+    heads = []  # (queue, head, latest end among its dependencies)
     not_before = math.inf
     for q, queue in enumerate(table.queues):
         if queue:
-            dep_start = table.head_deps(q)[0]
-            if dep_start <= now:
-                heads.append((q, queue[0]))
-            else:
-                not_before = min(not_before, dep_start)
+            c = table._head_deps[q]
+            if c[0] is not queue[0]:
+                table.head_deps(q)
+                c = table._head_deps[q]
+            if c[1] <= now:
+                heads.append((q, c[0], c[2]))
+            elif c[1] < not_before:
+                not_before = c[1]
     if not heads:
         raise NoReadyTask("no candidate tasks", not_before)
     nq = len(table.queues)
-    vector_only = sum(1 for _, t in heads
+    vector_only = sum(1 for _, t, _ in heads
                       if t.op not in MATRIX_OPS and t.op not in DATA_OPS)
     vector_slack = vector_only < len(table.of_kind["vector"])
     free = {kind: table.earliest_free(kind) for kind in table.of_kind}
     best = None
     best_rank = None
-    for q, task in heads:
+    for q, task, t_task in heads:
         plan = table.plan_memory(task, now)
-        t_task = table.head_deps(q)[1]
         nominated = None
         for kind in _eligible_kinds(task, vector_slack):
             p = _estimate(table, q, task, free[kind], plan, t_task, now)

@@ -151,6 +151,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     tables = [ClusterTable(cl, hw) for cl in hw.clusters]
     capacity = [cl.num_task_queues for cl in hw.clusters]
     decisions: list[list[dict]] = [[] for _ in tables]  # per cluster, in commit order
+    names: dict[tuple, str] = {}  # residency key -> its str, made once per run
     in_flight = [0] * len(tables)
     waiting: deque[int] = deque()
     remaining: dict[int, int] = {}
@@ -194,19 +195,20 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
             "t_mem": p.t_mem, "t_task": p.t_task, "t_proc": p.t_proc, "t_start": p.t_start,
             "t_comp": p.t_comp, "t_end": p.t_end, "t_idle": p.t_idle})
         for a in p.actions:
-            key = str(a.key)
+            key = names.get(a.key) or names.setdefault(a.key, str(a.key))
             # a flush or spill frees its bytes at its end, a fetch or read
-            # holds them from its start
-            if a.kind in ("flush", "write_act"):
+            # holds them from its start; all but a flush are transfers
+            if a.kind == "flush":
                 trace.residency.append(ResidencyEvent(ci, a.end, -a.bytes, key))
-            else:
-                trace.residency.append(ResidencyEvent(ci, a.start, a.bytes, key))
-            if a.kind != "flush":
-                trace.transfers.append(TransferRecord(
-                    ci, a.kind, a.start, a.end, a.bytes, key))
+                continue
+            trace.residency.append(ResidencyEvent(ci, a.end, -a.bytes, key)
+                                   if a.kind == "write_act"
+                                   else ResidencyEvent(ci, a.start, a.bytes, key))
+            trace.transfers.append(TransferRecord(ci, a.kind, a.start, a.end, a.bytes, key))
         if task.act_out_key:
             key, b = task.act_out_key
-            trace.residency.append(ResidencyEvent(ci, p.t_start, b, str(key)))
+            trace.residency.append(ResidencyEvent(
+                ci, p.t_start, b, names.get(key) or names.setdefault(key, str(key))))
         push(p.t_end, "task_complete", (ci, task.request_id))
 
     def drain(ci: int, now: int) -> None:

@@ -503,6 +503,17 @@ def test_sweep_rejects_sample_outside_unit_interval(tmp_path, capsys, sample):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("parallelism", ["-3", "0", "1.5", "two"])
+def test_sweep_rejects_parallelism_below_one(tmp_path, capsys, parallelism):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--spec", _one_request_spec(tmp_path), "--parallelism", parallelism,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"parallelism must be an integer >= 1, got {parallelism}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_sample_fraction(tmp_path):
     spec = load_sweep_spec(tiny_spec())
     rows, _ = run_sweep(spec, str(tmp_path / "s"), sample=0.3)

@@ -328,13 +328,26 @@ def test_umf_round_trip_conv_without_groups():
 def test_umf_round_trip_inputs_read_out_of_order():
     # layer 0 reads input b, layer 1 input a: inputs keep their frame ids
     g = ingest_graph({
-        "name": "two_inputs", "precision": "int8",  # no weight carries fp16
+        "name": "two_inputs",  # weightless: decodes at its class default, fp16
         "inputs": [{"name": "a", "shape": [4, 8]}, {"name": "b", "shape": [4, 8]}],
         "layers": [{"name": "r", "op": "Activation", "inputs": ["b"]},
                    {"name": "s", "op": "Add", "inputs": ["r", "a"]}],
     })
     back = from_umf(decode_frame(encode_frame(to_umf(g))))
     assert [t.tensor_id for t in back.inputs] == [t.tensor_id for t in g.inputs]
+    assert structure_equal(back, g)
+
+
+def test_umf_round_trip_weightless_graph_at_its_class_default():
+    # no weight carries a precision: the frame decodes at the class default
+    g = ingest_graph({
+        "name": "weightless", "class": "transformer", "precision": "fp16",
+        "inputs": [{"name": "x", "shape": [4, 8]}],
+        "layers": [{"name": "s", "op": "Softmax", "inputs": ["x"]}],
+    })
+    back = from_umf(decode_frame(encode_frame(to_umf(g))))
+    assert back.precision == Precision.FP16
+    assert back.layers[0].outputs[0].byte_size == g.layers[0].outputs[0].byte_size == 64
     assert structure_equal(back, g)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import re
 import weakref
 
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svsim.costs import mem_transfer_cycles
-from svsim.hardware import MB
+from svsim.hardware import MB, ClusterConfig
 from svsim.models import builtin_model, ingest_graph
-from svsim.scheduling import (_TEMPLATES, CapacityDeadlock, ClusterTable, NoReadyTask,
-                              UnpartitionableLayer, build_request_tasks,
-                              has_schedule, load_balance, partition_layer,
-                              rr_schedule)
+from svsim.scheduling import (_TEMPLATES, CapacityDeadlock, ClusterTable, MemAction,
+                              NoReadyTask, ResidencyEntry, UnpartitionableLayer,
+                              build_request_tasks, has_schedule, load_balance,
+                              partition_layer, rr_schedule)
 from svsim.umf import OpType
 
 from support import (SMALL_HW, exhaustive_min_makespan, fresh_table,
@@ -180,8 +181,143 @@ def test_capacity_deadlock_when_nothing_flushable():
     t = make_task("t", 0, gemm_cost(1, 64, 64, param_bytes=2 * MB),
                   param_keys=((("w", "m", 1, 0), 2 * MB),))
     table2 = fresh_table(hw, [[t]])
-    with pytest.raises(CapacityDeadlock):
+    with pytest.raises(CapacityDeadlock,
+                       match=r"^task t: cannot free 2097152 B of shared memory "
+                             r"\(short 1048576 B\)$"):
         has_schedule(table2, 0)
+
+
+def sorted_walk_plan(table, task, now):
+    """``plan_memory`` as a sorted walk: every unprotected resident sorted by
+    (latest user end, key), with the parameters queued tasks still want
+    moved after all the rest.  Leaves the table as it was."""
+    res = table.residency
+    protected = {k for k, _ in task.param_keys} | {k for k, _ in task.act_in_keys}
+    missing_params = [[k, b] for k, b in task.param_keys if k not in res]
+    param_ready = max((res[k].ready for k, _ in task.param_keys if k in res), default=0)
+    missing_acts = [(k, b) for k, b in task.act_in_keys if k not in res]
+    fetch_total = sum(b for _, b in missing_params)
+    a_size = sum(b for _, b in missing_acts)
+    out_bytes = task.act_out_key[1] if task.act_out_key else 0
+    releases = [r for r in table.pending_releases if r[0] > now]
+    free = table.cluster.shared_mem_bytes - table.used_bytes
+    need = fetch_total + a_size + out_bytes
+    if fetch_total == 0 and a_size == 0:
+        still_held = sum(b for _, b in releases)
+        ready = param_ready
+        if need <= free - still_held:
+            return ready, ()
+        for t_rel, b in releases:
+            still_held -= b
+            ready = max(ready, t_rel)
+            if need <= free - still_held:
+                return ready, ()
+    actions = []
+    t = max(table.channel_free, now)
+    remaining = fetch_total
+    goal_extra = a_size + out_bytes
+
+    def fetch(t, free):
+        nonlocal remaining
+        amt = min(free, remaining)
+        if amt <= 0:
+            return t, free
+        dt = mem_transfer_cycles(amt, table.hw)
+        left = amt
+        while left:
+            k, b = missing_params[0]
+            take = min(b, left)
+            actions.append(MemAction("fetch_param", t, t + dt, take, k))
+            left -= take
+            if take == b:
+                missing_params.pop(0)
+            else:
+                missing_params[0][1] = b - take
+        remaining -= amt
+        return t + dt, free - amt
+
+    t, free = fetch(t, free)
+    if remaining > 0 or free < goal_extra:
+        order = sorted((e for e in res.values() if e.key not in protected),
+                       key=lambda e: (e.avail, e.key))
+        wanted = [e for e in order if e.kind == "param" and e.key in table.pending_uses]
+        for e in [e for e in order if e not in wanted] + wanted:
+            t = max(t, e.avail)
+            if e.kind == "act" and e.key in table.pending_uses:
+                dt = mem_transfer_cycles(e.bytes, table.hw)
+                actions.append(MemAction("write_act", t, t + dt, e.bytes, e.key))
+                t += dt
+            else:
+                actions.append(MemAction("flush", t, t, e.bytes, e.key))
+            free += e.bytes
+            if remaining:
+                t, free = fetch(t, free)
+            if remaining == 0 and free >= goal_extra:
+                break
+        else:
+            raise CapacityDeadlock(
+                f"task {task.task_id}: cannot free {need} B of shared "
+                f"memory (short {remaining + max(goal_extra - free, 0)} B)")
+    if a_size:
+        dt = mem_transfer_cycles(a_size, table.hw)
+        actions.extend(MemAction("read_act", t, t + dt, b, k) for k, b in missing_acts)
+        t += dt
+    return max(t, param_ready), tuple(actions)
+
+
+@st.composite
+def residency_scenarios(draw):
+    """A table whose residents tie on their latest user end, some of them
+    still wanted, and a task with resident (protected) and missing operands;
+    the capacity ranges from ample to too small for the task."""
+    n = draw(st.integers(0, 10))
+    entries = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["param", "act"]))
+        key = ("w", draw(st.sampled_from(["m", "n"])), i, 0) if kind == "param" \
+            else ("a", "r1", i, 0)
+        entries.append((ResidencyEntry(key, draw(st.integers(1, 300)), kind,
+                                       draw(st.integers(0, 100)),
+                                       draw(st.sampled_from([0, 40, 80]))),
+                        draw(st.booleans())))
+    used = sum(e.bytes for e, _ in entries)
+    hw = make_hw(1, make_cluster(1, 16, 1, 16, 1), hbm_latency_cycles=draw(st.integers(0, 20)))
+    cluster = ClusterConfig((16,), (16,), max(1, used + draw(st.integers(-used, 600))), 1)
+    table = ClusterTable(cluster, hw)
+    for e, wanted in entries:
+        table.residency[e.key] = e
+        if wanted:
+            table.pending_uses[e.key] = 1
+    table.used_bytes = used
+    table.channel_free = draw(st.integers(0, 120))
+    table.pending_releases = sorted(draw(st.lists(
+        st.tuples(st.integers(0, 150), st.integers(1, 200)), max_size=3)))
+    resident = [e for e, _ in entries]
+    mine = draw(st.lists(st.sampled_from(resident), unique_by=lambda e: e.key)) if resident else []
+    param_keys = [(e.key, e.bytes) for e in mine if e.kind == "param"]
+    act_in_keys = [(e.key, e.bytes) for e in mine if e.kind == "act"]
+    param_keys += [(("w", "x", j, 0), draw(st.integers(1, 400)))
+                   for j in range(draw(st.integers(0, 3)))]
+    act_in_keys += [(("a", "r2", -1, j), draw(st.integers(1, 200)))
+                    for j in range(draw(st.integers(0, 2)))]
+    out = draw(st.one_of(st.none(), st.integers(1, 300)))
+    task = make_task("t", 0, gemm_cost(1, 16, 16), param_keys=param_keys,
+                     act_in_keys=act_in_keys,
+                     act_out=None if out is None else (("a", "r2", 0, 0), out))
+    return table, task, draw(st.integers(0, 150))
+
+
+@settings(max_examples=400, deadline=None)
+@given(residency_scenarios())
+def test_plan_memory_matches_a_sorted_eviction_walk(scenario):
+    table, task, now = scenario
+    try:
+        expected = sorted_walk_plan(table, task, now)
+    except CapacityDeadlock as e:
+        with pytest.raises(CapacityDeadlock, match=f"^{re.escape(str(e))}$"):
+            table.plan_memory(task, now)
+    else:
+        assert table.plan_memory(task, now) == expected
 
 
 # --- round-robin ----------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svsim.cli import SWEEP_ALPHA, load_sweep_spec, sweep_configs
 from svsim.costs import mem_transfer_cycles, systolic_cycles, layer_cost
 from svsim.hardware import PhysicalModel, load_hw_config, peak_performance
 from svsim.models import ModelError, builtin_model, ingest_graph
@@ -421,6 +422,34 @@ def test_four_cluster_trace_digests_pinned(arrivals, scheduler):
     assert verify_trace(trace, hw) == []
     assert {r.cluster for r in trace.requests} == {0, 1, 2, 3}
     assert trace_digest(trace) == FOUR_CLUSTER_DIGESTS[(arrivals, scheduler)]
+
+
+# two 45 MB corners of the sweep space on its 50% workload, where most
+# placements flush or spill residents to make room: a change to the
+# eviction order moves these digests
+SWEEP_CORNER_DIGESTS = {
+    ("a4x64_v8x16_sm45_c1", "rr"):
+        "0460e4680b734f6ea0e0770aed04a8a0443851705212faf79999537f87a8a336",
+    ("a4x64_v8x16_sm45_c1", "has"):
+        "50cf9ea794d977d389f5f259b826a9c2584fa89ccd6de752b07473eb25cc19af",
+    ("a8x16_v8x64_sm45_c1", "rr"):
+        "e0cf0d20e2cafbb0322e204d19eca64d28e6448ac0bbb39ebe3c539f97c29bbf",
+    ("a8x16_v8x64_sm45_c1", "has"):
+        "503eacfd7c1b4ee4e9ce9a4b40703e7f917ddc02039f0c48a218a6ae7de7bc00",
+}
+
+
+@pytest.mark.parametrize("label,scheduler", sorted(SWEEP_CORNER_DIGESTS))
+def test_sweep_corner_trace_digests_pinned(label, scheduler):
+    spec = load_sweep_spec({"arrays": [[8, 16], [4, 64]], "vectors": [[8, 16], [8, 64]],
+                            "shared_mem_mb": [45]})
+    cfg = next(c for c in sweep_configs(spec) if c["label"] == label)
+    hw = load_hw_config(cfg["hw"])
+    workload = next(w for w in standard_suite(8, seeds=(1,)) if w.cnn_ratio == 0.5)
+    trace, _ = run(workload, hw, scheduler=scheduler, alpha=SWEEP_ALPHA)
+    assert verify_trace(trace, hw) == []
+    assert sum(1 for t in trace.transfers if t.kind == "write_act") > 10  # spills happen
+    assert trace_digest(trace) == SWEEP_CORNER_DIGESTS[(label, scheduler)]
 
 
 @pytest.mark.parametrize("scheduler", ["rr", "has"])
