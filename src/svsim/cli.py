@@ -101,7 +101,7 @@ def _cmd_simulate(args) -> int:
     simulation.export_trace(trace, os.path.join(args.out, "trace.json"))
     with open(os.path.join(args.out, "decisions.jsonl"), "w") as f:
         encode = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(d, sort_keys=True)
-        f.writelines(encode(d) + "\n" for d in trace.decisions)
+        f.writelines(encode(d) + "\n" for d in simulation.decision_rows(trace))
     print(f"workload={workload.name} scheduler={args.scheduler} "
           f"makespan={report.makespan_cycles} cycles "
           f"tops={report.tops:.4f} tops_per_watt={report.tops_per_watt:.4f} "

@@ -94,8 +94,7 @@ def systolic_cycles(cost: TaskCost, d: int) -> int:
     return groups * passes * (m + 2 * d)
 
 
-def vector_cycles(cost: TaskCost, lanes: int,
-                  cc: CycleConstants = CycleConstants()) -> int:
+def vector_cycles(cost: TaskCost, lanes: int, cc: CycleConstants) -> int:
     """Cycles for any task on a SIMD vector processor with ``lanes`` lanes."""
     if cost.op in MATRIX_OPS:
         return math.ceil(cost.macs / lanes)
@@ -110,8 +109,7 @@ def vector_cycles(cost: TaskCost, lanes: int,
                for kind, n in cost.vector_counts.items())
 
 
-def task_cycles(cost: TaskCost, kind: str, size: int,
-                cc: CycleConstants = CycleConstants()) -> int:
+def task_cycles(cost: TaskCost, kind: str, size: int, cc: CycleConstants) -> int:
     if kind == "array":
         return systolic_cycles(cost, size)
     return vector_cycles(cost, size, cc)

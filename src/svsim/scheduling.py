@@ -312,6 +312,7 @@ class Placement:
     t_end: int
     t_idle: int
     actions: tuple[MemAction, ...]  # memory actions, in channel order
+    cluster: int = -1  # set when the engine records the placement
 
 
 class ClusterTable:

@@ -29,35 +29,12 @@ from operator import attrgetter, itemgetter
 from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
                        VECTOR_ENERGY_FOR_OP, energy_of, peak_performance,
                        total_area)
-from .models import MATRIX_OPS, ModelGraph, builtin_model
+from .models import MATRIX_OPS, TRANSFORMER_MODELS, ModelGraph, builtin_model
 from .scheduling import (ClusterTable, NoReadyTask, Placement, SCHEDULERS,
                          StalledRun, build_request_tasks, load_balance)
 
-_MATRIX_OP_NAMES = frozenset(op.name for op in MATRIX_OPS)
-
 # event kinds in tie-break order: completions are observed before new work
 _RANK = {"task_complete": 0, "wake": 1, "request_complete": 2, "request_arrival": 3}
-
-
-@dataclass(slots=True)
-class ExecRecord:
-    cluster: int
-    resource: str
-    resource_kind: str  # "array" | "vector"
-    resource_size: int  # PE dim or lane count
-    task_id: str
-    request_id: int
-    layer_id: int
-    op: str
-    queue: int
-    t_start: int
-    t_end: int
-    macs: int
-    vector_counts: dict
-    param_bytes: int
-    act_in_bytes: int
-    act_out_bytes: int
-    deps: tuple[str, ...]
 
 
 @dataclass(slots=True)
@@ -91,11 +68,10 @@ class RequestRecord:
 @dataclass
 class TraceLog:
     meta: dict
-    executions: list[ExecRecord] = field(default_factory=list)
+    executions: list[Placement] = field(default_factory=list)  # in commit order
     transfers: list[TransferRecord] = field(default_factory=list)
     residency: list[ResidencyEvent] = field(default_factory=list)
     requests: list[RequestRecord] = field(default_factory=list)
-    decisions: list[dict] = field(default_factory=list)
 
     def makespan(self) -> int:
         ends = [e.t_end for e in self.executions] + [t.t_end for t in self.transfers]
@@ -123,7 +99,7 @@ def _cached_builtin(name: str, size: int, batch: int, depth: int) -> ModelGraph:
 
 
 def _graph_for(name: str, params: dict) -> ModelGraph:
-    size = (params.get("seq_len", 128) if name.startswith(("bert", "gpt"))
+    size = (params.get("seq_len", 128) if name.lower() in TRANSFORMER_MODELS
             else params.get("image_size", 224))
     return _cached_builtin(name, size, params.get("batch", 1),
                            params.get("depth_reduction", 1))
@@ -150,7 +126,6 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     })
     tables = [ClusterTable(cl, hw) for cl in hw.clusters]
     capacity = [cl.num_task_queues for cl in hw.clusters]
-    decisions: list[list[dict]] = [[] for _ in tables]  # per cluster, in commit order
     names: dict[tuple, str] = {}  # residency key -> its str, made once per run
     in_flight = [0] * len(tables)
     waiting: deque[int] = deque()
@@ -183,17 +158,8 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
         rec.dispatched = now
 
     def record_placement(ci: int, p: Placement) -> None:
-        task, proc = p.task, p.proc
-        trace.executions.append(ExecRecord(
-            ci, proc.name, proc.kind, proc.size,
-            task.task_id, task.request_id, task.layer_id, task.op.name,
-            p.queue, p.t_start, p.t_end, task.cost.macs,
-            dict(task.cost.vector_counts), task.cost.param_bytes,
-            task.cost.act_in_bytes, task.cost.act_out_bytes, task.deps))
-        decisions[ci].append({
-            "time": p.t_start, "queue": p.queue, "task": task.task_id, "processor": proc.name,
-            "t_mem": p.t_mem, "t_task": p.t_task, "t_proc": p.t_proc, "t_start": p.t_start,
-            "t_comp": p.t_comp, "t_end": p.t_end, "t_idle": p.t_idle})
+        p.cluster = ci
+        trace.executions.append(p)
         for a in p.actions:
             key = names.get(a.key) or names.setdefault(a.key, str(a.key))
             # a flush or spill frees its bytes at its end, a fetch or read
@@ -205,6 +171,9 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
                                    if a.kind == "write_act"
                                    else ResidencyEvent(ci, a.start, a.bytes, key))
             trace.transfers.append(TransferRecord(ci, a.kind, a.start, a.end, a.bytes, key))
+        # the records above are the actions' only copy a trace keeps
+        p.actions = ()
+        task = p.task
         if task.act_out_key:
             key, b = task.act_out_key
             trace.residency.append(ResidencyEvent(
@@ -265,7 +234,6 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
         raise StalledRun(
             f"run ended with {queued} queued tasks and {len(stalled)} "
             f"requests never completed (first: {stalled[:3]})")
-    trace.decisions = [d for rows in decisions for d in rows]
     report = compute_report(trace, hw)
     return trace, report
 
@@ -277,12 +245,12 @@ def energy_from_trace(trace: TraceLog, physical: PhysicalModel = DEFAULT_PHYSICA
     """Joules, recomputable from the trace alone: op counts times the
     per-op table plus byte-transfer energies."""
     joules = 0.0
-    for e in trace.executions:
-        joules += energy_of("mac", e.macs, e.resource_kind, e.resource_size, physical)
-        for kind, count in e.vector_counts.items():
-            joules += energy_of(VECTOR_ENERGY_FOR_OP[kind], count,
-                                e.resource_kind, e.resource_size, physical)
-        sram_bytes = e.param_bytes + e.act_in_bytes + e.act_out_bytes
+    for p in trace.executions:
+        cost, kind, size = p.task.cost, p.proc.kind, p.proc.size
+        joules += energy_of("mac", cost.macs, kind, size, physical)
+        for op_kind, count in cost.vector_counts.items():
+            joules += energy_of(VECTOR_ENERGY_FOR_OP[op_kind], count, kind, size, physical)
+        sram_bytes = cost.param_bytes + cost.act_in_bytes + cost.act_out_bytes
         joules += sram_bytes * physical.sram_pj_per_byte * 1e-12
     for t in trace.transfers:
         joules += t.bytes * physical.dram_pj_per_byte * 1e-12
@@ -291,8 +259,8 @@ def energy_from_trace(trace: TraceLog, physical: PhysicalModel = DEFAULT_PHYSICA
 
 def compute_report(trace: TraceLog, hw: HardwareConfig,
                    physical: PhysicalModel = DEFAULT_PHYSICAL) -> PerfReport:
-    total_ops = sum(2 * e.macs + sum(e.vector_counts.values())
-                    for e in trace.executions)
+    total_ops = sum(2 * p.task.cost.macs + sum(p.task.cost.vector_counts.values())
+                    for p in trace.executions)
     makespan = trace.makespan()
     seconds = makespan / hw.clock_hz
     joules = energy_from_trace(trace, physical)
@@ -301,8 +269,8 @@ def compute_report(trace: TraceLog, hw: HardwareConfig,
     busy = {f"cluster{ci}/{kind}{i}": 0 for ci, cl in enumerate(hw.clusters)
             for kind, sizes in (("array", cl.arrays), ("vector", cl.vectors))
             for i in range(len(sizes))}
-    for e in trace.executions:
-        busy[f"cluster{e.cluster}/{e.resource}"] += e.t_end - e.t_start
+    for p in trace.executions:
+        busy[f"cluster{p.cluster}/{p.proc.name}"] += p.t_end - p.t_start
     utilization = {name: (100.0 * b / makespan if makespan else 0.0)
                    for name, b in sorted(busy.items())}
     latency = {r.request_id: r.completed - r.arrival
@@ -318,14 +286,35 @@ def compute_report(trace: TraceLog, hw: HardwareConfig,
 # ---------------------------------------------------------------------------
 # trace export and verification
 
+def decision_rows(trace: TraceLog) -> list[dict]:
+    """The scheduler's estimates behind each placement, one row each:
+    clusters in cluster order, each in commit order."""
+    return [{"time": p.t_start, "queue": p.queue, "task": p.task.task_id,
+             "processor": p.proc.name, "t_mem": p.t_mem, "t_task": p.t_task,
+             "t_proc": p.t_proc, "t_start": p.t_start, "t_comp": p.t_comp,
+             "t_end": p.t_end, "t_idle": p.t_idle}
+            for p in sorted(trace.executions, key=attrgetter("cluster"))]
+
+
+def _execution_row(p: Placement) -> dict:
+    task, proc, cost = p.task, p.proc, p.task.cost
+    return {"cluster": p.cluster, "resource": proc.name, "resource_kind": proc.kind,
+            "resource_size": proc.size, "task_id": task.task_id,
+            "request_id": task.request_id, "layer_id": task.layer_id,
+            "op": task.op.name, "queue": p.queue, "t_start": p.t_start,
+            "t_end": p.t_end, "macs": cost.macs, "vector_counts": dict(cost.vector_counts),
+            "param_bytes": cost.param_bytes, "act_in_bytes": cost.act_in_bytes,
+            "act_out_bytes": cost.act_out_bytes, "deps": task.deps}
+
+
 def trace_to_dict(trace: TraceLog) -> dict:
     return {
         "meta": trace.meta,
-        "executions": [asdict(e) for e in trace.executions],
+        "executions": [_execution_row(p) for p in trace.executions],
         "transfers": [asdict(t) for t in trace.transfers],
         "residency": [asdict(r) for r in trace.residency],
         "requests": [asdict(r) for r in trace.requests],
-        "decisions": trace.decisions,
+        "decisions": decision_rows(trace),
     }
 
 
@@ -345,8 +334,9 @@ def export_trace(trace: TraceLog, path: str) -> None:
     to_us = 1e6 / trace.meta["clock_hz"]
     # (sort key, record) rows; a stable sort keeps full ties in record order,
     # and event dicts exist one chunk at a time
-    rows = [((e.t_start * to_us, str(e.cluster), e.resource, f"{e.task_id} {e.op}"), e)
-            for e in trace.executions]
+    rows = [((p.t_start * to_us, str(p.cluster), p.proc.name,
+              f"{p.task.task_id} {p.task.op.name}"), p)
+            for p in trace.executions]
     rows += [((t.t_start * to_us, str(t.cluster), "hbm", f"{t.kind} {t.bytes}B"), t)
              for t in trace.transfers]
     rows.sort(key=itemgetter(0))
@@ -367,8 +357,9 @@ def _trace_event(ts: float, tid: str, name: str, r, to_us: float) -> dict:
     if isinstance(r, TransferRecord):
         cat, args = "memory", {"bytes": r.bytes, "key": r.key}
     else:
-        cat, args = r.op, {"request": r.request_id, "layer": r.layer_id,
-                           "macs": r.macs, "cycles": r.t_end - r.t_start}
+        task = r.task
+        cat, args = task.op.name, {"request": task.request_id, "layer": task.layer_id,
+                                   "macs": task.cost.macs, "cycles": r.t_end - r.t_start}
     return {"name": name, "cat": cat, "ph": "X", "ts": ts,
             "dur": (r.t_end - r.t_start) * to_us, "pid": r.cluster, "tid": tid,
             "args": args}
@@ -381,16 +372,16 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
     Returns a list of violations (empty = clean)."""
     problems: list[str] = []
 
-    by_resource: dict[tuple[int, str], list[ExecRecord]] = {}
-    for e in trace.executions:
-        by_resource.setdefault((e.cluster, e.resource), []).append(e)
-    for (ci, res), execs in sorted(by_resource.items()):
-        execs = sorted(execs, key=lambda e: (e.t_start, e.t_end))
-        for a, b in zip(execs, execs[1:]):
+    by_resource: dict[tuple[int, str], list[Placement]] = {}
+    for p in trace.executions:
+        by_resource.setdefault((p.cluster, p.proc.name), []).append(p)
+    for (ci, res), placed in sorted(by_resource.items()):
+        placed = sorted(placed, key=lambda p: (p.t_start, p.t_end))
+        for a, b in zip(placed, placed[1:]):
             if b.t_start < a.t_end:
                 problems.append(
-                    f"cluster{ci}/{res}: {b.task_id} starts at {b.t_start} "
-                    f"before {a.task_id} ends at {a.t_end}")
+                    f"cluster{ci}/{res}: {b.task.task_id} starts at {b.t_start} "
+                    f"before {a.task.task_id} ends at {a.t_end}")
 
     # one channel per cluster; records sharing (t_start, t_end) are one
     # fetch chunk split across keys, so only distinct intervals must not
@@ -401,20 +392,22 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
             problems.append(f"cluster{c1}/hbm: transfer [{s2}, {e2}) "
                             f"overlaps [{s1}, {e1})")
 
-    end_by_task = {e.task_id: e.t_end for e in trace.executions}
-    for e in trace.executions:
-        if e.resource_kind == "array" and e.op not in _MATRIX_OP_NAMES:
-            problems.append(f"cluster{e.cluster}/{e.resource}: {e.task_id} runs non-matrix {e.op}")
-        for dep in e.deps:
+    end_by_task = {p.task.task_id: p.t_end for p in trace.executions}
+    for p in trace.executions:
+        task = p.task
+        if p.proc.kind == "array" and task.op not in MATRIX_OPS:
+            problems.append(f"cluster{p.cluster}/{p.proc.name}: {task.task_id} "
+                            f"runs non-matrix {task.op.name}")
+        for dep in task.deps:
             dep_end = end_by_task.get(dep)
             if dep_end is None:
-                problems.append(f"{e.task_id}: dependency {dep} never executed")
-            elif e.t_start < dep_end:
+                problems.append(f"{task.task_id}: dependency {dep} never executed")
+            elif p.t_start < dep_end:
                 problems.append(
-                    f"{e.task_id} starts at {e.t_start} before dependency "
+                    f"{task.task_id} starts at {p.t_start} before dependency "
                     f"{dep} ends at {dep_end}")
-    last_end = {e.request_id: e.t_end
-                for e in sorted(trace.executions, key=attrgetter("t_end"))}
+    last_end = {p.task.request_id: p.t_end
+                for p in sorted(trace.executions, key=attrgetter("t_end"))}
     for r in trace.requests:
         if r.completed >= 0 and r.completed != last_end.get(r.request_id):
             problems.append(f"request {r.request_id}: completed at {r.completed}, "

@@ -44,7 +44,7 @@ class Workload:
 
 def generate(cnn_ratio: float, request_count: int, seed: int, *,
              arrival_model: str = "batch", arrival_interval: int = 0,
-             model_params: dict | None = None, name: str | None = None) -> Workload:
+             model_params: dict | None = None) -> Workload:
     """Draw a request mix at the given CNN ratio (within one request)."""
     if request_count < 1:
         raise ValueError("request_count must be >= 1")
@@ -63,7 +63,7 @@ def generate(cnn_ratio: float, request_count: int, seed: int, *,
         arrival = i * arrival_interval if arrival_model == "rate" else 0
         requests.append(Request(i, rng.choice(pool), arrival))
     return Workload(
-        name=name or f"ratio{int(round(cnn_ratio * 100)):03d}_s{seed}",
+        name=f"ratio{int(round(cnn_ratio * 100)):03d}_s{seed}",
         seed=seed, cnn_ratio=cnn_ratio, request_count=request_count,
         requests=tuple(requests), arrival_model=arrival_model,
         model_params=dict(model_params or DEFAULT_MODEL_PARAMS))

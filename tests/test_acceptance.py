@@ -165,8 +165,8 @@ def test_criterion_4_energy_exactness():
     # independent per-layer count over the graph fixes the exact joules
     trace, _ = run(w, hw, scheduler="rr", graphs={"mixed": g})
     report = compute_report(trace, hw, phys)
-    for e in trace.executions:
-        assert (e.resource_kind == "array") == (e.op in ("CONV", "GEMM", "MATMUL"))
+    for p in trace.executions:
+        assert (p.proc.kind == "array") == (p.task.op.name in ("CONV", "GEMM", "MATMUL"))
     expected = 0.0
     row_for = {"pool": "pooling", "activation": "lut", "softmax": "softmax",
                "layernorm": "etc", "add": "etc"}

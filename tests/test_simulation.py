@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import sys
 from operator import attrgetter, itemgetter
 
 import pytest
@@ -15,7 +17,7 @@ from svsim.models import ModelError, builtin_model, ingest_graph
 from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, MemAction,
                               NoReadyTask, Placement, Processor, ResidencyEntry,
                               StalledRun, SubLayerTask, UnpartitionableLayer)
-from svsim.simulation import (ExecRecord, ResidencyEvent, TransferRecord, compute_report,
+from svsim.simulation import (ResidencyEvent, TransferRecord, compute_report,
                               energy_from_trace, export_trace, run, trace_digest,
                               verify_trace)
 from svsim.workloads import RATIO_GRID, Request, Workload, generate, standard_suite
@@ -24,6 +26,7 @@ from support import make_cluster, make_hw
 
 PHYS = PhysicalModel()
 DESK_HW = os.path.join(os.path.dirname(__file__), "..", "configs", "desk_hw.json")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def single_model_workload(name="tiny", n=1):
@@ -96,8 +99,8 @@ def test_utilization_fraction():
     hw = make_hw(1, make_cluster(1, 16, 1, 16, 45))
     g = tiny_gemm_graph()
     trace, report = run(single_model_workload(), hw, graphs={"tiny": g})
-    e = trace.executions[0]
-    busy = e.t_end - e.t_start
+    p = trace.executions[0]
+    busy = p.t_end - p.t_start
     assert report.utilization["cluster0/array0"] == pytest.approx(
         100.0 * busy / report.makespan_cycles)
 
@@ -106,14 +109,14 @@ def test_causality_and_request_records():
     hw = make_hw(1, make_cluster(1, 32, 2, 64, 45))
     w = generate(0.5, 4, seed=3)
     trace, _ = run(w, hw)
-    ends = {e.task_id: e.t_end for e in trace.executions}
-    for e in trace.executions:
-        assert e.t_end >= e.t_start
-        for d in e.deps:
-            assert e.t_start >= ends[d]
+    ends = {p.task.task_id: p.t_end for p in trace.executions}
+    for p in trace.executions:
+        assert p.t_end >= p.t_start
+        for d in p.task.deps:
+            assert p.t_start >= ends[d]
     for r in trace.requests:
         assert r.completed >= r.dispatched >= r.arrival
-        req_ends = [e.t_end for e in trace.executions if e.request_id == r.request_id]
+        req_ends = [p.t_end for p in trace.executions if p.task.request_id == r.request_id]
         assert r.completed == max(req_ends)
     assert verify_trace(trace, hw) == []
 
@@ -144,38 +147,43 @@ def test_verify_trace_catches_completion_off_last_task():
 
 def test_verify_trace_catches_vector_work_on_an_array():
     trace, hw = _desk_trace()
-    i, e = next((i, e) for i, e in enumerate(trace.executions)
-                if e.resource_kind == "vector" and e.op in ("ACTIVATION", "POOL"))
-    trace.executions[i] = dataclasses.replace(e, resource_kind="array")
+    i, p = next((i, p) for i, p in enumerate(trace.executions)
+                if p.proc.kind == "vector" and p.task.op.name in ("ACTIVATION", "POOL"))
+    trace.executions[i] = dataclasses.replace(p, proc=dataclasses.replace(p.proc, kind="array"))
     assert verify_trace(trace, hw) == [
-        f"cluster0/{e.resource}: {e.task_id} runs non-matrix {e.op}"]
+        f"cluster0/{p.proc.name}: {p.task.task_id} runs non-matrix {p.task.op.name}"]
 
 
 def test_verify_trace_catches_two_tasks_on_one_processor():
     trace, hw = _desk_trace()
-    a, b = sorted((e for e in trace.executions if e.resource == "array0"),
+    a, b = sorted((p for p in trace.executions if p.proc.name == "array0"),
                   key=attrgetter("t_start"))[:2]
     start = a.t_end - 1
     trace.executions[trace.executions.index(b)] = dataclasses.replace(
         b, t_start=start, t_end=start + b.t_end - b.t_start)
-    assert (f"cluster0/array0: {b.task_id} starts at {start} before {a.task_id} "
+    assert (f"cluster0/array0: {b.task.task_id} starts at {start} before {a.task.task_id} "
             f"ends at {a.t_end}") in verify_trace(trace, hw)
+
+
+def _with_deps(p, deps):
+    """A copy of placement ``p`` whose task has ``deps``."""
+    return dataclasses.replace(p, task=dataclasses.replace(p.task, deps=deps))
 
 
 def test_verify_trace_catches_a_dependency_that_never_executed():
     trace, hw = _desk_trace()
-    e = trace.executions[-1]
-    trace.executions[-1] = dataclasses.replace(e, deps=e.deps + ("r99/L0/s0",))
-    assert verify_trace(trace, hw) == [f"{e.task_id}: dependency r99/L0/s0 never executed"]
+    p = trace.executions[-1]
+    trace.executions[-1] = _with_deps(p, p.task.deps + ("r99/L0/s0",))
+    assert verify_trace(trace, hw) == [f"{p.task.task_id}: dependency r99/L0/s0 never executed"]
 
 
 def test_verify_trace_catches_a_task_starting_before_its_dependency_ends():
     trace, hw = _desk_trace()
-    e = trace.executions[0]
-    later = next(f for f in trace.executions if f.t_end > e.t_start and f is not e)
-    trace.executions[0] = dataclasses.replace(e, deps=(later.task_id,))
+    p = trace.executions[0]
+    later = next(f for f in trace.executions if f.t_end > p.t_start and f is not p)
+    trace.executions[0] = _with_deps(p, (later.task.task_id,))
     assert verify_trace(trace, hw) == [
-        f"{e.task_id} starts at {e.t_start} before dependency {later.task_id} "
+        f"{p.task.task_id} starts at {p.t_start} before dependency {later.task.task_id} "
         f"ends at {later.t_end}"]
 
 
@@ -254,8 +262,8 @@ def test_export_trace_reparse_busy_intervals(tmp_path):
     export_trace(trace, str(path))
     doc = json.loads(path.read_text())
     to_us = 1e6 / hw.clock_hz
-    want = sorted((e.cluster, e.resource, e.t_start * to_us,
-                   (e.t_end - e.t_start) * to_us) for e in trace.executions)
+    want = sorted((p.cluster, p.proc.name, p.t_start * to_us,
+                   (p.t_end - p.t_start) * to_us) for p in trace.executions)
     got = sorted((ev["pid"], ev["tid"], ev["ts"], ev["dur"])
                  for ev in doc["traceEvents"] if ev["tid"] != "hbm")
     assert len(got) == len(want)
@@ -287,20 +295,21 @@ def test_export_keeps_the_order_of_events_tied_on_time_and_lane(tmp_path):
 
 def test_per_placement_classes_are_slotted(monkeypatch):
     # an instance __dict__ on these would take back the trace writer's speed-up
-    placements, entries = [], []
+    actions, entries = [], []
     policy = SCHEDULERS["has"]
 
     def spy(table, now):
-        placements.append(policy(table, now))
+        p = policy(table, now)
+        actions.extend(p.actions)  # the engine drops them once it records p
         entries.extend(table.residency.values())
-        return placements[-1]
+        return p
 
     monkeypatch.setitem(SCHEDULERS, "has", spy)
     trace, _ = _desk_trace()
-    p = next(p for p in placements if p.actions)
-    built = {ExecRecord: trace.executions[0], TransferRecord: trace.transfers[0],
+    p = trace.executions[0]
+    built = {Placement: p, TransferRecord: trace.transfers[0],
              ResidencyEvent: trace.residency[0], SubLayerTask: p.task, Processor: p.proc,
-             ResidencyEntry: entries[0], MemAction: p.actions[0], Placement: p}
+             ResidencyEntry: entries[0], MemAction: actions[0]}
     for cls, obj in built.items():
         assert "__slots__" in vars(cls), cls.__name__
         assert type(obj) is cls and not hasattr(obj, "__dict__"), cls.__name__
@@ -327,10 +336,10 @@ def test_single_task_single_duration_event(tmp_path):
     lanes = [ev for ev in doc["traceEvents"] if ev["tid"] != "hbm"]
     assert len(lanes) == 1
     ev = lanes[0]
-    e = trace.executions[0]
+    p = trace.executions[0]
     assert ev["ph"] == "X"
-    assert ev["ts"] == pytest.approx(e.t_start * 1e6 / hw.clock_hz)
-    assert ev["dur"] == pytest.approx((e.t_end - e.t_start) * 1e6 / hw.clock_hz)
+    assert ev["ts"] == pytest.approx(p.t_start * 1e6 / hw.clock_hz)
+    assert ev["dur"] == pytest.approx((p.t_end - p.t_start) * 1e6 / hw.clock_hz)
 
 
 def test_energy_accounting_matches_independent_count():
@@ -379,8 +388,8 @@ def test_desk_trace_digests_pinned(args, scheduler):
     assert trace_digest(trace) == PINNED_DIGESTS[(args, scheduler)]
 
 
-# the same pins on two desk clusters: trace.decisions joins the clusters'
-# decisions in cluster order, so a change to that order moves these digests
+# the same pins on two desk clusters: the trace's decision rows take the
+# clusters in cluster order, so a change to that order moves these digests
 TWO_CLUSTER_DIGESTS = {
     "rr": "fc23334838c5e289560ee67690637a985a7ced6a73a097333bcf13b96a7819e6",
     "has": "e343ef129419588f8e237b1b6c8580abb76ed52e25f5e56e391079d542501568",
@@ -488,6 +497,43 @@ def test_run_that_never_places_raises_stalled(monkeypatch):
     hw = make_hw(1, make_cluster(1, 16, 1, 16, 45))
     with pytest.raises(StalledRun, match="2 requests never completed"):
         run(single_model_workload(n=2), hw, graphs={"tiny": tiny_gemm_graph()})
+
+
+def test_builtin_name_case_keeps_its_size_parameter():
+    # a transformer named in capitals still runs at seq_len, not image_size
+    hw = load_hw_config(DESK_HW)
+    reports = [run(Workload(name, 0, 0.0, 1, (Request(0, name, 0),),
+                            model_params={"depth_reduction": 12}), hw)[1]
+               for name in ("BERT_BASE", "bert_base")]
+    assert reports[0] == reports[1]
+
+
+def _perfbench_module(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_probes_read_a_run(tmp_path, monkeypatch):
+    # the benchmark patches svsim's names and reads its trace; a refactor
+    # that breaks either fails here, not only in a traced benchmark run
+    probes, cases = (_perfbench_module(n, monkeypatch) for n in ("probes", "cases"))
+    m = cases.Modules()
+    hw = load_hw_config(DESK_HW)
+    tracer = probes.Tracer(m)
+    probe = probes.RunProbe(m.simulation, str(tmp_path), sample_speed=False)
+    with tracer.installed(), probe.installed():
+        trace, _ = m.simulation.run(generate(0.5, 6, 1), hw, scheduler="has")
+    placed = tracer.counters["scheduling.policy.placements"]
+    assert placed > 0 and tracer.stats["simulation.run"][0] == 1
+    assert cases.sim_counts(trace)["sim.placements"] == len(trace.executions) == placed
+    sims, calls = probe.take()
+    assert [(s.tasks, s.done) for s in sims] == [(placed, True)]
+    assert calls[0][1] is trace
 
 
 def test_unknown_scheduler_rejected():
