@@ -14,6 +14,7 @@ Capacities use MiB (2**20 bytes); bandwidths use GB/s (1e9 bytes/s).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 MB = 1 << 20
@@ -163,13 +164,22 @@ VECTOR_ENERGY_FOR_OP = {
 # ---------------------------------------------------------------------------
 # config file handling
 
+def _positive(name: str, value, scale: float) -> float:
+    """``value`` times ``scale``, where both ``value`` and the product are
+    finite numbers > 0; JSON admits NaN and Infinity, and a bool is an int."""
+    if type(value) in (int, float) and 0 < value * scale < math.inf:
+        return value * scale
+    raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def load_hw_config(source: str | dict) -> HardwareConfig:
     """Parse a hardware config from a JSON file path or a parsed dict.
 
     Keys: clock_mhz, hbm_gbps, hbm_latency_cycles, clusters[] with
     arrays[].dim, vectors[].lanes, shared_mem_mb and optional
-    num_task_queues, plus optional cycle_constants overrides.  The latency,
-    dims, lane and queue counts and cycle constants are JSON integers.
+    num_task_queues, plus optional cycle_constants overrides.  The clock,
+    HBM speed and shared-memory size are finite JSON numbers > 0; the
+    latency, dims, lane and queue counts and cycle constants are JSON integers.
     Raises ConfigError on an unreadable file or a bad document.
     """
     doc = source
@@ -182,20 +192,20 @@ def load_hw_config(source: str | dict) -> HardwareConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"hardware config is not valid JSON: {e}") from None
     try:
-        clock_hz = float(doc.get("clock_mhz", 800)) * 1e6
+        clock_hz = _positive("clock_mhz", doc.get("clock_mhz", 800), 1e6)
         cc = CycleConstants(**doc.get("cycle_constants", {}))
         clusters = []
         for cl in doc["clusters"]:
             clusters.append(ClusterConfig(
                 tuple(a["dim"] for a in cl["arrays"]),
                 tuple(v["lanes"] for v in cl["vectors"]),
-                shared_mem_bytes=int(float(cl["shared_mem_mb"]) * MB),
+                shared_mem_bytes=int(_positive("shared_mem_mb", cl["shared_mem_mb"], MB)),
                 num_task_queues=cl.get("num_task_queues", 8)))
         return HardwareConfig(
             clusters=tuple(clusters),
-            hbm_bandwidth_bytes_per_s=float(doc.get("hbm_gbps", 256)) * 1e9,
+            hbm_bandwidth_bytes_per_s=_positive("hbm_gbps", doc.get("hbm_gbps", 256), 1e9),
             hbm_latency_cycles=doc.get("hbm_latency_cycles", 100),
             clock_hz=clock_hz,
             cycle_constants=cc)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad hardware config: {e!r}") from None

@@ -34,7 +34,7 @@ from operator import attrgetter
 
 from .costs import TaskCost, layer_cost, mem_transfer_cycles, task_cycles
 from .hardware import ClusterConfig, CycleConstants, HardwareConfig
-from .models import DATA_OPS, MATRIX_OPS, LayerNode, ModelGraph, OpType, TensorInfo
+from .models import DATA_OPS, MATRIX_OPS, LayerNode, ModelGraph, OpType
 
 
 class SchedulingError(Exception):
@@ -199,29 +199,28 @@ def partition_layer(layer: LayerNode, cluster: ClusterConfig,
         n = min(n * 2, axis_limit)
 
 
-# per graph object, dropped with it: (model key, shared-memory size, alpha) -> layer templates
+# per graph object, dropped with it: (shared-memory size, alpha) -> layer templates
 _TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def build_request_tasks(graph: ModelGraph, request_id: int,
-                        cluster: ClusterConfig, *, alpha: float,
-                        model_key: str) -> list[SubLayerTask]:
+                        cluster: ClusterConfig, *, alpha: float) -> list[SubLayerTask]:
     """Partition every layer of a request into dependency-wired tasks.
 
-    Parameter residency keys are a pure function of (model, tensor, slice),
-    so repeated requests of the same model hit the same shared-memory
+    Parameter residency keys are a pure function of (graph name, tensor,
+    slice), so repeated requests of the same model hit the same shared-memory
     entries; activations are keyed per request.
 
     Each layer's slices, parameter keys and cycle counts are a template
-    built once per process for (graph object, model key, shared-memory
-    size, alpha), everything the partitioner reads, and dropped with the
-    graph.  A request only creates its task ids, dependencies and activations.
+    built once per process for (graph object, shared-memory size, alpha),
+    everything the partitioner reads, and dropped with the graph.  A request
+    only creates its task ids, dependencies and activations.
     """
-    key = (model_key, cluster.shared_mem_bytes, alpha)
+    key = (cluster.shared_mem_bytes, alpha)
     plans = _TEMPLATES.setdefault(graph, {})
     layers = plans.get(key)
     if layers is None:
-        layers = plans[key] = [_layer_plan(layer, cluster, alpha, model_key, graph.inputs)
+        layers = plans[key] = [_layer_plan(layer, cluster, alpha, graph)
                                for layer in graph.layers]
     rtag = f"r{request_id}"
     tasks: list[SubLayerTask] = []
@@ -254,17 +253,17 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
 
 
 def _layer_plan(layer: LayerNode, cluster: ClusterConfig, alpha: float,
-                model_key: str, inputs: tuple[TensorInfo, ...]) -> tuple:
+                graph: ModelGraph) -> tuple:
     """A layer's template: its graph inputs as (input index, bytes), and per
     slice its cost, parameter residency keys and cycle counts."""
     slices = partition_layer(layer, cluster, alpha)
     n = len(slices)
     weight_ids = [t.tensor_id for t in layer.weight_inputs]
-    ext_ids = {t.tensor_id: i for i, t in enumerate(inputs)}
+    ext_ids = {t.tensor_id: i for i, t in enumerate(graph.inputs)}
     ext_in = tuple((ext_ids[t.tensor_id], t.byte_size)
                    for t in layer.activation_inputs if t.tensor_id in ext_ids)
     return layer, ext_in, [
-        (sl.cost, tuple((("w", model_key, tid, i if n > 1 else 0), b)
+        (sl.cost, tuple((("w", graph.name, tid, i if n > 1 else 0), b)
                         for tid, b in zip(weight_ids, sl.weight_bytes) if b), {})
         for i, sl in enumerate(slices)]
 

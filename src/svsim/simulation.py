@@ -30,21 +30,11 @@ from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
                        VECTOR_ENERGY_FOR_OP, energy_of, peak_performance,
                        total_area)
 from .models import MATRIX_OPS, TRANSFORMER_MODELS, ModelGraph, builtin_model
-from .scheduling import (ClusterTable, NoReadyTask, Placement, SCHEDULERS,
+from .scheduling import (ClusterTable, MemAction, NoReadyTask, Placement, SCHEDULERS,
                          StalledRun, build_request_tasks, load_balance)
 
 # event kinds in tie-break order: completions are observed before new work
 _RANK = {"task_complete": 0, "wake": 1, "request_complete": 2, "request_arrival": 3}
-
-
-@dataclass(slots=True)
-class TransferRecord:
-    cluster: int
-    kind: str  # fetch_param | read_act | write_act
-    t_start: int
-    t_end: int
-    bytes: int
-    key: str
 
 
 @dataclass(slots=True)
@@ -69,13 +59,37 @@ class RequestRecord:
 class TraceLog:
     meta: dict
     executions: list[Placement] = field(default_factory=list)  # in commit order
-    transfers: list[TransferRecord] = field(default_factory=list)
-    residency: list[ResidencyEvent] = field(default_factory=list)
     requests: list[RequestRecord] = field(default_factory=list)
 
+    @property
+    def transfers(self) -> list[MemAction]:
+        """Every HBM transfer (each memory action but a flush), in commit order."""
+        return [a for p in self.executions for a in p.actions if a.kind != "flush"]
+
+    @property
+    def residency(self) -> list[ResidencyEvent]:
+        """Every shared-memory allocation and release, in commit order."""
+        return [ResidencyEvent(ci, t, delta, str(key))
+                for ci, t, delta, key in _residency_deltas(self.executions)]
+
     def makespan(self) -> int:
-        ends = [e.t_end for e in self.executions] + [t.t_end for t in self.transfers]
+        ends = [p.t_end for p in self.executions] + [a.end for a in self.transfers]
         return max(ends, default=0)
+
+
+def _residency_deltas(executions):
+    """(cluster, time, bytes delta, key) per residency change, per placement
+    its actions then its output: a flush or spill frees its bytes at its end,
+    a fetch or read holds them from its start, an output from its task's start."""
+    for p in executions:
+        for a in p.actions:
+            if a.kind in ("flush", "write_act"):
+                yield p.cluster, a.end, -a.bytes, a.key
+            else:
+                yield p.cluster, a.start, a.bytes, a.key
+        if p.task.act_out_key:
+            key, b = p.task.act_out_key
+            yield p.cluster, p.t_start, b, key
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,8 @@ def _cached_builtin(name: str, size: int, batch: int, depth: int) -> ModelGraph:
 
 
 def _graph_for(name: str, params: dict) -> ModelGraph:
-    size = (params.get("seq_len", 128) if name.lower() in TRANSFORMER_MODELS
+    name = name.lower()  # a builtin's name is its lowercase name, whatever its case
+    size = (params.get("seq_len", 128) if name in TRANSFORMER_MODELS
             else params.get("image_size", 224))
     return _cached_builtin(name, size, params.get("batch", 1),
                            params.get("depth_reduction", 1))
@@ -116,6 +131,8 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     params = dict(getattr(workload, "model_params", {}) or {})
     if graphs is None:
         graphs = {r.model: _graph_for(r.model, params) for r in workload.requests}
+    elif len({g.name for g in graphs.values()}) < len(set(graphs.values())):
+        raise ValueError("two graphs share a name, so they would share weights")
 
     trace = TraceLog(meta={
         "scheduler": scheduler, "seed": seed, "clock_hz": hw.clock_hz,
@@ -126,7 +143,6 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     })
     tables = [ClusterTable(cl, hw) for cl in hw.clusters]
     capacity = [cl.num_task_queues for cl in hw.clusters]
-    names: dict[tuple, str] = {}  # residency key -> its str, made once per run
     in_flight = [0] * len(tables)
     waiting: deque[int] = deque()
     remaining: dict[int, int] = {}
@@ -149,8 +165,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     def dispatch(rid: int, target: int, now: int) -> None:
         rec = records[rid]
         table = tables[target]
-        tasks = build_request_tasks(graphs[rec.model], rid, table.cluster,
-                                    alpha=alpha, model_key=rec.model)
+        tasks = build_request_tasks(graphs[rec.model], rid, table.cluster, alpha=alpha)
         table.enqueue_request(rid, tasks)
         in_flight[target] += 1
         remaining[rid] = len(tasks)
@@ -160,25 +175,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     def record_placement(ci: int, p: Placement) -> None:
         p.cluster = ci
         trace.executions.append(p)
-        for a in p.actions:
-            key = names.get(a.key) or names.setdefault(a.key, str(a.key))
-            # a flush or spill frees its bytes at its end, a fetch or read
-            # holds them from its start; all but a flush are transfers
-            if a.kind == "flush":
-                trace.residency.append(ResidencyEvent(ci, a.end, -a.bytes, key))
-                continue
-            trace.residency.append(ResidencyEvent(ci, a.end, -a.bytes, key)
-                                   if a.kind == "write_act"
-                                   else ResidencyEvent(ci, a.start, a.bytes, key))
-            trace.transfers.append(TransferRecord(ci, a.kind, a.start, a.end, a.bytes, key))
-        # the records above are the actions' only copy a trace keeps
-        p.actions = ()
-        task = p.task
-        if task.act_out_key:
-            key, b = task.act_out_key
-            trace.residency.append(ResidencyEvent(
-                ci, p.t_start, b, names.get(key) or names.setdefault(key, str(key))))
-        push(p.t_end, "task_complete", (ci, task.request_id))
+        push(p.t_end, "task_complete", (ci, p.task.request_id))
 
     def drain(ci: int, now: int) -> None:
         # place until the policy runs dry, then wake the cluster at the cycle
@@ -311,8 +308,11 @@ def trace_to_dict(trace: TraceLog) -> dict:
     return {
         "meta": trace.meta,
         "executions": [_execution_row(p) for p in trace.executions],
-        "transfers": [asdict(t) for t in trace.transfers],
-        "residency": [asdict(r) for r in trace.residency],
+        "transfers": [{"cluster": p.cluster, "kind": a.kind, "t_start": a.start,
+                       "t_end": a.end, "bytes": a.bytes, "key": str(a.key)}
+                      for p in trace.executions for a in p.actions if a.kind != "flush"],
+        "residency": [{"cluster": ci, "time": t, "delta": delta, "key": str(key)}
+                      for ci, t, delta, key in _residency_deltas(trace.executions)],
         "requests": [asdict(r) for r in trace.requests],
         "decisions": decision_rows(trace),
     }
@@ -335,10 +335,10 @@ def export_trace(trace: TraceLog, path: str) -> None:
     # (sort key, record) rows; a stable sort keeps full ties in record order,
     # and event dicts exist one chunk at a time
     rows = [((p.t_start * to_us, str(p.cluster), p.proc.name,
-              f"{p.task.task_id} {p.task.op.name}"), p)
+              f"{p.task.task_id} {p.task.op.name}"), p.cluster, p)
             for p in trace.executions]
-    rows += [((t.t_start * to_us, str(t.cluster), "hbm", f"{t.kind} {t.bytes}B"), t)
-             for t in trace.transfers]
+    rows += [((a.start * to_us, str(p.cluster), "hbm", f"{a.kind} {a.bytes}B"), p.cluster, a)
+             for p in trace.executions for a in p.actions if a.kind != "flush"]
     rows.sort(key=itemgetter(0))
     # the bytes json.dump(doc, sort_keys=True, separators=(",", ":")) writes,
     # through the C encoder
@@ -347,22 +347,21 @@ def export_trace(trace: TraceLog, path: str) -> None:
     with open(path, "w") as f:
         f.write(f'{{"displayTimeUnit":"ms","otherData":{encode(other)},"traceEvents":[')
         for i in range(0, len(rows), _EXPORT_CHUNK):
-            events = [_trace_event(ts, tid, name, r, to_us)
-                      for (ts, _, tid, name), r in rows[i:i + _EXPORT_CHUNK]]
+            events = [_trace_event(ts, tid, name, ci, r, to_us)
+                      for (ts, _, tid, name), ci, r in rows[i:i + _EXPORT_CHUNK]]
             f.write(("," if i else "") + encode(events)[1:-1])
         f.write("]}")
 
 
-def _trace_event(ts: float, tid: str, name: str, r, to_us: float) -> dict:
-    if isinstance(r, TransferRecord):
-        cat, args = "memory", {"bytes": r.bytes, "key": r.key}
+def _trace_event(ts: float, tid: str, name: str, ci: int, r, to_us: float) -> dict:
+    if isinstance(r, MemAction):
+        cat, args, cycles = "memory", {"bytes": r.bytes, "key": str(r.key)}, r.end - r.start
     else:
-        task = r.task
+        task, cycles = r.task, r.t_end - r.t_start
         cat, args = task.op.name, {"request": task.request_id, "layer": task.layer_id,
-                                   "macs": task.cost.macs, "cycles": r.t_end - r.t_start}
-    return {"name": name, "cat": cat, "ph": "X", "ts": ts,
-            "dur": (r.t_end - r.t_start) * to_us, "pid": r.cluster, "tid": tid,
-            "args": args}
+                                   "macs": task.cost.macs, "cycles": cycles}
+    return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": cycles * to_us,
+            "pid": ci, "tid": tid, "args": args}
 
 
 def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
@@ -386,7 +385,8 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
     # one channel per cluster; records sharing (t_start, t_end) are one
     # fetch chunk split across keys, so only distinct intervals must not
     # overlap, and in sorted order an overlap shows between neighbours
-    spans = sorted((t.cluster, t.t_start, t.t_end) for t in trace.transfers)
+    spans = sorted((p.cluster, a.start, a.end) for p in trace.executions
+                   for a in p.actions if a.kind != "flush")
     for (c1, s1, e1), (c2, s2, e2) in zip(spans, spans[1:]):
         if s2 < e1 and c1 == c2 and (s1, e1) != (s2, e2):
             problems.append(f"cluster{c1}/hbm: transfer [{s2}, {e2}) "
@@ -413,19 +413,19 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
             problems.append(f"request {r.request_id}: completed at {r.completed}, "
                             f"its last task ends at {last_end.get(r.request_id)}")
 
-    per_cluster: dict[int, list[ResidencyEvent]] = {}
-    for r in trace.residency:
-        per_cluster.setdefault(r.cluster, []).append(r)
-    for ci, events in sorted(per_cluster.items()):
+    per_cluster: dict[int, list[tuple]] = {}
+    for ci, t, delta, key in _residency_deltas(trace.executions):
+        per_cluster.setdefault(ci, []).append((t, delta, key))
+    for ci, changes in sorted(per_cluster.items()):
         cap = hw.clusters[ci].shared_mem_bytes
         level = 0
         # at equal timestamps releases apply before allocations
-        for ev in sorted(events, key=lambda r: (r.time, r.delta)):
-            level += ev.delta
+        for t, delta, key in sorted(changes, key=itemgetter(0, 1)):
+            level += delta
             if level > cap:
                 problems.append(
                     f"cluster{ci}: shared memory at {level} B > {cap} B "
-                    f"at cycle {ev.time} ({ev.key})")
+                    f"at cycle {t} ({key})")
         if level < 0:
             problems.append(f"cluster{ci}: negative residency at end ({level})")
 

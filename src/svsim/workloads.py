@@ -92,7 +92,8 @@ def _non_negative(field: str, value, types=(int,)):
 def load_manifest(path: str) -> Workload:
     """Read a manifest file; a bad document raises ValueError naming the
     field.  Requests need unique integer ``request_id``s, string ``model``s
-    and integer ``arrival_cycle``s; counts and ``model_params`` are >= 0."""
+    and integer ``arrival_cycle``s; counts and ``model_params`` are >= 0, and
+    ``model_params`` holds only the keys of ``DEFAULT_MODEL_PARAMS``."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict) or not isinstance(doc.get("requests"), list):
@@ -109,6 +110,9 @@ def load_manifest(path: str) -> Workload:
     if not isinstance(params, dict):
         raise ValueError(f"manifest model_params must be an object, got {params!r}")
     for key, value in params.items():
+        if key not in DEFAULT_MODEL_PARAMS:
+            raise ValueError(f"unknown manifest model_params key {key!r} (known: "
+                             f"{', '.join(DEFAULT_MODEL_PARAMS)})")
         _non_negative(f"model_params.{key}", value)
     seed = _non_negative("seed", doc.get("seed", 0))
     cnn_ratio = float(_non_negative("cnn_ratio", doc.get("cnn_ratio", 0.0), (int, float)))

@@ -213,6 +213,11 @@ def test_simulate_zero_model_size_exit_code(tmp_path, capsys, model, param):
     (("hbm_latency_cycles",), -1000), (("cycle_constants",), {"activation": -3}),
     (("cycle_constants",), {"activation": 1.5}), (("clusters", 0, "num_task_queues"), 2.5),
     (("clusters", 0, "arrays", 0, "dim"), "32"),
+    # each a traceback or a silent run before the clock, HBM speed and
+    # shared-memory size had to be finite numbers > 0
+    (("clock_mhz",), math.nan), (("hbm_gbps",), math.nan), (("clock_mhz",), math.inf),
+    (("clusters", 0, "shared_mem_mb"), math.inf), (("hbm_gbps",), math.inf),
+    (("clock_mhz",), True), (("hbm_gbps",), True), (("hbm_gbps",), "64"),
 ])
 def test_simulate_bad_hw_value_exit_code(tmp_path, capsys, path, value):
     doc = desk_hw_doc_with(path, value)
@@ -239,6 +244,7 @@ def _requests(*ids_and_arrivals):
     ({"requests": _requests((0, 0)), "model_params": {"batch": "x"}}, "batch"),
     ({"requests": _requests((0, 0), (0, 0))}, "unique"),
     ({"requests": _requests((0, -5))}, "arrival_cycle"),
+    ({"requests": _requests((0, 0)), "model_params": {"seq_length": 256}}, "seq_length"),
 ])
 def test_simulate_bad_manifest_exit_code(tmp_path, capsys, doc, word):
     path = tmp_path / "w.json"
@@ -425,7 +431,8 @@ def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
 @pytest.mark.parametrize("doc,word", [({"arrays": [[1, 8]]}, "dim 8"),
                                       ({"arrays": 5}, "int"),
                                       ({"workload_suite": {"request_count": 0}},
-                                       "request_count")])
+                                       "request_count"),
+                                      ({"hbm_gbps": math.inf}, "hbm_gbps")])
 def test_sweep_rejects_bad_spec_before_any_point(tmp_path, capsys, doc, word):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**tiny_spec(), **doc}))

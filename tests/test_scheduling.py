@@ -79,13 +79,12 @@ def test_partition_memo_only_rekeys_requests():
     g = builtin_model("alexnet", depth_reduction=4)
     for rid in (0, 1):
         # a copy is another graph to the template cache: partitioned afresh
-        fresh = build_request_tasks(dataclasses.replace(g), rid, cluster, alpha=0.5,
-                                    model_key=g.name)
-        templated = build_request_tasks(g, rid, cluster, alpha=0.5, model_key=g.name)
+        fresh = build_request_tasks(dataclasses.replace(g), rid, cluster, alpha=0.5)
+        templated = build_request_tasks(g, rid, cluster, alpha=0.5)
         assert templated == fresh
         assert not any(a.cost is b.cost for a, b in zip(templated, fresh))
-    t0 = build_request_tasks(g, 0, cluster, alpha=0.5, model_key=g.name)
-    t1 = build_request_tasks(g, 1, cluster, alpha=0.5, model_key=g.name)
+    t0 = build_request_tasks(g, 0, cluster, alpha=0.5)
+    t1 = build_request_tasks(g, 1, cluster, alpha=0.5)
     # two requests of one model share its slice costs and cycle counts
     assert all(a.cost is b.cost and a._cycles is b._cycles for a, b in zip(t0, t1))
 
@@ -93,7 +92,7 @@ def test_partition_memo_only_rekeys_requests():
 def test_templates_are_dropped_with_their_graph():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=8)
-    tasks = build_request_tasks(g, 0, cluster, alpha=0.5, model_key=g.name)
+    tasks = build_request_tasks(g, 0, cluster, alpha=0.5)
     gc.collect()  # so only this graph's entry can go below
     entries = len(_TEMPLATES)
     graph = weakref.ref(g)
@@ -106,8 +105,8 @@ def test_templates_are_dropped_with_their_graph():
 def test_request_tasks_share_weight_keys_across_requests():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=4)
-    t0 = build_request_tasks(g, 0, cluster, alpha=0.5, model_key=g.name)
-    t1 = build_request_tasks(g, 1, cluster, alpha=0.5, model_key=g.name)
+    t0 = build_request_tasks(g, 0, cluster, alpha=0.5)
+    t1 = build_request_tasks(g, 1, cluster, alpha=0.5)
     assert [t.param_keys for t in t0] == [t.param_keys for t in t1]
     assert all(k[0][0][0] == "w" for k in (t.param_keys for t in t0) if k)
     # activations are private per request

@@ -17,9 +17,9 @@ from svsim.models import ModelError, builtin_model, ingest_graph
 from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, MemAction,
                               NoReadyTask, Placement, Processor, ResidencyEntry,
                               StalledRun, SubLayerTask, UnpartitionableLayer)
-from svsim.simulation import (ResidencyEvent, TransferRecord, compute_report,
-                              energy_from_trace, export_trace, run, trace_digest,
-                              verify_trace)
+from svsim import simulation
+from svsim.simulation import (ResidencyEvent, compute_report, energy_from_trace,
+                              export_trace, run, trace_digest, verify_trace)
 from svsim.workloads import RATIO_GRID, Request, Workload, generate, standard_suite
 
 from support import make_cluster, make_hw
@@ -130,9 +130,9 @@ def _desk_trace():
 
 def test_verify_trace_catches_overlapping_transfers():
     trace, hw = _desk_trace()
-    t = trace.transfers[0]
-    trace.transfers.append(dataclasses.replace(t, t_start=t.t_start + 1,
-                                               t_end=t.t_end + 1))
+    p, a = next((p, a) for p in trace.executions for a in p.actions if a.kind != "flush")
+    # no bytes, so shared-memory residency stays as it was
+    p.actions += (dataclasses.replace(a, start=a.start + 1, end=a.end + 1, bytes=0),)
     problems = verify_trace(trace, hw)
     assert problems and all("/hbm: " in p for p in problems)
 
@@ -197,7 +197,9 @@ def test_verify_trace_catches_shared_memory_over_capacity():
     trace, hw = _desk_trace()
     cap = hw.clusters[0].shared_mem_bytes
     t, level = _residency_tail(trace)
-    trace.residency.append(ResidencyEvent(0, t + 1, cap + 1 - level, "extra"))
+    # a fetch holds its bytes from its start
+    trace.executions[-1].actions += (
+        MemAction("fetch_param", t + 1, t + 1, cap + 1 - level, "extra"),)
     assert verify_trace(trace, hw) == [
         f"cluster0: shared memory at {cap + 1} B > {cap} B at cycle {t + 1} (extra)"]
 
@@ -205,7 +207,8 @@ def test_verify_trace_catches_shared_memory_over_capacity():
 def test_verify_trace_catches_negative_residency_at_the_end():
     trace, hw = _desk_trace()
     t, level = _residency_tail(trace)
-    trace.residency.append(ResidencyEvent(0, t + 1, -level - 1, "extra"))
+    # a flush frees its bytes at its end
+    trace.executions[-1].actions += (MemAction("flush", t + 1, t + 1, level + 1, "extra"),)
     assert verify_trace(trace, hw) == ["cluster0: negative residency at end (-1)"]
 
 
@@ -284,9 +287,11 @@ def test_export_keeps_the_order_of_events_tied_on_time_and_lane(tmp_path):
         if ev["tid"] == "hbm":
             got.setdefault((ev["pid"], ev["ts"]), []).append((ev["name"], ev["args"]["key"]))
     to_us = 1e6 / hw.clock_hz
-    for t in trace.transfers:
-        want.setdefault((t.cluster, t.t_start * to_us), []).append(
-            (f"{t.kind} {t.bytes}B", t.key))
+    for p in trace.executions:
+        for a in p.actions:
+            if a.kind != "flush":
+                want.setdefault((p.cluster, a.start * to_us), []).append(
+                    (f"{a.kind} {a.bytes}B", str(a.key)))
     for events in want.values():
         events.sort(key=itemgetter(0))  # stable
     assert got == want
@@ -295,24 +300,42 @@ def test_export_keeps_the_order_of_events_tied_on_time_and_lane(tmp_path):
 
 def test_per_placement_classes_are_slotted(monkeypatch):
     # an instance __dict__ on these would take back the trace writer's speed-up
-    actions, entries = [], []
+    entries = []
     policy = SCHEDULERS["has"]
 
     def spy(table, now):
         p = policy(table, now)
-        actions.extend(p.actions)  # the engine drops them once it records p
         entries.extend(table.residency.values())
         return p
 
     monkeypatch.setitem(SCHEDULERS, "has", spy)
     trace, _ = _desk_trace()
     p = trace.executions[0]
-    built = {Placement: p, TransferRecord: trace.transfers[0],
-             ResidencyEvent: trace.residency[0], SubLayerTask: p.task, Processor: p.proc,
-             ResidencyEntry: entries[0], MemAction: actions[0]}
+    built = {Placement: p, ResidencyEvent: trace.residency[0], SubLayerTask: p.task,
+             Processor: p.proc, ResidencyEntry: entries[0],
+             MemAction: next(a for p in trace.executions for a in p.actions)}
     for cls, obj in built.items():
         assert "__slots__" in vars(cls), cls.__name__
         assert type(obj) is cls and not hasattr(obj, "__dict__"), cls.__name__
+
+
+def test_recorded_placements_keep_their_memory_actions(monkeypatch):
+    planned = []
+    policy = SCHEDULERS["has"]
+
+    def spy(table, now):
+        p = policy(table, now)
+        planned.append((p, p.actions))
+        return p
+
+    monkeypatch.setitem(SCHEDULERS, "has", spy)
+    trace, _ = _desk_trace()
+    assert len(planned) == len(trace.executions)
+    for (p, actions), recorded in zip(planned, trace.executions):
+        assert recorded is p and p.actions is actions
+    kept = [a for p in trace.executions for a in p.actions]
+    assert any(a.kind == "flush" for a in kept)
+    assert trace.transfers == [a for a in kept if a.kind != "flush"]
 
 
 def test_export_empty_trace_is_valid(tmp_path):
@@ -508,6 +531,33 @@ def test_builtin_name_case_keeps_its_size_parameter():
     assert reports[0] == reports[1]
 
 
+def test_builtin_name_case_shares_one_graph_and_its_weights(monkeypatch):
+    # "BERT_BASE" is "bert_base": one graph build and one copy of its weights
+    hw = load_hw_config(DESK_HW)
+    built = []
+    monkeypatch.setattr(simulation, "builtin_model",
+                        lambda *a, **kw: built.append(a) or builtin_model(*a, **kw))
+
+    def pair(*names):
+        simulation._cached_builtin.cache_clear()
+        built.clear()
+        w = Workload("pair", 0, 0.0, 2, tuple(Request(i, n, 0) for i, n in enumerate(names)),
+                     model_params={"depth_reduction": 12})
+        trace, _ = run(w, hw)
+        assert len(built) == 1
+        assert [r.model for r in trace.requests] == list(names)  # as written
+        return sum(t.bytes for t in trace.transfers if t.kind == "fetch_param")
+
+    assert pair("bert_base", "BERT_BASE") == pair("bert_base", "bert_base") == 14_175_744
+
+
+def test_distinct_graphs_of_one_name_are_refused():
+    hw = make_hw(1, make_cluster(1, 16, 1, 16, 45))
+    w = Workload("two", 0, 0.0, 2, (Request(0, "a", 0), Request(1, "b", 0)), model_params={})
+    with pytest.raises(ValueError, match="share a name"):
+        run(w, hw, graphs={"a": tiny_gemm_graph(), "b": tiny_gemm_graph(64, 32, 48)})
+
+
 def _perfbench_module(name, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
@@ -531,6 +581,12 @@ def test_benchmark_probes_read_a_run(tmp_path, monkeypatch):
     placed = tracer.counters["scheduling.policy.placements"]
     assert placed > 0 and tracer.stats["simulation.run"][0] == 1
     assert cases.sim_counts(trace)["sim.placements"] == len(trace.executions) == placed
+    actions = [a for p in trace.executions for a in p.actions]
+    assert cases.sim_counts(trace) == {
+        "sim.placements": placed,
+        "sim.fetch_param_bytes": sum(a.bytes for a in actions if a.kind == "fetch_param"),
+        "sim.spill_bytes": sum(a.bytes for a in actions if a.kind == "write_act"),
+        "sim.flushes": sum(1 for a in actions if a.kind == "flush")}
     sims, calls = probe.take()
     assert [(s.tasks, s.done) for s in sims] == [(placed, True)]
     assert calls[0][1] is trace
