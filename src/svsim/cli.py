@@ -128,12 +128,16 @@ SWEEP_DEFAULTS = {
 
 def load_sweep_spec(source) -> dict:
     """A sweep spec from a JSON path or dict, over ``SWEEP_DEFAULTS``; the
-    caller's dict is left as it was."""
+    caller's dict is left as it was.  A key outside ``SWEEP_DEFAULTS``
+    raises ValueError."""
     if isinstance(source, dict):
         doc = source
     else:
         with open(source) as f:
             doc = json.load(f)
+    for key in doc:
+        if key not in SWEEP_DEFAULTS:
+            raise ValueError(f"unknown key {key!r} (known: {', '.join(SWEEP_DEFAULTS)})")
     return {**copy.deepcopy(SWEEP_DEFAULTS), **doc}
 
 
@@ -159,11 +163,22 @@ def sweep_configs(spec: dict) -> list[dict]:
 
 
 def sweep_workloads(spec: dict) -> list[workloads.Workload]:
+    """The spec's ``workload_suite``: ``request_count``, a non-empty list of
+    ``seeds`` and ``model_params`` by the manifest's rule, each optional;
+    any other key raises ValueError."""
     ws = spec.get("workload_suite", {})
-    return workloads.standard_suite(
-        request_count=ws.get("request_count", 8),
-        seeds=tuple(ws.get("seeds", (1, 2, 3))),
-        model_params=ws.get("model_params"))
+    for key in ws:
+        if key not in ("request_count", "seeds", "model_params"):
+            raise ValueError(f"unknown workload_suite key {key!r} "
+                             f"(known: request_count, seeds, model_params)")
+    seeds = tuple(ws.get("seeds", (1, 2, 3)))
+    if not seeds:
+        raise ValueError("workload_suite seeds is empty: the sweep would run no point")
+    params = ws.get("model_params")
+    if params is not None:
+        workloads.check_model_params(params, "workload_suite")
+    return workloads.standard_suite(request_count=ws.get("request_count", 8),
+                                    seeds=seeds, model_params=params)
 
 
 # every sweep point runs at the simulator's default working-set budget

@@ -21,7 +21,8 @@ kind and size (PE dim d or lane count): nothing else of it sets the cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hardware import CycleConstants, HardwareConfig
 from .models import (DATA_OPS, MATRIX_OPS, LayerNode, OpType, layer_macs,
@@ -39,7 +40,7 @@ class TaskCost:
     op: OpType
     macs: int = 0
     matrix: tuple[int, int, int, int] | None = None  # (M, K, N, groups)
-    vector_counts: dict = field(default_factory=dict)  # op-kind -> element ops
+    vector_ops: int = 0  # element operations of a vector op
     softmax_rows: int = 0
     softmax_width: int = 0
     param_bytes: int = 0
@@ -47,12 +48,20 @@ class TaskCost:
     act_out_bytes: int = 0
 
 
-_VECTOR_KIND_FOR_OP = {
-    OpType.POOL: "pool",
-    OpType.ACTIVATION: "activation",
-    OpType.SOFTMAX: "softmax",
-    OpType.LAYERNORM: "layernorm",
-    OpType.ELEMENTWISE_ADD: "add",
+class VectorOp(NamedTuple):
+    name: str  # its key in a trace row's vector_counts
+    cycle_field: str | None  # per-element CycleConstants field; softmax runs row stages
+    energy_row: str  # its PhysicalModel.vector_pj row
+
+
+# every op that is neither matrix nor data work; normalization and
+# element-wise add land on the catch-all energy row
+VECTOR_OPS = {
+    OpType.POOL: VectorOp("pool", "pooling", "pooling"),
+    OpType.ACTIVATION: VectorOp("activation", "activation", "lut"),
+    OpType.SOFTMAX: VectorOp("softmax", None, "softmax"),
+    OpType.LAYERNORM: VectorOp("layernorm", "layernorm", "etc"),
+    OpType.ELEMENTWISE_ADD: VectorOp("add", "add", "etc"),
 }
 
 
@@ -70,18 +79,17 @@ def layer_cost(layer: LayerNode) -> TaskCost:
         return TaskCost(layer.op, param_bytes=param, act_in_bytes=act_in,
                         act_out_bytes=act_out)
     out = layer.outputs[0]
+    ops = out.elements
     if layer.op == OpType.POOL:
         # the window reduction streams kernel^2 operands per output element
-        counts = {"pool": out.elements * layer.attrs["kernel"] ** 2}
+        ops *= layer.attrs["kernel"] ** 2
     elif layer.op == OpType.SOFTMAX:
         rows = math.prod(out.shape[:-1])
-        return TaskCost(layer.op, vector_counts={"softmax": out.elements},
+        return TaskCost(layer.op, vector_ops=ops,
                         softmax_rows=rows, softmax_width=out.shape[-1],
                         param_bytes=param, act_in_bytes=act_in,
                         act_out_bytes=act_out)
-    else:
-        counts = {_VECTOR_KIND_FOR_OP[layer.op]: out.elements}
-    return TaskCost(layer.op, vector_counts=counts, param_bytes=param,
+    return TaskCost(layer.op, vector_ops=ops, param_bytes=param,
                     act_in_bytes=act_in, act_out_bytes=act_out)
 
 
@@ -103,10 +111,7 @@ def vector_cycles(cost: TaskCost, lanes: int, cc: CycleConstants) -> int:
     if cost.op == OpType.SOFTMAX:
         per_element = cc.softmax_exp + cc.softmax_acc + cc.softmax_div
         return cost.softmax_rows * math.ceil(cost.softmax_width / lanes) * per_element
-    cpe = {"pool": cc.pooling, "activation": cc.activation,
-           "add": cc.add, "layernorm": cc.layernorm}
-    return sum(math.ceil(n / lanes) * cpe[kind]
-               for kind, n in cost.vector_counts.items())
+    return math.ceil(cost.vector_ops / lanes) * getattr(cc, VECTOR_OPS[cost.op].cycle_field)
 
 
 def task_cycles(cost: TaskCost, kind: str, size: int, cc: CycleConstants) -> int:

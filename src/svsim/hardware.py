@@ -150,17 +150,6 @@ def energy_of(op_kind: str, count: int, kind: str, size: int,
     return count * physical.vector_pj[op_kind][size] * 1e-12
 
 
-# map op-level vector work onto the energy table rows; normalization and
-# element-wise ops land on the catch-all row
-VECTOR_ENERGY_FOR_OP = {
-    "pool": "pooling",
-    "activation": "lut",
-    "softmax": "softmax",
-    "layernorm": "etc",
-    "add": "etc",
-}
-
-
 # ---------------------------------------------------------------------------
 # config file handling
 

@@ -414,7 +414,9 @@ def ingest_graph(text) -> ModelGraph:
                      "kernel": ..., "stride": ..., "bias": true, ...}]}
 
     Layers may reference any other layer by name; the list is topologically
-    sorted during ingestion.
+    sorted during ingestion.  Layer attributes are JSON integers (``perm``
+    and ``target`` lists of them) and ``bias`` is true or false; anything
+    else raises SchemaError naming the layer.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -488,15 +490,19 @@ def ingest_graph(text) -> ModelGraph:
     for name in order:
         op, spec = specs[name]
         acts = [produced[ref] for ref in spec["inputs"]]
-        try:
-            attrs = {k: int(spec[k]) for k, _ in _SCALAR_ATTRS if k in spec}
-            attrs.update((k, tuple(int(d) for d in spec[k]))
-                         for k in ("perm", "target") if k in spec)
-        except (TypeError, ValueError):
-            raise SchemaError(f"layer {name!r}: attributes must be integers, "
-                              f"perm and target lists of integers") from None
-        produced[name] = b.layer(op, acts, attrs,
-                                 with_bias=bool(spec.get("bias", False)), name=name)
+        attrs = {k: spec[k] for k, _ in _SCALAR_ATTRS if k in spec}
+        lists = {k: spec[k] for k in ("perm", "target") if k in spec}
+        # a bool is an int to Python, and int() would round 3.7 and parse "3"
+        if not (all(type(v) is int for v in attrs.values())
+                and all(type(v) is list and all(type(d) is int for d in v)
+                        for v in lists.values())):
+            raise SchemaError(f"layer {name!r}: attributes must be JSON integers, "
+                              f"perm and target lists of JSON integers")
+        bias = spec.get("bias", False)
+        if type(bias) is not bool:
+            raise SchemaError(f"layer {name!r}: bias must be true or false, got {bias!r}")
+        attrs.update((k, tuple(v)) for k, v in lists.items())
+        produced[name] = b.layer(op, acts, attrs, with_bias=bias, name=name)
     return b.build()
 
 

@@ -32,9 +32,10 @@ from collections import deque
 from dataclasses import astuple, dataclass, field
 from operator import attrgetter
 
-from .costs import TaskCost, layer_cost, mem_transfer_cycles, task_cycles
+from .costs import (VECTOR_OPS, TaskCost, layer_cost, mem_transfer_cycles,
+                    task_cycles)
 from .hardware import ClusterConfig, CycleConstants, HardwareConfig
-from .models import DATA_OPS, MATRIX_OPS, LayerNode, ModelGraph, OpType
+from .models import MATRIX_OPS, LayerNode, ModelGraph, OpType
 
 
 class SchedulingError(Exception):
@@ -71,7 +72,6 @@ class SubLayerTask:
     task_id: str
     request_id: int
     layer_id: int
-    op: OpType
     cost: TaskCost
     deps: tuple[str, ...]
     param_keys: tuple[tuple[tuple, int], ...]   # (residency key, bytes)
@@ -129,21 +129,18 @@ def _slice_layer(layer: LayerNode, cost: TaskCost, n: int) -> list[LayerSlice]:
                          act_out_bytes=outs[i]),
                 tuple(w[i] for w in w_shares)))
         return slices
-    total_units = max(cost.softmax_rows, sum(cost.vector_counts.values()),
-                      cost.act_out_bytes, 1)
+    total_units = max(cost.softmax_rows, cost.vector_ops, cost.act_out_bytes, 1)
     units = _split_units(total_units, n)
     ins = _split_bytes(cost.act_in_bytes, units)
     outs = _split_bytes(cost.act_out_bytes, units)
-    count_shares = {kind: _split_bytes(total, units)
-                    for kind, total in cost.vector_counts.items()}
+    op_shares = _split_bytes(cost.vector_ops, units)
     rows = _split_units(cost.softmax_rows, n) if cost.softmax_rows else [0] * n
     w_bytes = tuple(t.byte_size for t in layer.weight_inputs)
     slices = []
     for i in range(n):
         # small per-channel parameters are shared by every slice
         slices.append(LayerSlice(
-            TaskCost(cost.op,
-                     vector_counts={k: s[i] for k, s in count_shares.items()},
+            TaskCost(cost.op, vector_ops=op_shares[i],
                      softmax_rows=rows[i], softmax_width=cost.softmax_width,
                      param_bytes=cost.param_bytes, act_in_bytes=ins[i],
                      act_out_bytes=outs[i]),
@@ -244,8 +241,8 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
             if cost.act_out_bytes:
                 out_key = (("a", rtag, layer.layer_id, i), cost.act_out_bytes)
                 out_keys.append(out_key)
-            tasks.append(SubLayerTask(task_id, request_id, layer.layer_id, layer.op,
-                                      cost, deps, pk, act_in, out_key, cycles))
+            tasks.append(SubLayerTask(task_id, request_id, layer.layer_id, cost,
+                                      deps, pk, act_in, out_key, cycles))
             ids.append(task_id)
         layer_task_ids[layer.layer_id] = ids
         layer_act_keys[layer.layer_id] = out_keys
@@ -329,9 +326,9 @@ class ClusterTable:
         nq = cluster.num_task_queues
         self.queues: list[deque[SubLayerTask]] = [deque() for _ in range(nq)]
         self.queue_request: list[int | None] = [None] * nq
-        # per queue: (head task, latest start and latest end among its
-        # dependencies), taken when the task became head
-        self._head_deps: list[tuple[SubLayerTask | None, int, int]] = [(None, 0, 0)] * nq
+        # per queue: latest start and latest end among its head's
+        # dependencies, taken when the task became head
+        self.head_bounds: list[tuple[int, int]] = [(0, 0)] * nq
         # the cycle before which a policy call finds nothing to place; every
         # change a policy reads (admission, release, commit) clears it
         self.wake = -math.inf
@@ -343,8 +340,7 @@ class ClusterTable:
         self.pending_releases: list[tuple[int, int]] = []
         self.channel_free = 0
         self.pending_uses: dict[tuple, int] = {}
-        self.scheduled_start: dict[str, int] = {}
-        self.scheduled_end: dict[str, int] = {}
+        self.placed: dict[str, Placement] = {}  # task id -> its committed placement
 
     # -- request admission ---------------------------------------------------
 
@@ -355,6 +351,7 @@ class ClusterTable:
             self.queues[q].append(t)
             for key, _ in t.param_keys + t.act_in_keys:
                 self.pending_uses[key] = self.pending_uses.get(key, 0) + 1
+        self._take_head_bounds(q)
         self.wake = -math.inf
         return q
 
@@ -368,19 +365,22 @@ class ClusterTable:
     def earliest_free(self, kind: str) -> Processor:
         return min(self.of_kind[kind], key=attrgetter("busy_until"))  # ties: lowest index
 
-    def head_deps(self, q: int) -> tuple[int, int]:
-        """Latest start and latest end among the dependencies of queue
-        ``q``'s head.  A task's dependencies come before it in its own
+    def _take_head_bounds(self, q: int) -> None:
+        """Store the latest start and latest end among the dependencies of
+        queue ``q``'s head.  A task's dependencies come before it in its own
         queue, so they are committed by the time it is head, and the two
-        bounds are taken once per head."""
-        task = self.queues[q][0]
-        cached = self._head_deps[q]
-        if cached[0] is not task:
-            cached = self._head_deps[q] = (
-                task,
-                max((self.scheduled_start[d] for d in task.deps), default=0),
-                max((self.scheduled_end[d] for d in task.deps), default=0))
-        return cached[1], cached[2]
+        bounds are taken once, when it becomes head."""
+        queue = self.queues[q]
+        if queue:
+            start = end = 0
+            placed = self.placed
+            for d in queue[0].deps:
+                p = placed[d]
+                if p.t_start > start:
+                    start = p.t_start
+                if p.t_end > end:
+                    end = p.t_end
+            self.head_bounds[q] = (start, end)
 
     # -- external memory access scheduling ------------------------------------
 
@@ -510,9 +510,9 @@ class ClusterTable:
             self.channel_free = placement.actions[-1].end
 
         placement.proc.busy_until = t_end
-        self.scheduled_start[task.task_id] = placement.t_start
-        self.scheduled_end[task.task_id] = t_end
+        self.placed[task.task_id] = placement
         self.queues[placement.queue].popleft()
+        self._take_head_bounds(placement.queue)
         self.rr_ptr = (placement.queue + 1) % len(self.queues)
         self.wake = -math.inf
 
@@ -535,10 +535,10 @@ def _eviction_order(entries, protected: set, wanted: dict):
 # ---------------------------------------------------------------------------
 # policies
 
-def _eligible_kinds(task: SubLayerTask, vector_slack: bool) -> tuple[str, ...]:
+def _eligible_kinds(op: OpType, vector_slack: bool) -> tuple[str, ...]:
     # vector processors can emulate matrix work; arrays run only matrix work;
-    # without slack the one kind left is the task's dedicated class
-    if task.op in MATRIX_OPS:
+    # without slack the one kind left is the op's dedicated class
+    if op in MATRIX_OPS:
         return ("vector", "array") if vector_slack else ("array",)
     return ("vector",)
 
@@ -569,31 +569,28 @@ def has_schedule(table: ClusterTable, now: int) -> Placement:
     otherwise pending vector operations keep their dedicated processors and
     matrix work stays on the arrays.
     """
-    heads = []  # (queue, head, latest end among its dependencies)
+    heads = []  # (queue, head, its op, latest end among its dependencies)
     not_before = math.inf
     for q, queue in enumerate(table.queues):
         if queue:
-            c = table._head_deps[q]
-            if c[0] is not queue[0]:
-                table.head_deps(q)
-                c = table._head_deps[q]
-            if c[1] <= now:
-                heads.append((q, c[0], c[2]))
-            elif c[1] < not_before:
-                not_before = c[1]
+            dep_start, dep_end = table.head_bounds[q]
+            if dep_start <= now:
+                task = queue[0]
+                heads.append((q, task, task.cost.op, dep_end))
+            elif dep_start < not_before:
+                not_before = dep_start
     if not heads:
         raise NoReadyTask("no candidate tasks", not_before)
     nq = len(table.queues)
-    vector_only = sum(1 for _, t, _ in heads
-                      if t.op not in MATRIX_OPS and t.op not in DATA_OPS)
+    vector_only = sum(1 for _, _, op, _ in heads if op in VECTOR_OPS)
     vector_slack = vector_only < len(table.of_kind["vector"])
     free = {kind: table.earliest_free(kind) for kind in table.of_kind}
     best = None
     best_rank = None
-    for q, task, t_task in heads:
+    for q, task, op, t_task in heads:
         plan = table.plan_memory(task, now)
         nominated = None
-        for kind in _eligible_kinds(task, vector_slack):
+        for kind in _eligible_kinds(op, vector_slack):
             p = _estimate(table, q, task, free[kind], plan, t_task, now)
             # the dedicated class wins end-time ties
             if nominated is None or p.t_end <= nominated.t_end:
@@ -623,12 +620,12 @@ def rr_schedule(table: ClusterTable, now: int) -> Placement:
         if not queue:
             continue
         task = queue[0]
-        proc = free[_eligible_kinds(task, False)[0]]
+        proc = free[_eligible_kinds(task.cost.op, False)[0]]
         if proc.busy_until > now:
             not_before = min(not_before, proc.busy_until)
             continue
         placement = _estimate(table, q, task, proc, table.plan_memory(task, now),
-                              table.head_deps(q)[1], now)
+                              table.head_bounds[q][1], now)
         table.commit(placement)
         return placement
     raise NoReadyTask("all queue heads blocked", not_before)

@@ -24,11 +24,12 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from operator import attrgetter, itemgetter
 
+from .costs import VECTOR_OPS
 from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
-                       VECTOR_ENERGY_FOR_OP, energy_of, peak_performance,
-                       total_area)
+                       energy_of, peak_performance, total_area)
 from .models import MATRIX_OPS, TRANSFORMER_MODELS, ModelGraph, builtin_model
 from .scheduling import (ClusterTable, MemAction, NoReadyTask, Placement, SCHEDULERS,
                          StalledRun, build_request_tasks, load_balance)
@@ -73,8 +74,8 @@ class TraceLog:
                 for ci, t, delta, key in _residency_deltas(self.executions)]
 
     def makespan(self) -> int:
-        ends = [p.t_end for p in self.executions] + [a.end for a in self.transfers]
-        return max(ends, default=0)
+        # every memory action ends by its task's start (verify_trace checks it)
+        return max((p.t_end for p in self.executions), default=0)
 
 
 def _residency_deltas(executions):
@@ -245,8 +246,9 @@ def energy_from_trace(trace: TraceLog, physical: PhysicalModel = DEFAULT_PHYSICA
     for p in trace.executions:
         cost, kind, size = p.task.cost, p.proc.kind, p.proc.size
         joules += energy_of("mac", cost.macs, kind, size, physical)
-        for op_kind, count in cost.vector_counts.items():
-            joules += energy_of(VECTOR_ENERGY_FOR_OP[op_kind], count, kind, size, physical)
+        vec = VECTOR_OPS.get(cost.op)
+        if vec:
+            joules += energy_of(vec.energy_row, cost.vector_ops, kind, size, physical)
         sram_bytes = cost.param_bytes + cost.act_in_bytes + cost.act_out_bytes
         joules += sram_bytes * physical.sram_pj_per_byte * 1e-12
     for t in trace.transfers:
@@ -256,7 +258,7 @@ def energy_from_trace(trace: TraceLog, physical: PhysicalModel = DEFAULT_PHYSICA
 
 def compute_report(trace: TraceLog, hw: HardwareConfig,
                    physical: PhysicalModel = DEFAULT_PHYSICAL) -> PerfReport:
-    total_ops = sum(2 * p.task.cost.macs + sum(p.task.cost.vector_counts.values())
+    total_ops = sum(2 * p.task.cost.macs + p.task.cost.vector_ops
                     for p in trace.executions)
     makespan = trace.makespan()
     seconds = makespan / hw.clock_hz
@@ -295,11 +297,12 @@ def decision_rows(trace: TraceLog) -> list[dict]:
 
 def _execution_row(p: Placement) -> dict:
     task, proc, cost = p.task, p.proc, p.task.cost
+    vec = VECTOR_OPS.get(cost.op)
     return {"cluster": p.cluster, "resource": proc.name, "resource_kind": proc.kind,
             "resource_size": proc.size, "task_id": task.task_id,
             "request_id": task.request_id, "layer_id": task.layer_id,
-            "op": task.op.name, "queue": p.queue, "t_start": p.t_start,
-            "t_end": p.t_end, "macs": cost.macs, "vector_counts": dict(cost.vector_counts),
+            "op": cost.op.name, "queue": p.queue, "t_start": p.t_start, "t_end": p.t_end,
+            "macs": cost.macs, "vector_counts": {vec.name: cost.vector_ops} if vec else {},
             "param_bytes": cost.param_bytes, "act_in_bytes": cost.act_in_bytes,
             "act_out_bytes": cost.act_out_bytes, "deps": task.deps}
 
@@ -335,7 +338,7 @@ def export_trace(trace: TraceLog, path: str) -> None:
     # (sort key, record) rows; a stable sort keeps full ties in record order,
     # and event dicts exist one chunk at a time
     rows = [((p.t_start * to_us, str(p.cluster), p.proc.name,
-              f"{p.task.task_id} {p.task.op.name}"), p.cluster, p)
+              f"{p.task.task_id} {p.task.cost.op.name}"), p.cluster, p)
             for p in trace.executions]
     rows += [((a.start * to_us, str(p.cluster), "hbm", f"{a.kind} {a.bytes}B"), p.cluster, a)
              for p in trace.executions for a in p.actions if a.kind != "flush"]
@@ -358,16 +361,17 @@ def _trace_event(ts: float, tid: str, name: str, ci: int, r, to_us: float) -> di
         cat, args, cycles = "memory", {"bytes": r.bytes, "key": str(r.key)}, r.end - r.start
     else:
         task, cycles = r.task, r.t_end - r.t_start
-        cat, args = task.op.name, {"request": task.request_id, "layer": task.layer_id,
-                                   "macs": task.cost.macs, "cycles": cycles}
+        cat, args = task.cost.op.name, {"request": task.request_id, "layer": task.layer_id,
+                                        "macs": task.cost.macs, "cycles": cycles}
     return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": cycles * to_us,
             "pid": ci, "tid": tid, "args": args}
 
 
 def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
     """Replay checker: processor exclusivity, HBM channel serialisation,
-    class eligibility (arrays run only matrix work), dependency ordering,
-    request completion at its last task's end, and shared-memory capacity.
+    class eligibility (arrays run only matrix work), memory actions ending
+    by their task's start, dependency ordering, request completion at its
+    last task's end, and shared-memory capacity.
     Returns a list of violations (empty = clean)."""
     problems: list[str] = []
 
@@ -375,7 +379,7 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
     for p in trace.executions:
         by_resource.setdefault((p.cluster, p.proc.name), []).append(p)
     for (ci, res), placed in sorted(by_resource.items()):
-        placed = sorted(placed, key=lambda p: (p.t_start, p.t_end))
+        placed = sorted(placed, key=attrgetter("t_start", "t_end"))
         for a, b in zip(placed, placed[1:]):
             if b.t_start < a.t_end:
                 problems.append(
@@ -395,9 +399,13 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
     end_by_task = {p.task.task_id: p.t_end for p in trace.executions}
     for p in trace.executions:
         task = p.task
-        if p.proc.kind == "array" and task.op not in MATRIX_OPS:
+        if p.proc.kind == "array" and task.cost.op not in MATRIX_OPS:
             problems.append(f"cluster{p.cluster}/{p.proc.name}: {task.task_id} "
-                            f"runs non-matrix {task.op.name}")
+                            f"runs non-matrix {task.cost.op.name}")
+        for a in p.actions:
+            if a.end > p.t_start:
+                problems.append(f"{task.task_id}: {a.kind} of {a.key} ends at {a.end}, "
+                                f"after the task starts at {p.t_start}")
         for dep in task.deps:
             dep_end = end_by_task.get(dep)
             if dep_end is None:
@@ -413,14 +421,15 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
             problems.append(f"request {r.request_id}: completed at {r.completed}, "
                             f"its last task ends at {last_end.get(r.request_id)}")
 
-    per_cluster: dict[int, list[tuple]] = {}
-    for ci, t, delta, key in _residency_deltas(trace.executions):
-        per_cluster.setdefault(ci, []).append((t, delta, key))
-    for ci, changes in sorted(per_cluster.items()):
+    # clusters in order, each in time order, releases before allocations at
+    # equal times: stable sorts on delta, time, then cluster (no key tuples)
+    changes = list(_residency_deltas(trace.executions))
+    for i in (2, 1, 0):
+        changes.sort(key=itemgetter(i))
+    for ci, cluster_changes in groupby(changes, key=itemgetter(0)):
         cap = hw.clusters[ci].shared_mem_bytes
         level = 0
-        # at equal timestamps releases apply before allocations
-        for t, delta, key in sorted(changes, key=itemgetter(0, 1)):
+        for _, t, delta, key in cluster_changes:
             level += delta
             if level > cap:
                 problems.append(

@@ -89,6 +89,22 @@ def _non_negative(field: str, value, types=(int,)):
     return value
 
 
+def check_model_params(params, where: str) -> dict:
+    """``params`` if it is an object holding only keys of
+    ``DEFAULT_MODEL_PARAMS``, each an integer >= 0; otherwise ValueError
+    naming ``where`` (the document it came from) and the key."""
+    if not isinstance(params, dict):
+        raise ValueError(f"{where} model_params must be an object, got {params!r}")
+    for key, value in params.items():
+        if key not in DEFAULT_MODEL_PARAMS:
+            raise ValueError(f"unknown {where} model_params key {key!r} (known: "
+                             f"{', '.join(DEFAULT_MODEL_PARAMS)})")
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{where} model_params.{key} must be a non-negative int, "
+                             f"got {value!r}")
+    return params
+
+
 def load_manifest(path: str) -> Workload:
     """Read a manifest file; a bad document raises ValueError naming the
     field.  Requests need unique integer ``request_id``s, string ``model``s
@@ -106,14 +122,7 @@ def load_manifest(path: str) -> Workload:
                      for r in doc["requests"])
     if len({r.request_id for r in requests}) < len(requests):
         raise ValueError("manifest request_id values must be unique")
-    params = doc.get("model_params", DEFAULT_MODEL_PARAMS)
-    if not isinstance(params, dict):
-        raise ValueError(f"manifest model_params must be an object, got {params!r}")
-    for key, value in params.items():
-        if key not in DEFAULT_MODEL_PARAMS:
-            raise ValueError(f"unknown manifest model_params key {key!r} (known: "
-                             f"{', '.join(DEFAULT_MODEL_PARAMS)})")
-        _non_negative(f"model_params.{key}", value)
+    params = check_model_params(doc.get("model_params", DEFAULT_MODEL_PARAMS), "manifest")
     seed = _non_negative("seed", doc.get("seed", 0))
     cnn_ratio = float(_non_negative("cnn_ratio", doc.get("cnn_ratio", 0.0), (int, float)))
     count = _non_negative("request_count", doc.get("request_count", len(requests)))

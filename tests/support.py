@@ -78,8 +78,8 @@ def chain_description(n: int, *, reverse: bool = False) -> dict:
 
 def make_task(tid, queue, cost, deps=(), param_keys=(), act_in_keys=(),
               act_out=None):
-    return SubLayerTask(tid, queue, 0, cost.op, cost, tuple(deps),
-                        tuple(param_keys), tuple(act_in_keys), act_out, {})
+    return SubLayerTask(tid, queue, 0, cost, tuple(deps), tuple(param_keys),
+                        tuple(act_in_keys), act_out, {})
 
 
 def gemm_cost(m, k, n, param_bytes=0, act_in=0, act_out=0):
@@ -88,14 +88,11 @@ def gemm_cost(m, k, n, param_bytes=0, act_in=0, act_out=0):
                     act_out_bytes=act_out)
 
 
-def vector_cost(kind, n, op=None):
-    op = op or {"activation": OpType.ACTIVATION, "softmax": OpType.SOFTMAX,
-                "layernorm": OpType.LAYERNORM, "pool": OpType.POOL,
-                "add": OpType.ELEMENTWISE_ADD}[kind]
-    if kind == "softmax":
-        return TaskCost(op, vector_counts={kind: n}, softmax_rows=max(1, n // 128),
+def vector_cost(op, n):
+    if op == OpType.SOFTMAX:
+        return TaskCost(op, vector_ops=n, softmax_rows=max(1, n // 128),
                         softmax_width=min(n, 128))
-    return TaskCost(op, vector_counts={kind: n})
+    return TaskCost(op, vector_ops=n)
 
 
 def fresh_table(hw, queues_by_request):
@@ -125,8 +122,8 @@ def run_policy(hw, queues_by_request, name):
                 placements.append(policy(table, now))
         except NoReadyTask:
             pass
-        pending = [t for t in list(table.scheduled_end.values())
-                   + list(table.scheduled_start.values()) if t > now]
+        pending = [t for p in table.placed.values() for t in (p.t_end, p.t_start)
+                   if t > now]
         if not pending:
             if any(table.queues):
                 raise RuntimeError("driver stalled with tasks still queued")
@@ -135,7 +132,7 @@ def run_policy(hw, queues_by_request, name):
         guard += 1
         if guard > 100000:
             raise RuntimeError("driver did not converge")
-    return max(table.scheduled_end.values(), default=0), placements
+    return max((p.t_end for p in table.placed.values()), default=0), placements
 
 
 def synth_chain_instance(rng: random.Random, max_tasks=8, nq_range=(2, 3)):
@@ -158,8 +155,9 @@ def synth_chain_instance(rng: random.Random, max_tasks=8, nq_range=(2, 3)):
             n = rng.choice([64, 256, 1024])
             cost = gemm_cost(m, k, n)
         else:
-            kind = rng.choice(["activation", "softmax", "layernorm", "pool"])
-            cost = vector_cost(kind, rng.choice([4096, 16384, 65536]))
+            op = rng.choice([OpType.ACTIVATION, OpType.SOFTMAX, OpType.LAYERNORM,
+                             OpType.POOL])
+            cost = vector_cost(op, rng.choice([4096, 16384, 65536]))
         deps = (chain[-1].task_id,) if chain else ()
         chain.append(make_task(f"q{q}t{len(chain)}", q, cost, deps))
     return queues

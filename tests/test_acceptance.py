@@ -166,15 +166,15 @@ def test_criterion_4_energy_exactness():
     trace, _ = run(w, hw, scheduler="rr", graphs={"mixed": g})
     report = compute_report(trace, hw, phys)
     for p in trace.executions:
-        assert (p.proc.kind == "array") == (p.task.op.name in ("CONV", "GEMM", "MATMUL"))
+        assert (p.proc.kind == "array") == (p.task.cost.op.name in ("CONV", "GEMM", "MATMUL"))
     expected = 0.0
-    row_for = {"pool": "pooling", "activation": "lut", "softmax": "softmax",
-               "layernorm": "etc", "add": "etc"}
+    row_for = {OpType.POOL: "pooling", OpType.ACTIVATION: "lut", OpType.SOFTMAX: "softmax",
+               OpType.LAYERNORM: "etc", OpType.ELEMENTWISE_ADD: "etc"}
     for layer in g.layers:
         c = layer_cost(layer)
         expected += c.macs * phys.systolic_mac_pj[32] * 1e-12
-        for kind, count in c.vector_counts.items():
-            expected += count * phys.vector_pj[row_for[kind]][64] * 1e-12
+        if c.op in row_for:
+            expected += c.vector_ops * phys.vector_pj[row_for[c.op]][64] * 1e-12
     expected *= 2  # two identical requests
     assert report.joules == expected  # zero tolerance
     _ok(4, f"simulated joules equal the op-count ledger exactly "

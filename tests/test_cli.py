@@ -432,7 +432,15 @@ def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
                                       ({"arrays": 5}, "int"),
                                       ({"workload_suite": {"request_count": 0}},
                                        "request_count"),
-                                      ({"hbm_gbps": math.inf}, "hbm_gbps")])
+                                      ({"hbm_gbps": math.inf}, "hbm_gbps"),
+                                      # each ran a sweep that ignored the key
+                                      ({"shared_mem": [45]}, "'shared_mem'"),
+                                      ({"workload_suite": {"request_cnt": 2}},
+                                       "'request_cnt'"),
+                                      ({"workload_suite": {"model_params":
+                                                           {"seq_length": 256}}},
+                                       "'seq_length'"),
+                                      ({"workload_suite": {"seeds": []}}, "seeds")])
 def test_sweep_rejects_bad_spec_before_any_point(tmp_path, capsys, doc, word):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**tiny_spec(), **doc}))

@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svsim.costs import (TaskCost, UnsupportedOp, layer_cost,
+from svsim.costs import (VECTOR_OPS, TaskCost, UnsupportedOp, layer_cost,
                          mem_transfer_cycles, systolic_cycles, task_cycles,
                          vector_cycles)
-from svsim.hardware import CycleConstants
-from svsim.models import builtin_model
+from svsim.hardware import CycleConstants, PhysicalModel
+from svsim.models import DATA_OPS, MATRIX_OPS, builtin_model
 from svsim.umf import OpType
 
 from support import make_cluster, make_hw
@@ -74,7 +75,7 @@ def test_mac_rate_never_exceeds_array_capacity(m, k, n, d):
 
 
 def test_vector_only_op_unsupported_on_array():
-    pool = TaskCost(OpType.POOL, vector_counts={"pool": 100})
+    pool = TaskCost(OpType.POOL, vector_ops=100)
     with pytest.raises(UnsupportedOp):
         systolic_cycles(pool, 16)
     with pytest.raises(UnsupportedOp):
@@ -84,7 +85,7 @@ def test_vector_only_op_unsupported_on_array():
 # --- vector timing -----------------------------------------------------------
 
 def test_elementwise_cycles():
-    relu = TaskCost(OpType.ACTIVATION, vector_counts={"activation": 4096})
+    relu = TaskCost(OpType.ACTIVATION, vector_ops=4096)
     assert vector_cycles(relu, 16, CycleConstants(activation=1)) == 256
 
 
@@ -94,8 +95,7 @@ def test_vector_matrix_one_mac_per_lane():
 
 
 def test_softmax_stage_cycles():
-    sm = TaskCost(OpType.SOFTMAX, vector_counts={"softmax": 1024},
-                  softmax_rows=1, softmax_width=1024)
+    sm = TaskCost(OpType.SOFTMAX, vector_ops=1024, softmax_rows=1, softmax_width=1024)
     cc = CycleConstants(softmax_exp=4, softmax_acc=1, softmax_div=8)
     assert vector_cycles(sm, 16, cc) == 832
 
@@ -114,9 +114,20 @@ def test_softmax_matches_unit_occupancy_reference():
 
     cc = CycleConstants()
     for rows, width, lanes in ((1, 1024, 16), (128, 128, 64), (7, 33, 32)):
-        sm = TaskCost(OpType.SOFTMAX, vector_counts={"softmax": rows * width},
+        sm = TaskCost(OpType.SOFTMAX, vector_ops=rows * width,
                       softmax_rows=rows, softmax_width=width)
         assert vector_cycles(sm, lanes, cc) == reference(rows, width, lanes, cc)
+
+
+def test_vector_op_table_covers_every_vector_op():
+    # one entry per op that is neither matrix nor data work, each naming a
+    # cycle constant (softmax's row stages set its cycles) and an energy row
+    assert set(VECTOR_OPS) == set(OpType) - MATRIX_OPS - DATA_OPS
+    fields = {f.name for f in dataclasses.fields(CycleConstants)}
+    rows = PhysicalModel().vector_pj
+    for op, v in VECTOR_OPS.items():
+        assert v.cycle_field in fields or (op, v.cycle_field) == (OpType.SOFTMAX, None)
+        assert v.energy_row in rows
 
 
 def test_data_ops_take_no_compute_cycles():
@@ -169,4 +180,4 @@ def test_layer_cost_pool_scans_window():
     g = builtin_model("alexnet")
     pool1 = g.layers[2]
     c = layer_cost(pool1)
-    assert c.vector_counts == {"pool": 96 * 27 * 27 * 9}
+    assert (c.op, c.vector_ops) == (OpType.POOL, 96 * 27 * 27 * 9)

@@ -129,6 +129,16 @@ def one_layer(**layer):
     ({"name": "x", "inputs": [{"name": "x", "shape": ["a"]}], "layers": []}, SchemaError),
     ({"name": "x", "inputs": [{"name": "x", "shape": [4]}], "layers": 5}, SchemaError),
     ({"name": "x", "inputs": 5, "layers": []}, SchemaError),
+    # JSON integers only: each of these used to go through int() or bool()
+    (one_layer(op="Conv", out_features=4, kernel=3.7), SchemaError),
+    (one_layer(op="Pool", kernel=2, stride=1.9), SchemaError),
+    (one_layer(op="Conv", out_features=4, kernel="3"), SchemaError),
+    (one_layer(op="Pool", kernel=2, stride=True), SchemaError),
+    (one_layer(op="Conv", out_features=4, kernel=3, bias="false"), SchemaError),
+    (one_layer(op="Conv", out_features=4, kernel=3, bias=1), SchemaError),
+    (one_layer(op="Transpose", perm=[0, 2.0, 1]), SchemaError),
+    (one_layer(op="Transpose", perm="021"), SchemaError),
+    (one_layer(op="Reshape", target=[4, True, 64]), SchemaError),
 ])
 def test_ingest_schema_errors(doc, expect):
     with pytest.raises(expect):

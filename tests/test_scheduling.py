@@ -71,7 +71,7 @@ def test_vector_layer_sliced_by_elements():
     })
     slices = [s.cost for s in partition_layer(g.layers[0], cluster, 0.5)]
     assert len(slices) > 1
-    assert sum(s.vector_counts["activation"] for s in slices) == 1024 * 1024
+    assert sum(s.vector_ops for s in slices) == 1024 * 1024
 
 
 def test_partition_memo_only_rekeys_requests():
@@ -338,13 +338,13 @@ def test_rr_serves_queues_in_circular_order():
 
 def test_rr_dedicated_processor_rule_skips_vector_head():
     hw = make_hw(1, make_cluster(1, 16, 1, 16, 1 << 30))
-    v = make_task("v", 0, vector_cost("activation", 4096))
+    v = make_task("v", 0, vector_cost(OpType.ACTIVATION, 4096))
     g = make_task("g", 1, gemm_cost(16, 16, 16))
     table = fresh_table(hw, [[v], [g]])
     # occupy the only vector processor
     first = rr_schedule(table, 0)
     assert first.task.task_id == "v"
-    v2 = make_task("v2", 0, vector_cost("activation", 4096))
+    v2 = make_task("v2", 0, vector_cost(OpType.ACTIVATION, 4096))
     table.queues[0].append(v2)
     # vector busy: queue 0's head is skipped, the array op is placed instead
     p = rr_schedule(table, 0)
@@ -365,7 +365,7 @@ def test_rr_single_queue_degenerates_to_fifo():
                 order.append(rr_schedule(table, now).task.task_id)
         except NoReadyTask:
             pass
-        pending = [t for t in table.scheduled_end.values() if t > now]
+        pending = [p.t_end for p in table.placed.values() if p.t_end > now]
         if not pending:
             break
         now = min(pending)
@@ -433,12 +433,12 @@ def test_has_reduces_makespan_on_three_request_scenario():
     # can move to the vector while request 1's chain keeps the array busy
     hw = make_hw(1, make_cluster(1, 16, 1, 64, 1 << 30))
     r1 = [make_task("r1a", 0, gemm_cost(512, 256, 256)),
-          make_task("r1b", 0, vector_cost("activation", 65536), deps=("r1a",)),
+          make_task("r1b", 0, vector_cost(OpType.ACTIVATION, 65536), deps=("r1a",)),
           make_task("r1c", 0, gemm_cost(512, 256, 256), deps=("r1b",))]
-    r2 = [make_task("r2a", 1, vector_cost("softmax", 16384)),
+    r2 = [make_task("r2a", 1, vector_cost(OpType.SOFTMAX, 16384)),
           make_task("r2b", 1, gemm_cost(256, 256, 256), deps=("r2a",))]
     r3 = [make_task("r3a", 2, gemm_cost(1, 8192, 1024)),
-          make_task("r3b", 2, vector_cost("layernorm", 65536), deps=("r3a",)),
+          make_task("r3b", 2, vector_cost(OpType.LAYERNORM, 65536), deps=("r3a",)),
           make_task("r3c", 2, gemm_cost(1, 8192, 1024), deps=("r3b",))]
     mk_has, _ = run_policy(hw, [r1, r2, r3], "has")
     mk_rr, _ = run_policy(hw, [r1, r2, r3], "rr")
@@ -467,10 +467,10 @@ def test_head_readiness_recomputed_after_commit():
     a = make_task("a", 0, gemm_cost(16, 16, 16))
     b = make_task("b", 0, gemm_cost(16, 16, 16), deps=("a",))
     table = fresh_table(hw, [[a, b]])
-    assert table.head_deps(0) == (0, 0)  # a has no dependencies
+    assert table.head_bounds[0] == (0, 0)  # a has no dependencies
     placed = rr_schedule(table, 0)
     # b is head now: its bounds are a's committed start and end
-    assert table.head_deps(0) == (placed.t_start, placed.t_end) == (0, 48)
+    assert table.head_bounds[0] == (placed.t_start, placed.t_end) == (0, 48)
     with pytest.raises(NoReadyTask) as exc:
         rr_schedule(table, 0)  # the only array runs a until 48
     assert exc.value.not_before == 48
@@ -481,7 +481,7 @@ def test_no_ready_task_names_earliest_dependency_start():
     hw = make_hw(1, make_cluster(1, 16, 1, 16, 45))
     a = make_task("a", 0, gemm_cost(16, 16, 16, param_bytes=MB),
                   param_keys=((("w", "m", 1, 0), MB),))
-    b = make_task("b", 0, vector_cost("activation", 4096), deps=("a",))
+    b = make_task("b", 0, vector_cost(OpType.ACTIVATION, 4096), deps=("a",))
     table = fresh_table(hw, [[a, b]])
     placed = has_schedule(table, 0)
     assert placed.t_start > 0  # a waits for its weights

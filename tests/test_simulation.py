@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from svsim.cli import SWEEP_ALPHA, load_sweep_spec, sweep_configs
 from svsim.costs import mem_transfer_cycles, systolic_cycles, layer_cost
 from svsim.hardware import PhysicalModel, load_hw_config, peak_performance
-from svsim.models import ModelError, builtin_model, ingest_graph
+from svsim.models import ModelError, OpType, builtin_model, ingest_graph
 from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, MemAction,
                               NoReadyTask, Placement, Processor, ResidencyEntry,
                               StalledRun, SubLayerTask, UnpartitionableLayer)
@@ -148,10 +148,10 @@ def test_verify_trace_catches_completion_off_last_task():
 def test_verify_trace_catches_vector_work_on_an_array():
     trace, hw = _desk_trace()
     i, p = next((i, p) for i, p in enumerate(trace.executions)
-                if p.proc.kind == "vector" and p.task.op.name in ("ACTIVATION", "POOL"))
+                if p.proc.kind == "vector" and p.task.cost.op.name in ("ACTIVATION", "POOL"))
     trace.executions[i] = dataclasses.replace(p, proc=dataclasses.replace(p.proc, kind="array"))
     assert verify_trace(trace, hw) == [
-        f"cluster0/{p.proc.name}: {p.task.task_id} runs non-matrix {p.task.op.name}"]
+        f"cluster0/{p.proc.name}: {p.task.task_id} runs non-matrix {p.task.cost.op.name}"]
 
 
 def test_verify_trace_catches_two_tasks_on_one_processor():
@@ -163,6 +163,16 @@ def test_verify_trace_catches_two_tasks_on_one_processor():
         b, t_start=start, t_end=start + b.t_end - b.t_start)
     assert (f"cluster0/array0: {b.task.task_id} starts at {start} before {a.task.task_id} "
             f"ends at {a.t_end}") in verify_trace(trace, hw)
+
+
+def test_verify_trace_catches_a_memory_action_ending_after_its_task_starts():
+    trace, hw = _desk_trace()
+    p = trace.executions[-1]
+    # no bytes and no channel time, so no other check sees it
+    p.actions += (MemAction("flush", p.t_start, p.t_start + 1, 0, ("w", "late")),)
+    assert verify_trace(trace, hw) == [
+        f"{p.task.task_id}: flush of ('w', 'late') ends at {p.t_start + 1}, "
+        f"after the task starts at {p.t_start}"]
 
 
 def _with_deps(p, deps):
@@ -197,19 +207,26 @@ def test_verify_trace_catches_shared_memory_over_capacity():
     trace, hw = _desk_trace()
     cap = hw.clusters[0].shared_mem_bytes
     t, level = _residency_tail(trace)
-    # a fetch holds its bytes from its start
-    trace.executions[-1].actions += (
-        MemAction("fetch_param", t + 1, t + 1, cap + 1 - level, "extra"),)
+    # a fetch holds its bytes from its start; past every task start, it also
+    # ends after its own task starts
+    p = trace.executions[-1]
+    p.actions += (MemAction("fetch_param", t + 1, t + 1, cap + 1 - level, "extra"),)
     assert verify_trace(trace, hw) == [
+        f"{p.task.task_id}: fetch_param of extra ends at {t + 1}, "
+        f"after the task starts at {p.t_start}",
         f"cluster0: shared memory at {cap + 1} B > {cap} B at cycle {t + 1} (extra)"]
 
 
 def test_verify_trace_catches_negative_residency_at_the_end():
     trace, hw = _desk_trace()
     t, level = _residency_tail(trace)
-    # a flush frees its bytes at its end
-    trace.executions[-1].actions += (MemAction("flush", t + 1, t + 1, level + 1, "extra"),)
-    assert verify_trace(trace, hw) == ["cluster0: negative residency at end (-1)"]
+    # a flush frees its bytes at its end; past every task start, it also ends
+    # after its own task starts
+    p = trace.executions[-1]
+    p.actions += (MemAction("flush", t + 1, t + 1, level + 1, "extra"),)
+    assert verify_trace(trace, hw) == [
+        f"{p.task.task_id}: flush of extra ends at {t + 1}, after the task starts at "
+        f"{p.t_start}", "cluster0: negative residency at end (-1)"]
 
 
 def _cold_digests(runs):
@@ -379,10 +396,10 @@ def test_energy_accounting_matches_independent_count():
         c = layer_cost(layer)
         if c.matrix is not None:
             expected += c.macs * phys.systolic_mac_pj[16] * 1e-12
-        for kind, count in c.vector_counts.items():
-            row = {"pool": "pooling", "activation": "lut", "softmax": "softmax",
-                   "layernorm": "etc", "add": "etc"}[kind]
-            expected += count * phys.vector_pj[row][32] * 1e-12
+        row = {OpType.POOL: "pooling", OpType.ACTIVATION: "lut", OpType.SOFTMAX: "softmax",
+               OpType.LAYERNORM: "etc", OpType.ELEMENTWISE_ADD: "etc"}.get(c.op)
+        if row is not None:
+            expected += c.vector_ops * phys.vector_pj[row][32] * 1e-12
     assert report.joules == expected  # zero tolerance
 
 
