@@ -99,9 +99,7 @@ def _cmd_simulate(args) -> int:
                                        report.request_latency.items()}},
                   f, indent=2, sort_keys=True)
     simulation.export_trace(trace, os.path.join(args.out, "trace.json"))
-    with open(os.path.join(args.out, "decisions.jsonl"), "w") as f:
-        encode = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(d, sort_keys=True)
-        f.writelines(encode(d) + "\n" for d in simulation.decision_rows(trace))
+    simulation.write_decisions(trace, os.path.join(args.out, "decisions.jsonl"))
     print(f"workload={workload.name} scheduler={args.scheduler} "
           f"makespan={report.makespan_cycles} cycles "
           f"tops={report.tops:.4f} tops_per_watt={report.tops_per_watt:.4f} "
@@ -163,22 +161,29 @@ def sweep_configs(spec: dict) -> list[dict]:
 
 
 def sweep_workloads(spec: dict) -> list[workloads.Workload]:
-    """The spec's ``workload_suite``: ``request_count``, a non-empty list of
-    ``seeds`` and ``model_params`` by the manifest's rule, each optional;
-    any other key raises ValueError."""
+    """The spec's ``workload_suite``: an integer ``request_count`` >= 1, a
+    non-empty list of distinct integer ``seeds`` >= 0 and ``model_params``
+    by the manifest's rule, each optional; a bad value or any other key
+    raises ValueError."""
     ws = spec.get("workload_suite", {})
     for key in ws:
         if key not in ("request_count", "seeds", "model_params"):
             raise ValueError(f"unknown workload_suite key {key!r} "
                              f"(known: request_count, seeds, model_params)")
-    seeds = tuple(ws.get("seeds", (1, 2, 3)))
-    if not seeds:
-        raise ValueError("workload_suite seeds is empty: the sweep would run no point")
+    seeds = ws.get("seeds", [1, 2, 3])
+    if (not isinstance(seeds, list) or not seeds
+            or any(type(s) is not int or s < 0 for s in seeds) or len(set(seeds)) < len(seeds)):
+        raise ValueError(f"workload_suite seeds must be a non-empty list of distinct "
+                         f"integers >= 0, got {seeds!r}")
+    count = ws.get("request_count", 8)
+    if type(count) is not int or count < 1:
+        raise ValueError(f"workload_suite request_count must be an integer >= 1, "
+                         f"got {count!r}")
     params = ws.get("model_params")
     if params is not None:
         workloads.check_model_params(params, "workload_suite")
-    return workloads.standard_suite(request_count=ws.get("request_count", 8),
-                                    seeds=seeds, model_params=params)
+    return workloads.standard_suite(request_count=count, seeds=tuple(seeds),
+                                    model_params=params)
 
 
 # every sweep point runs at the simulator's default working-set budget

@@ -326,7 +326,7 @@ def trace_digest(trace: TraceLog) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-# trace events export_trace builds and encodes per write
+# trace events export_trace builds per write
 _EXPORT_CHUNK = 1024
 
 
@@ -336,7 +336,7 @@ def export_trace(trace: TraceLog, path: str) -> None:
     trace viewers."""
     to_us = 1e6 / trace.meta["clock_hz"]
     # (sort key, record) rows; a stable sort keeps full ties in record order,
-    # and event dicts exist one chunk at a time
+    # and event texts exist one chunk at a time
     rows = [((p.t_start * to_us, str(p.cluster), p.proc.name,
               f"{p.task.task_id} {p.task.cost.op.name}"), p.cluster, p)
             for p in trace.executions]
@@ -352,19 +352,42 @@ def export_trace(trace: TraceLog, path: str) -> None:
         for i in range(0, len(rows), _EXPORT_CHUNK):
             events = [_trace_event(ts, tid, name, ci, r, to_us)
                       for (ts, _, tid, name), ci, r in rows[i:i + _EXPORT_CHUNK]]
-            f.write(("," if i else "") + encode(events)[1:-1])
+            f.write(("," if i else "") + ",".join(events))
         f.write("]}")
 
 
-def _trace_event(ts: float, tid: str, name: str, ci: int, r, to_us: float) -> dict:
+# The encoder's text for an event or a decision row, keys in sorted order:
+# strings through its escaper, numbers through %r (int.__repr__ and
+# float.__repr__, as the encoder writes them; %d would truncate a float).
+# tests/support.py keeps the dict writers these must match byte for byte.
+_esc = json.encoder.encode_basestring_ascii
+_TASK_EVENT = ('{"args":{"cycles":%r,"layer":%r,"macs":%r,"request":%r},"cat":%s,'
+               '"dur":%r,"name":%s,"ph":"X","pid":%r,"tid":%s,"ts":%r}')
+_MEMORY_EVENT = ('{"args":{"bytes":%r,"key":%s},"cat":"memory","dur":%r,"name":%s,'
+                 '"ph":"X","pid":%r,"tid":%s,"ts":%r}')
+_DECISION = ('{"processor": %s, "queue": %r, "t_comp": %r, "t_end": %r, "t_idle": %r, '
+             '"t_mem": %r, "t_proc": %r, "t_start": %r, "t_task": %r, "task": %s, '
+             '"time": %r}\n')
+
+
+def _trace_event(ts: float, tid: str, name: str, ci: int, r, to_us: float) -> str:
     if isinstance(r, MemAction):
-        cat, args, cycles = "memory", {"bytes": r.bytes, "key": str(r.key)}, r.end - r.start
-    else:
-        task, cycles = r.task, r.t_end - r.t_start
-        cat, args = task.cost.op.name, {"request": task.request_id, "layer": task.layer_id,
-                                        "macs": task.cost.macs, "cycles": cycles}
-    return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": cycles * to_us,
-            "pid": ci, "tid": tid, "args": args}
+        return _MEMORY_EVENT % (r.bytes, _esc(str(r.key)), (r.end - r.start) * to_us,
+                                _esc(name), ci, _esc(tid), ts)
+    task, cycles = r.task, r.t_end - r.t_start
+    return _TASK_EVENT % (cycles, task.layer_id, task.cost.macs, task.request_id,
+                          _esc(task.cost.op.name), cycles * to_us, _esc(name), ci,
+                          _esc(tid), ts)
+
+
+def write_decisions(trace: TraceLog, path: str) -> None:
+    """Write ``decision_rows`` as JSON lines, each the text
+    ``json.dumps(row, sort_keys=True)`` gives."""
+    with open(path, "w") as f:
+        f.writelines(_DECISION % (_esc(p.proc.name), p.queue, p.t_comp, p.t_end, p.t_idle,
+                                  p.t_mem, p.t_proc, p.t_start, p.t_task,
+                                  _esc(p.task.task_id), p.t_start)
+                     for p in sorted(trace.executions, key=attrgetter("cluster")))
 
 
 def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:

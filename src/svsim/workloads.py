@@ -16,6 +16,8 @@ from .models import CNN_MODELS, TRANSFORMER_MODELS
 
 RATIO_GRID = tuple(round(r / 10, 1) for r in range(11))
 
+ARRIVAL_MODELS = ("batch", "rate")
+
 DEFAULT_MODEL_PARAMS = {"image_size": 224, "seq_len": 128,
                         "depth_reduction": 4, "batch": 1}
 
@@ -50,7 +52,7 @@ def generate(cnn_ratio: float, request_count: int, seed: int, *,
         raise ValueError("request_count must be >= 1")
     if not any(abs(cnn_ratio - g) < 1e-9 for g in RATIO_GRID):
         raise ValueError(f"cnn_ratio must be on the 10% grid, got {cnn_ratio}")
-    if arrival_model not in ("batch", "rate"):
+    if arrival_model not in ARRIVAL_MODELS:
         raise ValueError(f"unknown arrival model {arrival_model!r}")
     rng = random.Random(seed * 1_000_003
                         + round(cnn_ratio * 10) * 1_009 + request_count)
@@ -109,7 +111,8 @@ def load_manifest(path: str) -> Workload:
     """Read a manifest file; a bad document raises ValueError naming the
     field.  Requests need unique integer ``request_id``s, string ``model``s
     and integer ``arrival_cycle``s; counts and ``model_params`` are >= 0, and
-    ``model_params`` holds only the keys of ``DEFAULT_MODEL_PARAMS``."""
+    ``model_params`` holds only the keys of ``DEFAULT_MODEL_PARAMS``.  The
+    ``name`` is a string and the ``arrival_model`` one of ``ARRIVAL_MODELS``."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict) or not isinstance(doc.get("requests"), list):
@@ -126,5 +129,11 @@ def load_manifest(path: str) -> Workload:
     seed = _non_negative("seed", doc.get("seed", 0))
     cnn_ratio = float(_non_negative("cnn_ratio", doc.get("cnn_ratio", 0.0), (int, float)))
     count = _non_negative("request_count", doc.get("request_count", len(requests)))
-    return Workload(doc.get("name", "workload"), seed, cnn_ratio, count, requests,
-                    doc.get("arrival_model", "batch"), dict(params))
+    name = doc.get("name", "workload")
+    if not isinstance(name, str):
+        raise ValueError(f"manifest name must be a string, got {name!r}")
+    arrival_model = doc.get("arrival_model", "batch")
+    if arrival_model not in ARRIVAL_MODELS:
+        raise ValueError(f"manifest arrival_model must be one of {ARRIVAL_MODELS}, "
+                         f"got {arrival_model!r}")
+    return Workload(name, seed, cnn_ratio, count, requests, arrival_model, dict(params))

@@ -1,5 +1,6 @@
 """Shared test helpers: hardware builders, synthetic task instances, a
-bare cluster-table driver, and the exhaustive-search makespan oracle."""
+bare cluster-table driver, the exhaustive-search makespan oracle, and the
+reference writers of trace.json and decisions.jsonl."""
 
 from __future__ import annotations
 
@@ -8,11 +9,13 @@ import dataclasses
 import json
 import os
 import random
+from operator import itemgetter
 
 from svsim.costs import TaskCost, task_cycles
 from svsim.hardware import MB, ClusterConfig, CycleConstants, HardwareConfig
-from svsim.scheduling import (ClusterTable, NoReadyTask, SCHEDULERS,
+from svsim.scheduling import (ClusterTable, MemAction, NoReadyTask, SCHEDULERS,
                               SubLayerTask)
+from svsim.simulation import decision_rows
 from svsim.umf import OpType
 
 CC = CycleConstants()
@@ -214,3 +217,45 @@ def exhaustive_min_makespan(hw, queues_by_request):
 
 
 SMALL_HW = make_hw(1, make_cluster(1, 16, 1, 64, 1 << 40))
+
+
+# --- reference output writers: a dict per event or row through the encoder ----------
+
+def _reference_event(ts, tid, name, ci, r, to_us) -> dict:
+    if isinstance(r, MemAction):
+        cat, args, cycles = "memory", {"bytes": r.bytes, "key": str(r.key)}, r.end - r.start
+    else:
+        task, cycles = r.task, r.t_end - r.t_start
+        cat, args = task.cost.op.name, {"request": task.request_id, "layer": task.layer_id,
+                                        "macs": task.cost.macs, "cycles": cycles}
+    return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": cycles * to_us,
+            "pid": ci, "tid": tid, "args": args}
+
+
+def reference_trace_json(trace) -> bytes:
+    """The bytes ``export_trace`` must write: its rows and stable sort, each
+    event a dict, chunks through ``JSONEncoder(sort_keys=True,
+    separators=(",", ":"))``."""
+    to_us = 1e6 / trace.meta["clock_hz"]
+    rows = [((p.t_start * to_us, str(p.cluster), p.proc.name,
+              f"{p.task.task_id} {p.task.cost.op.name}"), p.cluster, p)
+            for p in trace.executions]
+    rows += [((a.start * to_us, str(p.cluster), "hbm", f"{a.kind} {a.bytes}B"), p.cluster, a)
+             for p in trace.executions for a in p.actions if a.kind != "flush"]
+    rows.sort(key=itemgetter(0))
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    other = {k: str(v) for k, v in trace.meta.items()}
+    parts = [f'{{"displayTimeUnit":"ms","otherData":{encode(other)},"traceEvents":[']
+    for i in range(0, len(rows), 1024):
+        events = [_reference_event(ts, tid, name, ci, r, to_us)
+                  for (ts, _, tid, name), ci, r in rows[i:i + 1024]]
+        parts.append(("," if i else "") + encode(events)[1:-1])
+    parts.append("]}")
+    return "".join(parts).encode()
+
+
+def reference_decisions(trace) -> bytes:
+    """The bytes ``write_decisions`` must write: ``json.dumps(row,
+    sort_keys=True)`` per ``decision_rows`` row, one a line."""
+    return "".join(json.dumps(row, sort_keys=True) + "\n"
+                   for row in decision_rows(trace)).encode()

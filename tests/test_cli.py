@@ -245,6 +245,9 @@ def _requests(*ids_and_arrivals):
     ({"requests": _requests((0, 0), (0, 0))}, "unique"),
     ({"requests": _requests((0, -5))}, "arrival_cycle"),
     ({"requests": _requests((0, 0)), "model_params": {"seq_length": 256}}, "seq_length"),
+    # each ran, and a list name reached the trace meta as its repr
+    ({"requests": _requests((0, 0)), "name": ["x"]}, "name"),
+    ({"requests": _requests((0, 0)), "arrival_model": "poisson"}, "arrival_model"),
 ])
 def test_simulate_bad_manifest_exit_code(tmp_path, capsys, doc, word):
     path = tmp_path / "w.json"
@@ -314,6 +317,9 @@ OUTPUT_PINS = {
     "desk4_rate": ("670419dd4993ffe4a5432dfb65eb2c43c568b0daea7fca9581e8b1f7b8b328e1",
                    "48eeed8c8c9ac27af9588714229cf4219ce7f938687f47aeb8227ac75f5f4989",
                    "ed47ed170c51643c095e507b412f920d7a25b065cf4df310604871041f7850f0"),
+    "desk4_rate_rr": ("5ca1b11e6ea83ee841615f246076ab02a9d8bf69e98f65829a2d8dc0e81fbf01",
+                      "be5e82165945063fcabf1f9d8efc99e0edcc9bbb595ecf727d8141b344de8cae",
+                      "a1531e5245dcbaecaae59472f770c5ec9c30278ece7b4b2888632ab734df6ace"),
 }
 
 
@@ -331,7 +337,9 @@ def test_simulate_output_bytes_pinned(tmp_path, name):
         save_manifest(generate(0.5, 16, 1, arrival_model="rate",
                                arrival_interval=3_000_000), str(w))
     out = tmp_path / "out"
-    assert main(["simulate", "--workload", str(w), "--hw", str(hw), "--out", str(out)]) == 0
+    scheduler = "rr" if name.endswith("_rr") else "has"
+    assert main(["simulate", "--workload", str(w), "--hw", str(hw), "--scheduler", scheduler,
+                 "--out", str(out)]) == 0
     got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                 for f in ("report.json", "trace.json", "decisions.jsonl"))
     assert got == OUTPUT_PINS[name]
@@ -440,7 +448,17 @@ def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
                                       ({"workload_suite": {"model_params":
                                                            {"seq_length": 256}}},
                                        "'seq_length'"),
-                                      ({"workload_suite": {"seeds": []}}, "seeds")])
+                                      ({"workload_suite": {"seeds": []}}, "seeds"),
+                                      # each ran, or ended in a TypeError text
+                                      ({"workload_suite": {"seeds": [1.5]}}, "seeds"),
+                                      ({"workload_suite": {"seeds": [True]}}, "seeds"),
+                                      ({"workload_suite": {"seeds": [1, 1]}}, "seeds"),
+                                      ({"workload_suite": {"seeds": [-1]}}, "seeds"),
+                                      ({"workload_suite": {"seeds": "ab"}}, "seeds"),
+                                      ({"workload_suite": {"request_count": True}},
+                                       "request_count"),
+                                      ({"workload_suite": {"request_count": 1.5}},
+                                       "request_count")])
 def test_sweep_rejects_bad_spec_before_any_point(tmp_path, capsys, doc, word):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**tiny_spec(), **doc}))

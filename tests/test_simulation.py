@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from operator import attrgetter, itemgetter
 
 import pytest
@@ -19,10 +20,12 @@ from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, MemActio
                               StalledRun, SubLayerTask, UnpartitionableLayer)
 from svsim import simulation
 from svsim.simulation import (ResidencyEvent, compute_report, energy_from_trace,
-                              export_trace, run, trace_digest, verify_trace)
-from svsim.workloads import RATIO_GRID, Request, Workload, generate, standard_suite
+                              export_trace, run, trace_digest, verify_trace,
+                              write_decisions)
+from svsim.workloads import (RATIO_GRID, Request, Workload, generate, load_manifest,
+                             standard_suite)
 
-from support import make_cluster, make_hw
+from support import make_cluster, make_hw, reference_decisions, reference_trace_json
 
 PHYS = PhysicalModel()
 DESK_HW = os.path.join(os.path.dirname(__file__), "..", "configs", "desk_hw.json")
@@ -656,3 +659,78 @@ def test_random_runs_complete_clean_or_raise_a_typed_error(doc, workload, schedu
         return
     assert all(r.completed >= 0 for r in trace.requests)
     assert verify_trace(trace, hw) == []
+
+
+# --- output text against the encoder ---------------------------------------------
+
+def _assert_outputs_match_the_encoder(trace):
+    # export_trace and write_decisions write the bytes the dict writers of
+    # tests/support.py write through the JSON encoder
+    with tempfile.TemporaryDirectory() as d:
+        trace_path, decisions_path = os.path.join(d, "t.json"), os.path.join(d, "d.jsonl")
+        export_trace(trace, trace_path)
+        write_decisions(trace, decisions_path)
+        with open(trace_path, "rb") as f:
+            assert f.read() == reference_trace_json(trace)
+        with open(decisions_path, "rb") as f:
+            assert f.read() == reference_decisions(trace)
+
+
+def _renamed_alexnet(name):
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "alexnet.json")) as f:
+        return dataclasses.replace(ingest_graph(f.read()), name=name)
+
+
+ODD_NAME = 'al"ex\\é☃'
+
+
+@pytest.mark.parametrize("case,scheduler", [("desk", "rr"), ("desk", "has"),
+                                            ("desk4_rate", "has"), ("empty", "has")])
+def test_output_text_matches_the_encoder(tmp_path, case, scheduler):
+    with open(DESK_HW) as f:
+        doc = json.load(f)
+    if case == "desk":  # the desk suite's ratio050 workload
+        w = standard_suite(16, seeds=(1,))[5]
+    elif case == "desk4_rate":  # the four-cluster stream of test_cli's OUTPUT_PINS
+        doc["clusters"] *= 4
+        w = generate(0.5, 16, 1, arrival_model="rate", arrival_interval=3_000_000)
+    else:
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"requests": []}))
+        w = load_manifest(str(path))
+    trace, _ = run(w, load_hw_config(doc), scheduler=scheduler)
+    _assert_outputs_match_the_encoder(trace)
+    if case == "empty":
+        assert reference_trace_json(trace).endswith(b'"traceEvents":[]}')
+        assert reference_decisions(trace) == b""
+    else:
+        assert len(trace.executions) + len(trace.transfers) > 1024  # several chunks
+
+
+@pytest.mark.parametrize("clock_mhz", [800, 933, 1000])
+@pytest.mark.parametrize("scheduler", ["rr", "has"])
+def test_output_text_escapes_names_as_the_encoder(clock_mhz, scheduler):
+    # the graph's name reaches the trace through every parameter key
+    graph = _renamed_alexnet(ODD_NAME)
+    w = Workload(name=ODD_NAME, seed=0, cnn_ratio=1.0, request_count=2,
+                 requests=(Request(0, ODD_NAME, 0), Request(1, ODD_NAME, 0)),
+                 model_params={})
+    with open(DESK_HW) as f:
+        doc = json.load(f)
+    trace, _ = run(w, load_hw_config({**doc, "clock_mhz": clock_mhz}),
+                   scheduler=scheduler, graphs={ODD_NAME: graph})
+    assert any(repr(ODD_NAME) in str(a.key) for a in trace.transfers)
+    _assert_outputs_match_the_encoder(trace)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hw_docs, workloads(), st.sampled_from(["rr", "has"]),
+       st.integers(1, 3000) | st.floats(1, 3000))
+def test_output_text_matches_the_encoder_on_random_runs(doc, workload, scheduler, clock_mhz):
+    # a clock that is not round makes every ts and dur a float with a long repr
+    hw = load_hw_config({**doc, "clock_mhz": clock_mhz})
+    try:
+        trace, _ = run(workload, hw, scheduler=scheduler)
+    except (UnpartitionableLayer, CapacityDeadlock, ModelError):
+        return
+    _assert_outputs_match_the_encoder(trace)

@@ -65,8 +65,8 @@ def test_standard_suite_shape():
 
 
 def test_manifest_round_trip(tmp_path):
-    w = generate(0.3, 12, seed=4)
     path = tmp_path / "w.json"
-    save_manifest(w, str(path))
-    loaded = load_manifest(str(path))
-    assert loaded == w
+    for w in (generate(0.3, 12, seed=4),
+              generate(0.5, 4, seed=0, arrival_model="rate", arrival_interval=10)):
+        save_manifest(w, str(path))
+        assert load_manifest(str(path)) == w
