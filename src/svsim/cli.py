@@ -86,8 +86,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: --out {args.out} is not a directory", file=sys.stderr)
         return EXIT_USAGE
     try:
-        trace, report = simulation.run(workload, hw, scheduler=args.scheduler,
-                                       seed=args.seed, alpha=args.alpha)
+        trace, report = simulation.run(workload, hw, scheduler=args.scheduler)
     except models.ModelError as e:  # a model name or parameter in the manifest
         print(f"error: bad input: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -124,19 +123,45 @@ SWEEP_DEFAULTS = {
 }
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 1  # a bool is not a count
+
+
 def load_sweep_spec(source) -> dict:
-    """A sweep spec from a JSON path or dict, over ``SWEEP_DEFAULTS``; the
-    caller's dict is left as it was.  A key outside ``SWEEP_DEFAULTS``
-    raises ValueError."""
+    """A checked sweep spec from a JSON path or dict, over ``SWEEP_DEFAULTS``
+    (the caller's dict is left as it was): ``arrays`` and ``vectors`` are
+    lists of [count, size] pairs and ``clusters`` a list of counts (integers
+    >= 1), the scheduler is one of ``simulation.SCHEDULERS``, the workload
+    suite passes ``sweep_workloads`` and every config ``load_hw_config``.
+    A bad document raises ValueError naming the key, or ConfigError."""
     if isinstance(source, dict):
         doc = source
     else:
         with open(source) as f:
             doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a sweep spec is a JSON object, got {doc!r}")
     for key in doc:
         if key not in SWEEP_DEFAULTS:
             raise ValueError(f"unknown key {key!r} (known: {', '.join(SWEEP_DEFAULTS)})")
-    return {**copy.deepcopy(SWEEP_DEFAULTS), **doc}
+    spec = {**copy.deepcopy(SWEEP_DEFAULTS), **doc}
+    for key in ("arrays", "vectors"):
+        if not isinstance(spec[key], list) or not all(
+                isinstance(p, list) and len(p) == 2 and _is_count(p[0]) for p in spec[key]):
+            raise ValueError(f"{key} must be a list of [count, size] pairs, each count "
+                             f"an integer >= 1, got {spec[key]!r}")
+    if not isinstance(spec["clusters"], list) or not all(map(_is_count, spec["clusters"])):
+        raise ValueError(f"clusters must be a list of integers >= 1, got {spec['clusters']!r}")
+    if not isinstance(spec["shared_mem_mb"], list):
+        raise ValueError(f"shared_mem_mb must be a list, got {spec['shared_mem_mb']!r}")
+    if not isinstance(spec["scheduler"], str) or spec["scheduler"] not in simulation.SCHEDULERS:
+        raise ValueError(f"unknown scheduler {spec['scheduler']!r}")
+    if not isinstance(spec["workload_suite"], dict):
+        raise ValueError(f"workload_suite must be an object, got {spec['workload_suite']!r}")
+    for cfg in sweep_configs(spec):
+        hardware.load_hw_config(cfg["hw"])
+    sweep_workloads(spec)
+    return spec
 
 
 def sweep_configs(spec: dict) -> list[dict]:
@@ -186,10 +211,6 @@ def sweep_workloads(spec: dict) -> list[workloads.Workload]:
                                     model_params=params)
 
 
-# every sweep point runs at the simulator's default working-set budget
-SWEEP_ALPHA = 0.5
-
-
 @functools.lru_cache(maxsize=None)
 def code_digest() -> str:
     """sha256 over the bytes of every ``svsim/*.py`` module, once per process."""
@@ -204,9 +225,9 @@ def code_digest() -> str:
 
 def point_key(cfg: dict, workload: workloads.Workload, scheduler: str) -> str:
     """sha256 of everything that determines a sweep point's row: the
-    hardware document, the workload, the scheduler, alpha and the code."""
+    hardware document, the workload, the scheduler and the code."""
     doc = {"hw": cfg["hw"], "workload": dataclasses.asdict(workload),
-           "scheduler": scheduler, "alpha": SWEEP_ALPHA, "code": code_digest()}
+           "scheduler": scheduler, "code": code_digest()}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -214,8 +235,7 @@ def point_key(cfg: dict, workload: workloads.Workload, scheduler: str) -> str:
 def run_sweep_point(cfg: dict, workload: workloads.Workload,
                     scheduler: str) -> dict:
     hw = hardware.load_hw_config(cfg["hw"])
-    _, report = simulation.run(workload, hw, scheduler=scheduler,
-                               alpha=SWEEP_ALPHA)
+    _, report = simulation.run(workload, hw, scheduler=scheduler)
     return {"config": cfg["label"], "workload": workload.name,
             "cnn_ratio": workload.cnn_ratio, "seed": workload.seed,
             "scheduler": scheduler, "tops": report.tops,
@@ -248,16 +268,16 @@ def _load_point(path: str, key: str) -> dict | None:
     return row if isinstance(row, dict) and row.get("key") == key else None
 
 
-def run_sweep(spec: dict, out_dir: str, *, scheduler: str | None = None,
-              parallelism: int = 1, sample: float = 1.0) -> tuple[list[dict], list[str]]:
-    """Run (or resume) a sweep; returns (rows, failures).
+def run_sweep(spec: dict, out_dir: str, *, parallelism: int = 1,
+              sample: float = 1.0) -> tuple[list[dict], list[str]]:
+    """Run (or resume) a sweep of a loaded spec; returns (rows, failures).
 
     Every point is cached as a JSON record named and stamped with its
     ``point_key``, so an interrupted sweep resumes, a point whose inputs
     changed is recomputed, and merged results are independent of the
     worker count.
     """
-    scheduler = scheduler or spec["scheduler"]
+    scheduler = spec["scheduler"]
     points_dir = os.path.join(out_dir, "points")
     os.makedirs(points_dir, exist_ok=True)
     configs = sweep_configs(spec)
@@ -313,30 +333,19 @@ def read_results_csv(path: str) -> list[dict]:
         return list(csv.DictReader(f))
 
 
-def check_sweep_spec(spec: dict, scheduler: str) -> None:
-    """Raise on a spec that would fail at every point: a malformed axis, an
-    unsupported hardware value, a bad workload suite or an unknown
-    scheduler."""
-    for cfg in sweep_configs(spec):
-        hardware.load_hw_config(cfg["hw"])
-    sweep_workloads(spec)
-    if scheduler not in simulation.SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-
-
 def _cmd_sweep(args) -> int:
     try:
-        spec = load_sweep_spec(args.spec) if args.spec else load_sweep_spec({})
-        check_sweep_spec(spec, args.scheduler or spec["scheduler"])
-    except (OSError, hardware.ConfigError, AttributeError, KeyError,
-            TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        spec = load_sweep_spec(args.spec or {})
+    except (OSError, hardware.ConfigError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error: bad sweep spec: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if args.scheduler:
+        spec["scheduler"] = args.scheduler
     if os.path.exists(args.out) and not os.path.isdir(args.out):
         print(f"error: --out {args.out} is not a directory", file=sys.stderr)
         return EXIT_USAGE
-    rows, failures = run_sweep(spec, args.out, scheduler=args.scheduler,
-                               parallelism=args.parallelism, sample=args.sample)
+    rows, failures = run_sweep(spec, args.out, parallelism=args.parallelism,
+                               sample=args.sample)
     print(f"sweep complete: {len(rows)} rows -> {args.out}/results.csv")
     if failures:
         print(f"{len(failures)} failed points:", file=sys.stderr)
@@ -449,17 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run one workload")
     s.add_argument("--workload", required=True)
     s.add_argument("--hw", required=True)
-    s.add_argument("--scheduler", choices=("rr", "has"), default="has")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--alpha", type=_fraction("alpha"), default=0.5,
-                   help="working-set budget per task, a fraction in (0, 1] "
-                        "of shared memory")
+    s.add_argument("--scheduler", choices=tuple(simulation.SCHEDULERS), default="has")
     s.add_argument("--out", default="out")
     s.set_defaults(fn=_cmd_simulate)
 
     w = sub.add_parser("sweep", help="design-space exploration sweep")
     w.add_argument("--spec", help="sweep spec JSON (defaults to the full single-cluster space)")
-    w.add_argument("--scheduler", choices=("rr", "has"))
+    w.add_argument("--scheduler", choices=tuple(simulation.SCHEDULERS))
     w.add_argument("--parallelism", type=_workers, default=1)
     w.add_argument("--sample", type=_fraction("sample"), default=1.0,
                    help="run a deterministic sample, a fraction in (0, 1], of the points")

@@ -148,9 +148,12 @@ def _slice_layer(layer: LayerNode, cost: TaskCost, n: int) -> list[LayerSlice]:
     return slices
 
 
-def partition_layer(layer: LayerNode, cluster: ClusterConfig,
-                    alpha: float) -> list[LayerSlice]:
-    """Split a layer until every slice's working set fits alpha * SM_SIZE.
+# the working-set budget of a task, as a fraction of its cluster's shared memory
+ALPHA = 0.5
+
+
+def partition_layer(layer: LayerNode, cluster: ClusterConfig) -> list[LayerSlice]:
+    """Split a layer until every slice's working set fits ALPHA * SM_SIZE.
 
     Matrix layers slice along output columns/channels (weights split, input
     shared) so each slice keeps its weights resident for its whole run;
@@ -158,7 +161,7 @@ def partition_layer(layer: LayerNode, cluster: ClusterConfig,
     along their elements.
     """
     cost = layer_cost(layer)
-    cap = int(alpha * cluster.shared_mem_bytes)
+    cap = int(ALPHA * cluster.shared_mem_bytes)
     ws = cost.param_bytes + cost.act_in_bytes + cost.act_out_bytes
     if ws <= cap:
         return _slice_layer(layer, cost, 1)
@@ -196,12 +199,12 @@ def partition_layer(layer: LayerNode, cluster: ClusterConfig,
         n = min(n * 2, axis_limit)
 
 
-# per graph object, dropped with it: (shared-memory size, alpha) -> layer templates
+# per graph object, dropped with it: shared-memory size -> layer templates
 _TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def build_request_tasks(graph: ModelGraph, request_id: int,
-                        cluster: ClusterConfig, *, alpha: float) -> list[SubLayerTask]:
+                        cluster: ClusterConfig) -> list[SubLayerTask]:
     """Partition every layer of a request into dependency-wired tasks.
 
     Parameter residency keys are a pure function of (graph name, tensor,
@@ -209,16 +212,15 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
     entries; activations are keyed per request.
 
     Each layer's slices, parameter keys and cycle counts are a template
-    built once per process for (graph object, shared-memory size, alpha),
+    built once per process for (graph object, shared-memory size),
     everything the partitioner reads, and dropped with the graph.  A request
     only creates its task ids, dependencies and activations.
     """
-    key = (cluster.shared_mem_bytes, alpha)
     plans = _TEMPLATES.setdefault(graph, {})
-    layers = plans.get(key)
+    layers = plans.get(cluster.shared_mem_bytes)
     if layers is None:
-        layers = plans[key] = [_layer_plan(layer, cluster, alpha, graph)
-                               for layer in graph.layers]
+        layers = plans[cluster.shared_mem_bytes] = [_layer_plan(layer, cluster, graph)
+                                                    for layer in graph.layers]
     rtag = f"r{request_id}"
     tasks: list[SubLayerTask] = []
     layer_task_ids: dict[int, list[str]] = {}
@@ -249,11 +251,10 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
     return tasks
 
 
-def _layer_plan(layer: LayerNode, cluster: ClusterConfig, alpha: float,
-                graph: ModelGraph) -> tuple:
+def _layer_plan(layer: LayerNode, cluster: ClusterConfig, graph: ModelGraph) -> tuple:
     """A layer's template: its graph inputs as (input index, bytes), and per
     slice its cost, parameter residency keys and cycle counts."""
-    slices = partition_layer(layer, cluster, alpha)
+    slices = partition_layer(layer, cluster)
     n = len(slices)
     weight_ids = [t.tensor_id for t in layer.weight_inputs]
     ext_ids = {t.tensor_id: i for i, t in enumerate(graph.inputs)}

@@ -31,8 +31,9 @@ from .costs import VECTOR_OPS
 from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
                        energy_of, peak_performance, total_area)
 from .models import MATRIX_OPS, TRANSFORMER_MODELS, ModelGraph, builtin_model
-from .scheduling import (ClusterTable, MemAction, NoReadyTask, Placement, SCHEDULERS,
-                         StalledRun, build_request_tasks, load_balance)
+from .scheduling import (ALPHA, ClusterTable, MemAction, NoReadyTask, Placement,
+                         SCHEDULERS, StalledRun, build_request_tasks, load_balance)
+from .workloads import DEFAULT_MODEL_PARAMS
 
 # event kinds in tie-break order: completions are observed before new work
 _RANK = {"task_complete": 0, "wake": 1, "request_complete": 2, "request_arrival": 3}
@@ -114,33 +115,34 @@ def _cached_builtin(name: str, size: int, batch: int, depth: int) -> ModelGraph:
 
 
 def _graph_for(name: str, params: dict) -> ModelGraph:
+    """A builtin model by name; a key missing from ``params`` takes its default."""
     name = name.lower()  # a builtin's name is its lowercase name, whatever its case
-    size = (params.get("seq_len", 128) if name in TRANSFORMER_MODELS
-            else params.get("image_size", 224))
-    return _cached_builtin(name, size, params.get("batch", 1),
-                           params.get("depth_reduction", 1))
+    params = {**DEFAULT_MODEL_PARAMS, **params}
+    size = params["seq_len"] if name in TRANSFORMER_MODELS else params["image_size"]
+    return _cached_builtin(name, size, params["batch"], params["depth_reduction"])
 
 
-def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
-        *, graphs: dict[str, ModelGraph] | None = None,
-        alpha: float = 0.5) -> tuple[TraceLog, PerfReport]:
+def run(workload, hw: HardwareConfig, scheduler: str = "has", *,
+        graphs: dict[str, ModelGraph] | None = None) -> tuple[TraceLog, PerfReport]:
     """Simulate a workload and return its trace and performance report."""
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}; pick from "
                          f"{sorted(SCHEDULERS)}")
     policy = SCHEDULERS[scheduler]
-    params = dict(getattr(workload, "model_params", {}) or {})
     if graphs is None:
-        graphs = {r.model: _graph_for(r.model, params) for r in workload.requests}
+        graphs = {r.model: _graph_for(r.model, workload.model_params)
+                  for r in workload.requests}
     elif len({g.name for g in graphs.values()}) < len(set(graphs.values())):
         raise ValueError("two graphs share a name, so they would share weights")
 
     trace = TraceLog(meta={
-        "scheduler": scheduler, "seed": seed, "clock_hz": hw.clock_hz,
-        "workload": getattr(workload, "name", ""),
+        # "seed" is fixed: every pinned digest and perfbench/reference.json
+        # were recorded with it in the meta
+        "scheduler": scheduler, "seed": 0, "clock_hz": hw.clock_hz,
+        "workload": workload.name,
         "num_clusters": len(hw.clusters),
         "shared_mem_bytes": [cl.shared_mem_bytes for cl in hw.clusters],
-        "alpha": alpha,
+        "alpha": ALPHA,
     })
     tables = [ClusterTable(cl, hw) for cl in hw.clusters]
     capacity = [cl.num_task_queues for cl in hw.clusters]
@@ -166,7 +168,7 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", seed: int = 0,
     def dispatch(rid: int, target: int, now: int) -> None:
         rec = records[rid]
         table = tables[target]
-        tasks = build_request_tasks(graphs[rec.model], rid, table.cluster, alpha=alpha)
+        tasks = build_request_tasks(graphs[rec.model], rid, table.cluster)
         table.enqueue_request(rid, tasks)
         in_flight[target] += 1
         remaining[rid] = len(tasks)

@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from svsim import cli
 from svsim.cli import (compare_results, load_sweep_spec, main, read_results_csv,
                        run_sweep, sweep_configs, sweep_workloads)
+from svsim.hardware import ConfigError
 from svsim.models import builtin_model, to_umf
 from svsim.scheduling import SCHEDULERS, NoReadyTask
 from svsim.umf import FRAME_HEADER_SIZE, INFO_HEADER_SIZE, encode_frame
@@ -345,15 +347,6 @@ def test_simulate_output_bytes_pinned(tmp_path, name):
     assert got == OUTPUT_PINS[name]
 
 
-def test_simulate_rejects_alpha_outside_unit_interval(tmp_path):
-    w, hw = small_workload_file(tmp_path), small_hw_file(tmp_path)
-    for alpha in ("nan", "0", "1.5"):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--workload", w, "--hw", hw, "--alpha", alpha,
-                  "--out", str(tmp_path / "a")])
-        assert exc.value.code == 2
-
-
 # --- sweep ----------------------------------------------------------------------
 
 def tiny_spec():
@@ -405,11 +398,11 @@ def test_sweep_resumes_and_parallelism_invariant(tmp_path):
 def test_sweep_cache_keyed_by_scheduler(tmp_path):
     spec = load_sweep_spec(tiny_spec())
     out = str(tmp_path / "shared")
-    run_sweep(spec, out, scheduler="has")
-    rows, failures = run_sweep(spec, out, scheduler="rr")
+    run_sweep({**spec, "scheduler": "has"}, out)
+    rows, failures = run_sweep({**spec, "scheduler": "rr"}, out)
     assert failures == []
     assert {r["scheduler"] for r in rows} == {"rr"}
-    assert rows == run_sweep(spec, str(tmp_path / "fresh"), scheduler="rr")[0]
+    assert rows == run_sweep({**spec, "scheduler": "rr"}, str(tmp_path / "fresh"))[0]
 
 
 def test_sweep_cache_keyed_by_hardware(tmp_path):
@@ -458,7 +451,11 @@ def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
                                       ({"workload_suite": {"request_count": True}},
                                        "request_count"),
                                       ({"workload_suite": {"request_count": 1.5}},
-                                       "request_count")])
+                                       "request_count"),
+                                      # each ran with a bool count, as config aTruex32_...
+                                      ({"arrays": [[True, 32]]}, "arrays"),
+                                      # ... and as config ..._cTrue
+                                      ({"clusters": [True]}, "clusters")])
 def test_sweep_rejects_bad_spec_before_any_point(tmp_path, capsys, doc, word):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**tiny_spec(), **doc}))
@@ -468,6 +465,46 @@ def test_sweep_rejects_bad_spec_before_any_point(tmp_path, capsys, doc, word):
     assert err.startswith("error: bad sweep spec:") and word in err
     assert "Traceback" not in err
     assert not (out / "points").exists()
+
+
+def _spec_mutations(doc):
+    """(label, copy of ``doc``) with one top-level, ``workload_suite`` or
+    ``model_params`` key dropped or retyped, or one axis element retyped."""
+    for path in ((), ("workload_suite",), ("workload_suite", "model_params")):
+        for key in functools.reduce(dict.get, path, doc):
+            for value in ("drop", 5, "x", [], None, True, 1.5, {}):
+                bad = copy.deepcopy(doc)
+                node = functools.reduce(dict.get, path, bad)
+                if value == "drop":
+                    del node[key]
+                else:
+                    node[key] = value
+                yield f"{'.'.join(path + (key,))} {value!r}", bad
+    for axis in ("arrays", "vectors", "shared_mem_mb", "clusters"):
+        for i in range(len(doc[axis])):
+            for value in (5, "x", [], None, True, 1.5, [True, 32], [2, 32, 1], [2.0, 32]):
+                bad = copy.deepcopy(doc)
+                bad[axis][i] = value
+                yield f"{axis}[{i}] {value!r}", bad
+
+
+def test_sweep_spec_mutations_load_or_raise_value_or_config_error():
+    # the sweep-spec counterpart of test_models' ingest mutations: no Python
+    # error escapes the one check and no bool count reaches a config label
+    with open(SWEEP_SPEC) as f:
+        doc = json.load(f)
+    count = 0
+    for label, bad in _spec_mutations(doc):
+        count += 1
+        try:
+            spec = load_sweep_spec(bad)
+        except (ValueError, ConfigError):
+            continue
+        except Exception as e:
+            pytest.fail(f"{label} escaped load_sweep_spec as {e!r}")
+        labels = [cfg["label"] for cfg in sweep_configs(spec)]
+        assert not [x for x in labels if "True" in x or "False" in x], label
+    assert count == 272
 
 
 def _one_request_spec(tmp_path, **changes):
@@ -503,6 +540,24 @@ def test_sweep_cli_rejects_unknown_scheduler(tmp_path, capsys):
     out = tmp_path / "out"
     spec = _one_request_spec(tmp_path, scheduler="fifo")
     assert main(["sweep", "--spec", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad sweep spec:") and err.count("\n") == 1
+    assert "fifo" in err and not out.exists()
+
+
+def test_sweep_cli_scheduler_overrides_the_spec(tmp_path):
+    out = tmp_path / "out"
+    spec = _one_request_spec(tmp_path, scheduler="has")
+    assert main(["sweep", "--spec", spec, "--scheduler", "rr", "--out", str(out)]) == 0
+    rows = read_results_csv(str(out / "results.csv"))
+    assert len(rows) == 11 and {r["scheduler"] for r in rows} == {"rr"}
+
+
+def test_sweep_cli_rejects_unknown_scheduler_in_spec_under_override(tmp_path, capsys):
+    # the spec is checked as written; --scheduler does not excuse a bad one
+    out = tmp_path / "out"
+    spec = _one_request_spec(tmp_path, scheduler="fifo")
+    assert main(["sweep", "--spec", spec, "--scheduler", "rr", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad sweep spec:") and err.count("\n") == 1
     assert "fifo" in err and not out.exists()

@@ -37,13 +37,13 @@ def fc_layer(in_features, out_features, precision="int8"):
 def test_small_layer_is_single_subtask():
     cluster = make_cluster(1, 16, 1, 16, 45)
     layer = fc_layer(512, 2048)  # 1 MiB of parameters
-    assert len(partition_layer(layer, cluster, 0.5)) == 1
+    assert len(partition_layer(layer, cluster)) == 1
 
 
 def test_large_fc_sliced_along_output_columns():
     cluster = make_cluster(1, 16, 1, 16, 45)
     layer = fc_layer(10240, 10240)  # 100 MiB of int8 parameters
-    slices = [s.cost for s in partition_layer(layer, cluster, 0.5)]
+    slices = [s.cost for s in partition_layer(layer, cluster)]
     assert len(slices) >= 5
     cap = 0.5 * 45 * MB
     for s in slices:
@@ -59,7 +59,7 @@ def test_unpartitionable_layer_raises():
     cluster = make_cluster(1, 16, 1, 16, 1)  # 1 MiB shared memory
     layer = fc_layer(2 * MB, 4)  # a single output column exceeds the budget
     with pytest.raises(UnpartitionableLayer):
-        partition_layer(layer, cluster, 0.5)
+        partition_layer(layer, cluster)
 
 
 def test_vector_layer_sliced_by_elements():
@@ -69,7 +69,7 @@ def test_vector_layer_sliced_by_elements():
         "inputs": [{"name": "x", "shape": [1024, 1024]}],
         "layers": [{"name": "a", "op": "Activation", "inputs": ["x"]}],
     })
-    slices = [s.cost for s in partition_layer(g.layers[0], cluster, 0.5)]
+    slices = [s.cost for s in partition_layer(g.layers[0], cluster)]
     assert len(slices) > 1
     assert sum(s.vector_ops for s in slices) == 1024 * 1024
 
@@ -79,12 +79,12 @@ def test_partition_memo_only_rekeys_requests():
     g = builtin_model("alexnet", depth_reduction=4)
     for rid in (0, 1):
         # a copy is another graph to the template cache: partitioned afresh
-        fresh = build_request_tasks(dataclasses.replace(g), rid, cluster, alpha=0.5)
-        templated = build_request_tasks(g, rid, cluster, alpha=0.5)
+        fresh = build_request_tasks(dataclasses.replace(g), rid, cluster)
+        templated = build_request_tasks(g, rid, cluster)
         assert templated == fresh
         assert not any(a.cost is b.cost for a, b in zip(templated, fresh))
-    t0 = build_request_tasks(g, 0, cluster, alpha=0.5)
-    t1 = build_request_tasks(g, 1, cluster, alpha=0.5)
+    t0 = build_request_tasks(g, 0, cluster)
+    t1 = build_request_tasks(g, 1, cluster)
     # two requests of one model share its slice costs and cycle counts
     assert all(a.cost is b.cost and a._cycles is b._cycles for a, b in zip(t0, t1))
 
@@ -92,7 +92,7 @@ def test_partition_memo_only_rekeys_requests():
 def test_templates_are_dropped_with_their_graph():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=8)
-    tasks = build_request_tasks(g, 0, cluster, alpha=0.5)
+    tasks = build_request_tasks(g, 0, cluster)
     gc.collect()  # so only this graph's entry can go below
     entries = len(_TEMPLATES)
     graph = weakref.ref(g)
@@ -105,8 +105,8 @@ def test_templates_are_dropped_with_their_graph():
 def test_request_tasks_share_weight_keys_across_requests():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=4)
-    t0 = build_request_tasks(g, 0, cluster, alpha=0.5)
-    t1 = build_request_tasks(g, 1, cluster, alpha=0.5)
+    t0 = build_request_tasks(g, 0, cluster)
+    t1 = build_request_tasks(g, 1, cluster)
     assert [t.param_keys for t in t0] == [t.param_keys for t in t1]
     assert all(k[0][0][0] == "w" for k in (t.param_keys for t in t0) if k)
     # activations are private per request
