@@ -130,9 +130,11 @@ def _is_count(value) -> bool:
 def load_sweep_spec(source) -> dict:
     """A checked sweep spec from a JSON path or dict, over ``SWEEP_DEFAULTS``
     (the caller's dict is left as it was): ``arrays`` and ``vectors`` are
-    lists of [count, size] pairs and ``clusters`` a list of counts (integers
-    >= 1), the scheduler is one of ``simulation.SCHEDULERS``, the workload
-    suite passes ``sweep_workloads`` and every config ``load_hw_config``.
+    non-empty lists of [count, size] pairs, ``clusters`` a non-empty list of
+    counts (integers >= 1) and ``shared_mem_mb`` a non-empty list, so there
+    is at least one config; the scheduler is one of ``simulation.SCHEDULERS``,
+    the workload suite passes ``sweep_workloads`` and every config
+    ``load_hw_config``.
     A bad document raises ValueError naming the key, or ConfigError."""
     if isinstance(source, dict):
         doc = source
@@ -146,14 +148,15 @@ def load_sweep_spec(source) -> dict:
             raise ValueError(f"unknown key {key!r} (known: {', '.join(SWEEP_DEFAULTS)})")
     spec = {**copy.deepcopy(SWEEP_DEFAULTS), **doc}
     for key in ("arrays", "vectors"):
-        if not isinstance(spec[key], list) or not all(
+        if not (isinstance(spec[key], list) and spec[key]) or not all(
                 isinstance(p, list) and len(p) == 2 and _is_count(p[0]) for p in spec[key]):
-            raise ValueError(f"{key} must be a list of [count, size] pairs, each count "
-                             f"an integer >= 1, got {spec[key]!r}")
-    if not isinstance(spec["clusters"], list) or not all(map(_is_count, spec["clusters"])):
-        raise ValueError(f"clusters must be a list of integers >= 1, got {spec['clusters']!r}")
-    if not isinstance(spec["shared_mem_mb"], list):
-        raise ValueError(f"shared_mem_mb must be a list, got {spec['shared_mem_mb']!r}")
+            raise ValueError(f"{key} must be a non-empty list of [count, size] pairs, "
+                             f"each count an integer >= 1, got {spec[key]!r}")
+    clusters = spec["clusters"]
+    if not (isinstance(clusters, list) and clusters) or not all(map(_is_count, clusters)):
+        raise ValueError(f"clusters must be a non-empty list of integers >= 1, got {clusters!r}")
+    if not (isinstance(spec["shared_mem_mb"], list) and spec["shared_mem_mb"]):
+        raise ValueError(f"shared_mem_mb must be a non-empty list, got {spec['shared_mem_mb']!r}")
     if not isinstance(spec["scheduler"], str) or spec["scheduler"] not in simulation.SCHEDULERS:
         raise ValueError(f"unknown scheduler {spec['scheduler']!r}")
     if not isinstance(spec["workload_suite"], dict):

@@ -324,6 +324,8 @@ class ClusterTable:
                                for i, size in enumerate(sizes)]
                         for kind, sizes in (("array", cluster.arrays),
                                             ("vector", cluster.vectors))}
+        # per kind: the processor that frees first (ties: lowest index); kept by commit
+        self.free = {kind: procs[0] for kind, procs in self.of_kind.items()}
         nq = cluster.num_task_queues
         self.queues: list[deque[SubLayerTask]] = [deque() for _ in range(nq)]
         self.queue_request: list[int | None] = [None] * nq
@@ -362,9 +364,6 @@ class ClusterTable:
         self.wake = -math.inf
 
     # -- table lookups ---------------------------------------------------------
-
-    def earliest_free(self, kind: str) -> Processor:
-        return min(self.of_kind[kind], key=attrgetter("busy_until"))  # ties: lowest index
 
     def _take_head_bounds(self, q: int) -> None:
         """Store the latest start and latest end among the dependencies of
@@ -510,7 +509,9 @@ class ClusterTable:
         if placement.actions and placement.actions[-1].end > self.channel_free:
             self.channel_free = placement.actions[-1].end
 
-        placement.proc.busy_until = t_end
+        proc = placement.proc
+        proc.busy_until = t_end
+        self.free[proc.kind] = min(self.of_kind[proc.kind], key=attrgetter("busy_until"))
         self.placed[task.task_id] = placement
         self.queues[placement.queue].popleft()
         self._take_head_bounds(placement.queue)
@@ -520,28 +521,27 @@ class ClusterTable:
 
 def _eviction_order(entries, protected: set, wanted: dict):
     """Unprotected entries lazily by (latest user end, key), then the still
-    wanted parameters in that order.  Keys are unique: entries never compare."""
-    heap = [(e.avail, e.key, e) for e in entries if e.key not in protected]
+    wanted parameters in that order, sorted only if the walk reaches them.
+    Keys are unique: entries never compare."""
+    heap = [(e.avail, e.key, e) for e in entries if e.kind == "act" or e.key not in wanted]
     heapq.heapify(heap)
-    deferred = []
     while heap:
         e = heapq.heappop(heap)[2]
-        if e.kind == "param" and e.key in wanted:
-            deferred.append(e)
-        else:
+        if e.key not in protected:
             yield e
-    yield from deferred
+    yield from sorted((e for e in entries
+                       if e.kind == "param" and e.key in wanted and e.key not in protected),
+                      key=attrgetter("avail", "key"))
 
 
 # ---------------------------------------------------------------------------
 # policies
 
-def _eligible_kinds(op: OpType, vector_slack: bool) -> tuple[str, ...]:
-    # vector processors can emulate matrix work; arrays run only matrix work;
-    # without slack the one kind left is the op's dedicated class
-    if op in MATRIX_OPS:
-        return ("vector", "array") if vector_slack else ("array",)
-    return ("vector",)
+# kinds that may run an op, without and with vector slack: vector processors emulate
+# matrix work, arrays run only matrix work; without slack, only the dedicated class
+_KINDS = {op: ((("array",), ("vector", "array")) if op in MATRIX_OPS
+               else (("vector",), ("vector",)))
+          for op in OpType}
 
 
 def _estimate(table: ClusterTable, q: int, task: SubLayerTask, proc: Processor,
@@ -585,14 +585,13 @@ def has_schedule(table: ClusterTable, now: int) -> Placement:
     nq = len(table.queues)
     vector_only = sum(1 for _, _, op, _ in heads if op in VECTOR_OPS)
     vector_slack = vector_only < len(table.of_kind["vector"])
-    free = {kind: table.earliest_free(kind) for kind in table.of_kind}
     best = None
     best_rank = None
     for q, task, op, t_task in heads:
         plan = table.plan_memory(task, now)
         nominated = None
-        for kind in _eligible_kinds(op, vector_slack):
-            p = _estimate(table, q, task, free[kind], plan, t_task, now)
+        for kind in _KINDS[op][vector_slack]:
+            p = _estimate(table, q, task, table.free[kind], plan, t_task, now)
             # the dedicated class wins end-time ties
             if nominated is None or p.t_end <= nominated.t_end:
                 nominated = p
@@ -613,7 +612,6 @@ def rr_schedule(table: ClusterTable, now: int) -> Placement:
     that are still being fetched or produced.
     """
     nq = len(table.queues)
-    free = {kind: table.earliest_free(kind) for kind in table.of_kind}
     not_before = math.inf
     for i in range(nq):
         q = (table.rr_ptr + i) % nq
@@ -621,7 +619,7 @@ def rr_schedule(table: ClusterTable, now: int) -> Placement:
         if not queue:
             continue
         task = queue[0]
-        proc = free[_eligible_kinds(task.cost.op, False)[0]]
+        proc = table.free[_KINDS[task.cost.op][False][0]]
         if proc.busy_until > now:
             not_before = min(not_before, proc.busy_until)
             continue

@@ -1,20 +1,23 @@
 """Shared test helpers: hardware builders, synthetic task instances, a
-bare cluster-table driver, the exhaustive-search makespan oracle, and the
-reference writers of trace.json and decisions.jsonl."""
+bare cluster-table driver, the exhaustive-search makespan oracle, the
+reference policies, and the reference writers of trace.json and
+decisions.jsonl."""
 
 from __future__ import annotations
 
 import copy
 import dataclasses
 import json
+import math
 import os
 import random
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from svsim.costs import TaskCost, task_cycles
+from svsim.costs import VECTOR_OPS, TaskCost, task_cycles
 from svsim.hardware import MB, ClusterConfig, CycleConstants, HardwareConfig
+from svsim.models import MATRIX_OPS
 from svsim.scheduling import (ClusterTable, MemAction, NoReadyTask, SCHEDULERS,
-                              SubLayerTask)
+                              SubLayerTask, _estimate)
 from svsim.simulation import decision_rows
 from svsim.umf import OpType
 
@@ -217,6 +220,80 @@ def exhaustive_min_makespan(hw, queues_by_request):
 
 
 SMALL_HW = make_hw(1, make_cluster(1, 16, 1, 64, 1 << 40))
+
+
+# --- reference policies: a min scan per kind and the eligible kinds per call ----------
+
+def _earliest_free(table, kind):
+    return min(table.of_kind[kind], key=attrgetter("busy_until"))  # ties: lowest index
+
+
+def _eligible_kinds(op, vector_slack):
+    if op in MATRIX_OPS:
+        return ("vector", "array") if vector_slack else ("array",)
+    return ("vector",)
+
+
+def reference_has_schedule(table, now):
+    """``has_schedule`` as it was before the table kept each kind's
+    earliest-free processor: it scans every processor on each call."""
+    heads = []
+    not_before = math.inf
+    for q, queue in enumerate(table.queues):
+        if queue:
+            dep_start, dep_end = table.head_bounds[q]
+            if dep_start <= now:
+                task = queue[0]
+                heads.append((q, task, task.cost.op, dep_end))
+            elif dep_start < not_before:
+                not_before = dep_start
+    if not heads:
+        raise NoReadyTask("no candidate tasks", not_before)
+    nq = len(table.queues)
+    vector_only = sum(1 for _, _, op, _ in heads if op in VECTOR_OPS)
+    vector_slack = vector_only < len(table.of_kind["vector"])
+    free = {kind: _earliest_free(table, kind) for kind in table.of_kind}
+    best = None
+    best_rank = None
+    for q, task, op, t_task in heads:
+        plan = table.plan_memory(task, now)
+        nominated = None
+        for kind in _eligible_kinds(op, vector_slack):
+            p = _estimate(table, q, task, free[kind], plan, t_task, now)
+            if nominated is None or p.t_end <= nominated.t_end:
+                nominated = p
+        rank = (nominated.t_idle, (q - table.rr_ptr) % nq)
+        if best_rank is None or rank < best_rank:
+            best_rank = rank
+            best = nominated
+    table.commit(best)
+    return best
+
+
+def reference_rr_schedule(table, now):
+    """``rr_schedule`` as it was before the table kept each kind's
+    earliest-free processor: it scans every processor on each call."""
+    nq = len(table.queues)
+    free = {kind: _earliest_free(table, kind) for kind in table.of_kind}
+    not_before = math.inf
+    for i in range(nq):
+        q = (table.rr_ptr + i) % nq
+        queue = table.queues[q]
+        if not queue:
+            continue
+        task = queue[0]
+        proc = free[_eligible_kinds(task.cost.op, False)[0]]
+        if proc.busy_until > now:
+            not_before = min(not_before, proc.busy_until)
+            continue
+        placement = _estimate(table, q, task, proc, table.plan_memory(task, now),
+                              table.head_bounds[q][1], now)
+        table.commit(placement)
+        return placement
+    raise NoReadyTask("all queue heads blocked", not_before)
+
+
+REFERENCE_SCHEDULERS = {"rr": reference_rr_schedule, "has": reference_has_schedule}
 
 
 # --- reference output writers: a dict per event or row through the encoder ----------

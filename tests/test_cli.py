@@ -455,7 +455,13 @@ def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
                                       # each ran with a bool count, as config aTruex32_...
                                       ({"arrays": [[True, 32]]}, "arrays"),
                                       # ... and as config ..._cTrue
-                                      ({"clusters": [True]}, "clusters")])
+                                      ({"clusters": [True]}, "clusters"),
+                                      # each wrote a header-only results.csv and
+                                      # exited 0, checking no config's numbers
+                                      ({"arrays": [], "clock_mhz": "x"}, "arrays"),
+                                      ({"vectors": []}, "vectors"),
+                                      ({"shared_mem_mb": []}, "shared_mem_mb"),
+                                      ({"clusters": []}, "clusters")])
 def test_sweep_rejects_bad_spec_before_any_point(tmp_path, capsys, doc, word):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**tiny_spec(), **doc}))

@@ -15,8 +15,8 @@ from svsim.cli import load_sweep_spec, sweep_configs
 from svsim.costs import mem_transfer_cycles, systolic_cycles, layer_cost
 from svsim.hardware import PhysicalModel, load_hw_config, peak_performance
 from svsim.models import ModelError, OpType, builtin_model, ingest_graph
-from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, MemAction,
-                              NoReadyTask, Placement, Processor, ResidencyEntry,
+from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, ClusterTable,
+                              MemAction, NoReadyTask, Placement, Processor, ResidencyEntry,
                               StalledRun, SubLayerTask, UnpartitionableLayer)
 from svsim import simulation
 from svsim.simulation import (ResidencyEvent, compute_report, energy_from_trace,
@@ -25,7 +25,8 @@ from svsim.simulation import (ResidencyEvent, compute_report, energy_from_trace,
 from svsim.workloads import (RATIO_GRID, Request, Workload, generate, load_manifest,
                              standard_suite)
 
-from support import make_cluster, make_hw, reference_decisions, reference_trace_json
+from support import (REFERENCE_SCHEDULERS, make_cluster, make_hw, reference_decisions,
+                     reference_trace_json)
 
 PHYS = PhysicalModel()
 DESK_HW = os.path.join(os.path.dirname(__file__), "..", "configs", "desk_hw.json")
@@ -674,6 +675,49 @@ def test_random_runs_complete_clean_or_raise_a_typed_error(doc, workload, schedu
         return
     assert all(r.completed >= 0 for r in trace.requests)
     assert verify_trace(trace, hw) == []
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "has"])
+@settings(max_examples=30, deadline=None)
+@given(doc=hw_docs, workload=workloads())
+def test_each_kinds_earliest_free_processor_never_goes_stale(scheduler, doc, workload):
+    # only commit moves a processor's busy_until, so after every commit the
+    # table's entry per kind is what a scan of that kind's processors finds
+    commits = []
+    real = ClusterTable.commit
+
+    def commit(table, placement):
+        real(table, placement)
+        for kind in ("array", "vector"):
+            assert table.free[kind] is min(table.of_kind[kind], key=attrgetter("busy_until"))
+        commits.append(placement)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ClusterTable, "commit", commit)
+        try:
+            trace, _ = run(workload, load_hw_config(doc), scheduler=scheduler)
+        except (UnpartitionableLayer, CapacityDeadlock, ModelError):
+            return
+    assert len(commits) == len(trace.executions)
+
+
+def _digest_or_error(workload, hw, scheduler):
+    try:
+        return trace_digest(run(workload, hw, scheduler=scheduler)[0])
+    except (UnpartitionableLayer, CapacityDeadlock, ModelError) as e:
+        return repr(e)
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "has"])
+@settings(max_examples=30, deadline=None)
+@given(doc=hw_docs, workload=workloads())
+def test_policies_place_as_the_reference_policies_on_random_runs(scheduler, doc, workload):
+    # the reference policies of tests/support.py scan every processor per call
+    hw = load_hw_config(doc)
+    shipped = _digest_or_error(workload, hw, scheduler)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(SCHEDULERS, scheduler, REFERENCE_SCHEDULERS[scheduler])
+        assert _digest_or_error(workload, hw, scheduler) == shipped
 
 
 # --- output text against the encoder ---------------------------------------------
