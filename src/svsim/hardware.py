@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 MB = 1 << 20
@@ -161,7 +162,7 @@ def _positive(name: str, value, scale: float) -> float:
     raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def load_hw_config(source: str | dict) -> HardwareConfig:
+def load_hw_config(source: str | os.PathLike | dict) -> HardwareConfig:
     """Parse a hardware config from a JSON file path or a parsed dict.
 
     Keys: clock_mhz, hbm_gbps, hbm_latency_cycles, clusters[] with
@@ -172,7 +173,7 @@ def load_hw_config(source: str | dict) -> HardwareConfig:
     Raises ConfigError on an unreadable file or a bad document.
     """
     doc = source
-    if not isinstance(source, dict):
+    if isinstance(source, (str, os.PathLike)):
         try:
             with open(source) as f:
                 doc = json.load(f)
@@ -180,6 +181,11 @@ def load_hw_config(source: str | dict) -> HardwareConfig:
             raise ConfigError(f"cannot read hardware config: {e}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"hardware config is not valid JSON: {e}") from None
+    elif not isinstance(source, dict):
+        raise ConfigError(f"hardware config source must be a path or a dict, "
+                          f"not {type(source).__name__}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"hardware config must be a JSON object, not {json.dumps(doc)[:40]}")
     try:
         clock_hz = _positive("clock_mhz", doc.get("clock_mhz", 800), 1e6)
         cc = CycleConstants(**doc.get("cycle_constants", {}))

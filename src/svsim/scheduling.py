@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import weakref
 from collections import deque
@@ -285,6 +286,7 @@ class ResidencyEntry:
     kind: str  # "param" | "act"
     ready: int
     avail: int  # latest end among scheduled users
+    seq: int = -1  # the seq of its live tuple in the table's eviction heap (-1: none)
 
 
 @dataclass(slots=True)
@@ -343,6 +345,13 @@ class ClusterTable:
         self.pending_releases: list[tuple[int, int]] = []
         self.channel_free = 0
         self.pending_uses: dict[tuple, int] = {}
+        # the eviction order, kept between placements: a (latest user end, key,
+        # seq, entry) heap with one live tuple, the one whose seq is its
+        # entry's, for each resident activation and each resident parameter
+        # no queued task wants; a walk drops the dead tuples on top, and
+        # commit drops them all once the heap holds over twice the residents
+        self.evictable: list[tuple] = []
+        self._seq = itertools.count()
         self.placed: dict[str, Placement] = {}  # task id -> its committed placement
 
     # -- request admission ---------------------------------------------------
@@ -350,10 +359,15 @@ class ClusterTable:
     def enqueue_request(self, request_id: int, tasks: list[SubLayerTask]) -> int:
         q = self.queue_request.index(None)
         self.queue_request[q] = request_id
+        res, uses = self.residency, self.pending_uses
         for t in tasks:
             self.queues[q].append(t)
             for key, _ in t.param_keys + t.act_in_keys:
-                self.pending_uses[key] = self.pending_uses.get(key, 0) + 1
+                n = uses[key] = uses.get(key, 0) + 1
+                if n == 1:
+                    e = res.get(key)
+                    if e is not None and e.kind == "param":
+                        e.seq = -1  # a wanted parameter leaves the eviction heap
         self._take_head_bounds(q)
         self.wake = -math.inf
         return q
@@ -452,7 +466,7 @@ class ClusterTable:
                 break
             if walk is None:
                 protected = {k for k, _ in task.param_keys} | {k for k, _ in task.act_in_keys}
-                walk = _eviction_order(res.values(), protected, self.pending_uses)
+                walk = self._eviction_walk(protected)
             e = next(walk, None)
             if e is None:
                 raise CapacityDeadlock(
@@ -473,6 +487,29 @@ class ClusterTable:
             t += dt
         return max(t, param_ready), tuple(actions)
 
+    def _eviction_walk(self, protected: set):
+        """Unprotected residents lazily by (latest user end, key), popped from
+        a copy of the kept heap, then the still wanted parameters in that
+        order, sorted only if the walk reaches them."""
+        heap = self.evictable
+        # dead tuples gather on top, where the oldest latest-user-ends sort
+        while heap and heap[0][3].seq != heap[0][2]:
+            heapq.heappop(heap)
+        order = heap.copy()
+        while order:
+            _, key, seq, e = heapq.heappop(order)
+            if e.seq == seq and key not in protected:
+                yield e
+        wanted = self.pending_uses
+        yield from sorted((e for e in self.residency.values()
+                           if e.kind == "param" and e.key in wanted and e.key not in protected),
+                          key=attrgetter("avail", "key"))
+
+    def _push(self, e: ResidencyEntry) -> None:
+        """Give ``e`` a live tuple in the eviction heap."""
+        e.seq = seq = next(self._seq)
+        heapq.heappush(self.evictable, (e.avail, e.key, seq, e))
+
     def commit(self, placement: Placement) -> None:
         task = placement.task
         res, uses = self.residency, self.pending_uses
@@ -480,6 +517,7 @@ class ClusterTable:
         for a in placement.actions:
             if a.kind in ("flush", "write_act"):  # frees its bytes at its end
                 e = res.pop(a.key)
+                e.seq = -1
                 self.used_bytes -= e.bytes
                 bisect.insort(self.pending_releases, (a.end, e.bytes))
             else:
@@ -495,16 +533,25 @@ class ClusterTable:
                 self.used_bytes += a.bytes
         if task.act_out_key:
             key, b = task.act_out_key
-            res[key] = ResidencyEntry(key, b, "act", t_end, t_end)
+            res[key] = e = ResidencyEntry(key, b, "act", t_end, t_end)
             self.used_bytes += b
+            self._push(e)
         for keys in (task.param_keys, task.act_in_keys):
             for key, _ in keys:
                 n = uses[key] = uses.get(key, 1) - 1
                 if n <= 0:
                     del uses[key]
                 e = res.get(key)
-                if e is not None and e.avail < t_end:
-                    e.avail = t_end
+                if e is not None:
+                    if e.avail < t_end:
+                        e.avail = t_end
+                        e.seq = -1
+                    # new, moved or no longer wanted: it takes a new tuple
+                    if e.seq < 0 and (n <= 0 or e.kind == "act"):
+                        self._push(e)
+        if len(self.evictable) > 2 * len(res):
+            self.evictable = [t for t in self.evictable if t[3].seq == t[2]]
+            heapq.heapify(self.evictable)
         # actions are in channel order: the last one ends latest
         if placement.actions and placement.actions[-1].end > self.channel_free:
             self.channel_free = placement.actions[-1].end
@@ -517,21 +564,6 @@ class ClusterTable:
         self._take_head_bounds(placement.queue)
         self.rr_ptr = (placement.queue + 1) % len(self.queues)
         self.wake = -math.inf
-
-
-def _eviction_order(entries, protected: set, wanted: dict):
-    """Unprotected entries lazily by (latest user end, key), then the still
-    wanted parameters in that order, sorted only if the walk reaches them.
-    Keys are unique: entries never compare."""
-    heap = [(e.avail, e.key, e) for e in entries if e.kind == "act" or e.key not in wanted]
-    heapq.heapify(heap)
-    while heap:
-        e = heapq.heappop(heap)[2]
-        if e.key not in protected:
-            yield e
-    yield from sorted((e for e in entries
-                       if e.kind == "param" and e.key in wanted and e.key not in protected),
-                      key=attrgetter("avail", "key"))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from operator import attrgetter, itemgetter
 from svsim.costs import VECTOR_OPS, TaskCost, task_cycles
 from svsim.hardware import MB, ClusterConfig, CycleConstants, HardwareConfig
 from svsim.models import MATRIX_OPS
-from svsim.scheduling import (ClusterTable, MemAction, NoReadyTask, SCHEDULERS,
-                              SubLayerTask, _estimate)
+from svsim.scheduling import (ClusterTable, MemAction, NoReadyTask, ResidencyEntry,
+                              SCHEDULERS, SubLayerTask, _estimate)
 from svsim.simulation import decision_rows
 from svsim.umf import OpType
 
@@ -112,6 +112,17 @@ def fresh_table(hw, queues_by_request):
             t._cycles = {}
         table.enqueue_request(rid, ts)
     return table
+
+
+def add_resident(table, key, nbytes, kind, ready, avail):
+    """Make ``key`` resident in ``table`` as commits leave it: its entry and
+    bytes, and its live tuple in the eviction heap unless it is a parameter
+    a queued task wants.  Returns the entry."""
+    e = table.residency[key] = ResidencyEntry(key, nbytes, kind, ready, avail)
+    table.used_bytes += nbytes
+    if kind == "act" or key not in table.pending_uses:
+        table._push(e)
+    return e
 
 
 def run_policy(hw, queues_by_request, name):

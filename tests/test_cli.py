@@ -234,6 +234,21 @@ def test_simulate_bad_hw_value_exit_code(tmp_path, capsys, path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [None, True, 0, -1, 1.5, "x", [], [1, 2]])
+def test_simulate_hw_not_an_object_exit_code(tmp_path, capsys, doc):
+    # each ended in an AttributeError traceback and exit 1
+    hw = tmp_path / "hw.json"
+    hw.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    rc = main(["simulate", "--workload", small_workload_file(tmp_path), "--hw", str(hw),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input:") and err.count("\n") == 1
+    assert "JSON object" in err
+    assert not out.exists()
+
+
 def _requests(*ids_and_arrivals):
     return [{"request_id": rid, "model": "alexnet", "arrival_cycle": t}
             for rid, t in ids_and_arrivals]

@@ -1,3 +1,8 @@
+import copy
+import functools
+import json
+import operator
+
 import pytest
 
 from svsim.hardware import (ClusterConfig, ConfigError, CycleConstants, HardwareConfig,
@@ -5,7 +10,7 @@ from svsim.hardware import (ClusterConfig, ConfigError, CycleConstants, Hardware
                             load_hw_config, peak_gops, peak_performance,
                             total_area)
 
-from support import desk_hw_doc_with, hw_config_to_dict, make_cluster, make_hw
+from support import DESK_HW, desk_hw_doc_with, hw_config_to_dict, make_cluster, make_hw
 
 PHYS = PhysicalModel()
 
@@ -114,10 +119,10 @@ def test_hw_needs_cluster_and_positive_bandwidth():
 def test_config_file_round_trip(tmp_path):
     hw = make_hw(2, make_cluster(2, 32, 4, 64, 65), hbm_gbps=128)
     path = tmp_path / "hw.json"
-    import json
     path.write_text(json.dumps(hw_config_to_dict(hw)))
     loaded = load_hw_config(str(path))
     assert loaded == hw
+    assert load_hw_config(path) == hw  # an os.PathLike
 
 
 def test_config_rejects_garbage(tmp_path):
@@ -152,3 +157,50 @@ def test_cycle_constants_are_integers_of_at_least_zero(value):
 def test_config_integers_must_be_json_integers(path, value):
     with pytest.raises(ConfigError):
         load_hw_config(desk_hw_doc_with(path, value))
+
+
+@pytest.mark.parametrize("source", [1, 2.5, None, [DESK_HW]])
+def test_config_source_is_a_path_or_a_dict(source):
+    # an int went to open() as a file descriptor, which the read then closed
+    with pytest.raises(ConfigError, match="path or a dict"):
+        load_hw_config(source)
+
+
+# one value of each JSON type, and a non-empty list and object
+RETYPES = (None, True, 0, 1, -1, 1.5, "x", [], {}, [1], {"a": 1})
+
+
+def _hw_mutations(doc, path=()):
+    """(label, copy of ``doc``) with the whole document or one value in it
+    replaced by each of RETYPES, or one object key dropped."""
+    for value in RETYPES:
+        yield f"{list(path)} = {json.dumps(value)}", desk_hw_doc_with(path, value) if path else value
+    if path and isinstance(functools.reduce(operator.getitem, path[:-1], doc), dict):
+        bad = copy.deepcopy(doc)
+        del functools.reduce(operator.getitem, path[:-1], bad)[path[-1]]
+        yield f"{list(path)} dropped", bad
+    node = functools.reduce(operator.getitem, path, doc)
+    children = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in children:
+        yield from _hw_mutations(doc, path + (key,))
+
+
+def test_config_mutations_load_or_raise_config_error(tmp_path):
+    # the hardware counterpart of test_models' ingest mutations, each read
+    # back from a file: a document that is not an object escaped as
+    # AttributeError
+    with open(DESK_HW) as f:
+        doc = json.load(f)
+    path = tmp_path / "hw.json"
+    count = 0
+    for label, bad in _hw_mutations(doc):
+        count += 1
+        path.write_text(json.dumps(bad))
+        try:
+            config = load_hw_config(str(path))
+        except ConfigError:
+            continue
+        except Exception as e:
+            pytest.fail(f"{label} escaped load_hw_config as {e!r}")
+        assert isinstance(config, HardwareConfig), label
+    assert count == 325

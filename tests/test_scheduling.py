@@ -3,6 +3,7 @@ import gc
 import random
 import re
 import weakref
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,12 @@ from svsim.costs import mem_transfer_cycles
 from svsim.hardware import MB, ClusterConfig
 from svsim.models import builtin_model, ingest_graph
 from svsim.scheduling import (_TEMPLATES, CapacityDeadlock, ClusterTable, MemAction,
-                              NoReadyTask, ResidencyEntry, UnpartitionableLayer,
+                              NoReadyTask, Placement, UnpartitionableLayer,
                               build_request_tasks, has_schedule, load_balance,
                               partition_layer, rr_schedule)
 from svsim.umf import OpType
 
-from support import (SMALL_HW, exhaustive_min_makespan, fresh_table,
+from support import (SMALL_HW, add_resident, exhaustive_min_makespan, fresh_table,
                      gemm_cost, make_cluster, make_hw, make_task, run_policy,
                      synth_chain_instance, vector_cost)
 
@@ -155,18 +156,12 @@ def test_plan_waits_for_flushable_holder():
     # 45 MiB shared memory, 30 MiB held by a running task until cycle 10^6;
     # a 40 MiB fetch must take 15 MiB now, wait, flush, then fetch the rest
     table, hw = memory_table(45)
-    blocker = make_task("old", 0, gemm_cost(1, 64, 64, param_bytes=30 * MB),
-                        param_keys=((("w", "m", 9, 0), 30 * MB),))
-    table2 = fresh_table(hw, [[blocker]])
-    p_old = has_schedule(table2, 0)
-    # force the holder to end at 10^6 for the scenario
-    e = table2.residency[("w", "m", 9, 0)]
-    e.avail = 10**6
+    held = ("w", "m", 9, 0)
+    add_resident(table, held, 30 * MB, "param", mem_transfer_cycles(30 * MB, hw), 10**6)
     incoming = make_task("new", 0, gemm_cost(1, 64, 64, param_bytes=40 * MB),
                          param_keys=((("w", "n", 1, 0), 40 * MB),))
-    table2.queues[0].append(incoming)
-    table2.pending_uses[("w", "n", 1, 0)] = 1
-    _, actions = table2.plan_memory(incoming, now=p_old.t_end)
+    table.enqueue_request(0, [incoming])
+    _, actions = table.plan_memory(incoming, now=table.residency[held].ready)
     fetches = [a for a in actions if a.kind == "fetch_param"]
     flushes = [a for a in actions if a.kind == "flush"]
     assert [f.bytes for f in fetches] == [15 * MB, 25 * MB]
@@ -264,34 +259,53 @@ def sorted_walk_plan(table, task, now):
     return max(t, param_ready), tuple(actions)
 
 
+def reader_task(tid, entries):
+    """A task that reads the resident ``entries``."""
+    return make_task(tid, 0, gemm_cost(1, 16, 16),
+                     param_keys=[(e.key, e.bytes) for e in entries if e.kind == "param"],
+                     act_in_keys=[(e.key, e.bytes) for e in entries if e.kind == "act"])
+
+
 @st.composite
 def residency_scenarios(draw):
     """A table whose residents tie on their latest user end, some of them
     still wanted, and a task with resident (protected) and missing operands;
-    the capacity ranges from ample to too small for the task."""
+    the capacity ranges from ample to too small for the task.  Some
+    residents reach their latest user end through a committed reader, and
+    the wanted ones are read by a queued task, so the kept eviction heap
+    also holds the dead tuples of moved entries and of wanted parameters."""
     n = draw(st.integers(0, 10))
     entries = []
     for i in range(n):
         kind = draw(st.sampled_from(["param", "act"]))
         key = ("w", draw(st.sampled_from(["m", "n"])), i, 0) if kind == "param" \
             else ("a", "r1", i, 0)
-        entries.append((ResidencyEntry(key, draw(st.integers(1, 300)), kind,
-                                       draw(st.integers(0, 100)),
-                                       draw(st.sampled_from([0, 40, 80]))),
-                        draw(st.booleans())))
-    used = sum(e.bytes for e, _ in entries)
+        avail = draw(st.sampled_from([0, 40, 80]))
+        moved_from = draw(st.one_of(st.none(), st.integers(0, avail - 1))) if avail else None
+        entries.append((key, draw(st.integers(1, 300)), kind, draw(st.integers(0, 100)),
+                        avail, moved_from, draw(st.booleans())))
+    used = sum(b for _, b, *_ in entries)
     hw = make_hw(1, make_cluster(1, 16, 1, 16, 1), hbm_latency_cycles=draw(st.integers(0, 20)))
-    cluster = ClusterConfig((16,), (16,), max(1, used + draw(st.integers(-used, 600))), 1)
+    cluster = ClusterConfig((16,), (16,), max(1, used + draw(st.integers(-used, 600))), 2)
     table = ClusterTable(cluster, hw)
-    for e, wanted in entries:
-        table.residency[e.key] = e
-        if wanted:
-            table.pending_uses[e.key] = 1
-    table.used_bytes = used
+    resident, moves, wanted = [], [], []
+    for key, nbytes, kind, ready, avail, moved_from, is_wanted in entries:
+        e = add_resident(table, key, nbytes, kind, ready,
+                         avail if moved_from is None else moved_from)
+        resident.append(e)
+        if moved_from is not None:
+            moves.append((reader_task(f"m{len(moves)}", [e]), avail))
+        if is_wanted:
+            wanted.append(e)
+    table.enqueue_request(0, [task for task, _ in moves])
+    proc = table.of_kind["array"][0]
+    for task, t_end in moves:
+        table.commit(Placement(task, proc, 0, 0, 0, 0, 0, t_end, t_end, 0, ()))
+    if wanted:
+        table.enqueue_request(1, [reader_task("q", wanted)])
     table.channel_free = draw(st.integers(0, 120))
     table.pending_releases = sorted(draw(st.lists(
         st.tuples(st.integers(0, 150), st.integers(1, 200)), max_size=3)))
-    resident = [e for e, _ in entries]
     mine = draw(st.lists(st.sampled_from(resident), unique_by=lambda e: e.key)) if resident else []
     param_keys = [(e.key, e.bytes) for e in mine if e.kind == "param"]
     act_in_keys = [(e.key, e.bytes) for e in mine if e.kind == "act"]
@@ -552,6 +566,23 @@ def test_scheduling_is_deterministic():
                       p.t_proc, p.t_start, p.t_comp, p.t_end, p.t_idle)
                      for p in placements])
     assert logs[0] == logs[1]
+
+
+def test_commit_off_the_earliest_free_processor_keeps_free_a_min_scan():
+    # the policies place only on free[kind]; after a placement elsewhere,
+    # free still names the first of the earliest-free
+    hw = make_hw(1, make_cluster(3, 16, 1, 16, 45))
+    table = fresh_table(hw, [[make_task(f"t{i}", 0, gemm_cost(1, 16, 16)) for i in range(4)]])
+    arrays = table.of_kind["array"]
+    for i, t_end, expected in ((1, 50, 0), (2, 30, 0), (0, 100, 2), (1, 30, 1)):
+        proc, task = arrays[i], table.queues[0][0]
+        t_start = proc.busy_until
+        table.commit(Placement(task, proc, 0, 0, 0, t_start, t_start, t_end - t_start,
+                               t_end, 0, ()))
+        assert table.free["array"] is min(arrays, key=attrgetter("busy_until"))
+        assert table.free["array"] is arrays[expected]
+    assert [p.busy_until for p in arrays] == [100, 30, 30]
+    assert table.free["vector"] is table.of_kind["vector"][0]
 
 
 # --- load balancer ------------------------------------------------------------------

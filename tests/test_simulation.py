@@ -701,6 +701,47 @@ def test_each_kinds_earliest_free_processor_never_goes_stale(scheduler, doc, wor
     assert len(commits) == len(trace.executions)
 
 
+def _assert_eviction_order_kept(table):
+    # one live tuple per resident activation and per resident parameter no
+    # queued task wants, at its entry's latest user end, and none for
+    # anything else
+    live = [(avail, key, e) for avail, key, seq, e in table.evictable if e.seq == seq]
+    assert all(table.residency.get(key) is e for _, key, e in live)
+    pairs = [(avail, key) for avail, key, _ in live]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {(e.avail, e.key) for e in table.residency.values()
+                          if e.kind == "act" or e.key not in table.pending_uses}
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "has"])
+@settings(max_examples=30, deadline=None)
+@given(doc=hw_docs, workload=workloads())
+def test_the_eviction_order_is_kept_through_commits_and_admissions(scheduler, doc, workload):
+    calls = []
+    real_commit, real_enqueue = ClusterTable.commit, ClusterTable.enqueue_request
+
+    def commit(table, placement):
+        real_commit(table, placement)
+        _assert_eviction_order_kept(table)
+        calls.append("commit")
+
+    def enqueue_request(table, request_id, tasks):
+        q = real_enqueue(table, request_id, tasks)
+        _assert_eviction_order_kept(table)
+        calls.append("enqueue")
+        return q
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ClusterTable, "commit", commit)
+        mp.setattr(ClusterTable, "enqueue_request", enqueue_request)
+        try:
+            trace, _ = run(workload, load_hw_config(doc), scheduler=scheduler)
+        except (UnpartitionableLayer, CapacityDeadlock, ModelError):
+            return
+    assert calls.count("commit") == len(trace.executions)
+    assert calls.count("enqueue") == len(trace.requests)
+
+
 def _digest_or_error(workload, hw, scheduler):
     try:
         return trace_digest(run(workload, hw, scheduler=scheduler)[0])
