@@ -200,12 +200,13 @@ def partition_layer(layer: LayerNode, cluster: ClusterConfig) -> list[LayerSlice
         n = min(n * 2, axis_limit)
 
 
-# per graph object, dropped with it: shared-memory size -> layer templates
+# per graph object, dropped with it: shared-memory size -> (layer templates,
+# request id -> that request's tasks)
 _TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def build_request_tasks(graph: ModelGraph, request_id: int,
-                        cluster: ClusterConfig) -> list[SubLayerTask]:
+                        cluster: ClusterConfig) -> tuple[SubLayerTask, ...]:
     """Partition every layer of a request into dependency-wired tasks.
 
     Parameter residency keys are a pure function of (graph name, tensor,
@@ -214,14 +215,18 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
 
     Each layer's slices, parameter keys and cycle counts are a template
     built once per process for (graph object, shared-memory size),
-    everything the partitioner reads, and dropped with the graph.  A request
-    only creates its task ids, dependencies and activations.
+    everything the partitioner reads, and dropped with the graph.  So is
+    each request id's task tuple: a run never writes to a task, and every
+    run in the process shares it.
     """
     plans = _TEMPLATES.setdefault(graph, {})
-    layers = plans.get(cluster.shared_mem_bytes)
-    if layers is None:
-        layers = plans[cluster.shared_mem_bytes] = [_layer_plan(layer, cluster, graph)
-                                                    for layer in graph.layers]
+    entry = plans.get(cluster.shared_mem_bytes)
+    if entry is None:
+        entry = plans[cluster.shared_mem_bytes] = (
+            [_layer_plan(layer, cluster, graph) for layer in graph.layers], {})
+    layers, requests = entry
+    if request_id in requests:
+        return requests[request_id]
     rtag = f"r{request_id}"
     tasks: list[SubLayerTask] = []
     layer_task_ids: dict[int, list[str]] = {}
@@ -249,7 +254,8 @@ def build_request_tasks(graph: ModelGraph, request_id: int,
             ids.append(task_id)
         layer_task_ids[layer.layer_id] = ids
         layer_act_keys[layer.layer_id] = out_keys
-    return tasks
+    built = requests[request_id] = tuple(tasks)
+    return built
 
 
 def _layer_plan(layer: LayerNode, cluster: ClusterConfig, graph: ModelGraph) -> tuple:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter, itemgetter
 
-from .costs import VECTOR_OPS
+from .costs import VECTOR_OPS, task_cycles
 from .hardware import (DEFAULT_PHYSICAL, HardwareConfig, PhysicalModel,
                        energy_of, peak_performance, total_area)
 from .models import MATRIX_OPS, TRANSFORMER_MODELS, ModelGraph, builtin_model
@@ -394,9 +394,10 @@ def write_decisions(trace: TraceLog, path: str) -> None:
 
 def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
     """Replay checker: processor exclusivity, HBM channel serialisation,
-    class eligibility (arrays run only matrix work), memory actions ending
-    by their task's start, dependency ordering, request completion at its
-    last task's end, and shared-memory capacity.
+    class eligibility (arrays run only matrix work), each task's duration
+    on its processor, memory actions ending by their task's start,
+    dependency ordering, request completion at its last task's end, and
+    shared-memory capacity.
     Returns a list of violations (empty = clean)."""
     problems: list[str] = []
 
@@ -422,11 +423,20 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
                             f"overlaps [{s1}, {e1})")
 
     end_by_task = {p.task.task_id: p.t_end for p in trace.executions}
+    cycles: dict[tuple, int] = {}  # recomputed here, never read from the tasks
     for p in trace.executions:
-        task = p.task
-        if p.proc.kind == "array" and task.cost.op not in MATRIX_OPS:
+        task, kind, size = p.task, p.proc.kind, p.proc.size
+        if kind == "array" and task.cost.op not in MATRIX_OPS:
             problems.append(f"cluster{p.cluster}/{p.proc.name}: {task.task_id} "
                             f"runs non-matrix {task.cost.op.name}")
+        else:  # an array has no cycle count for non-matrix work
+            key = (task.cost, kind, size)
+            want = cycles.get(key)
+            if want is None:
+                want = cycles[key] = task_cycles(task.cost, kind, size, hw.cycle_constants)
+            if p.t_end - p.t_start != want:
+                problems.append(f"{task.task_id}: runs {p.t_end - p.t_start} cycles on "
+                                f"{p.proc.name}, its cost takes {want}")
         for a in p.actions:
             if a.end > p.t_start:
                 problems.append(f"{task.task_id}: {a.kind} of {a.key} ends at {a.end}, "

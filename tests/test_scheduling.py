@@ -90,6 +90,19 @@ def test_partition_memo_only_rekeys_requests():
     assert all(a.cost is b.cost and a._cycles is b._cycles for a, b in zip(t0, t1))
 
 
+def test_request_tasks_are_one_tuple_per_graph_size_and_request():
+    cluster = make_cluster(1, 16, 1, 16, 45)
+    g = builtin_model("alexnet", depth_reduction=4)
+    tasks = build_request_tasks(g, 0, cluster)
+    assert type(tasks) is tuple
+    # only the graph object, the shared-memory size and the request id key them
+    assert build_request_tasks(g, 0, cluster) is tasks
+    assert build_request_tasks(g, 0, make_cluster(2, 32, 4, 64, 45)) is tasks
+    assert build_request_tasks(g, 1, cluster) is not tasks
+    assert build_request_tasks(g, 0, make_cluster(1, 16, 1, 16, 8)) is not tasks
+    assert build_request_tasks(dataclasses.replace(g), 0, cluster) is not tasks
+
+
 def test_templates_are_dropped_with_their_graph():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=8)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svsim.cli import load_sweep_spec, sweep_configs
-from svsim.costs import mem_transfer_cycles, systolic_cycles, layer_cost
+from svsim.costs import layer_cost, mem_transfer_cycles, systolic_cycles, task_cycles
 from svsim.hardware import PhysicalModel, load_hw_config, peak_performance
 from svsim.models import ModelError, OpType, builtin_model, ingest_graph
 from svsim.scheduling import (_TEMPLATES, SCHEDULERS, CapacityDeadlock, ClusterTable,
@@ -179,6 +179,31 @@ def test_verify_trace_catches_a_memory_action_ending_after_its_task_starts():
         f"after the task starts at {p.t_start}"]
 
 
+def test_verify_trace_catches_a_task_whose_duration_is_off_its_cost():
+    trace, hw = _desk_trace()
+    p = trace.executions[0]
+    took = p.t_end - p.t_start
+    # the task's own cycle dict agrees with the tampered duration; the check
+    # recomputes the cycles, so it is not fooled
+    task = dataclasses.replace(p.task, _cycles={p.proc.cycle_key: took - 1})
+    trace.executions[0] = dataclasses.replace(p, task=task, t_start=p.t_start + 1)
+    assert verify_trace(trace, hw) == [
+        f"{task.task_id}: runs {took - 1} cycles on {p.proc.name}, its cost takes {took}"]
+
+
+def test_verify_trace_times_a_task_by_its_processors_kind_and_size():
+    trace, hw = _desk_trace()
+    p = trace.executions[0]
+    # the cycle key stays the old processor's, so a lookup by it finds nothing wrong
+    proc = dataclasses.replace(p.proc, size=2 * p.proc.size)
+    want = task_cycles(p.task.cost, proc.kind, proc.size, hw.cycle_constants)
+    assert want != p.t_end - p.t_start
+    trace.executions[0] = dataclasses.replace(p, proc=proc)
+    assert verify_trace(trace, hw) == [
+        f"{p.task.task_id}: runs {p.t_end - p.t_start} cycles on {proc.name}, "
+        f"its cost takes {want}"]
+
+
 def _with_deps(p, deps):
     """A copy of placement ``p`` whose task has ``deps``."""
     return dataclasses.replace(p, task=dataclasses.replace(p.task, deps=deps))
@@ -276,6 +301,25 @@ def test_templates_repeat_a_desk_run_digest_for_digest(scheduler):
              {"scheduler": scheduler})] * 2
     cold = _cold_digests(runs)
     assert _warm_digests(runs) == cold
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "has"])
+def test_request_tasks_carry_no_state_from_one_run_to_the_next(scheduler):
+    with open(DESK_HW) as f:
+        doc = json.load(f)
+    hw = load_hw_config(doc)
+    smaller = load_hw_config(dict(doc, clusters=[dict(doc["clusters"][0], shared_mem_mb=16)]))
+    first, other = generate(0.5, 6, 1), generate(0.5, 6, 2)
+    # the same request ids name other models in the second workload
+    assert [r.model for r in first.requests] != [r.model for r in other.requests]
+    runs = [((w, h), {"scheduler": scheduler})
+            for w, h in ((first, hw), (other, hw), (first, hw), (first, smaller))]
+    cold = _cold_digests(runs)
+    assert cold[2] == cold[0] and len({cold[0], cold[1], cold[3]}) == 3
+    assert _warm_digests(runs) == cold
+    # and a repeated run does place the first run's task objects
+    a, b = (run(first, hw, scheduler=scheduler)[0] for _ in range(2))
+    assert all(p.task is q.task for p, q in zip(a.executions, b.executions))
 
 
 def test_export_trace_reparse_busy_intervals(tmp_path):
@@ -675,6 +719,22 @@ def test_random_runs_complete_clean_or_raise_a_typed_error(doc, workload, schedu
         return
     assert all(r.completed >= 0 for r in trace.requests)
     assert verify_trace(trace, hw) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(hw_docs, workloads(), st.sampled_from(["rr", "has"]))
+def test_random_runs_repeat_with_the_task_cache_warm_and_cleared(doc, workload, scheduler):
+    hw = load_hw_config(doc)
+
+    def outcome():
+        try:
+            return trace_digest(run(workload, hw, scheduler=scheduler)[0])
+        except (UnpartitionableLayer, CapacityDeadlock, ModelError) as e:
+            return type(e), str(e)
+
+    warm = [outcome(), outcome()]
+    _TEMPLATES.clear()
+    assert warm == [outcome()] * 2
 
 
 @pytest.mark.parametrize("scheduler", ["rr", "has"])
