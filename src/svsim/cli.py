@@ -226,13 +226,19 @@ def code_digest() -> str:
     return h.hexdigest()
 
 
-def point_key(cfg: dict, workload: workloads.Workload, scheduler: str) -> str:
-    """sha256 of everything that determines a sweep point's row: the
-    hardware document, the workload, the scheduler and the code."""
-    doc = {"hw": cfg["hw"], "workload": dataclasses.asdict(workload),
-           "scheduler": scheduler, "code": code_digest()}
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+def point_keys(configs: list[dict], suite: list[workloads.Workload], scheduler: str):
+    """(config, workload, key) per sweep point, configs outermost.  The key
+    is the sha256 of everything that determines the point's row, as the
+    compact sorted-key JSON text of {"code": the code digest, "hw": the
+    hardware document, "scheduler": ..., "workload": the workload's fields};
+    each part is encoded once and the texts are spliced."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    texts = [encode(dataclasses.asdict(w)) for w in suite]
+    code, sched = encode(code_digest()), encode(scheduler)
+    for cfg in configs:
+        head = f'{{"code":{code},"hw":{encode(cfg["hw"])},"scheduler":{sched},"workload":'
+        for w, text in zip(suite, texts):
+            yield cfg, w, hashlib.sha256(f"{head}{text}}}".encode()).hexdigest()
 
 
 def run_sweep_point(cfg: dict, workload: workloads.Workload,
@@ -275,8 +281,8 @@ def run_sweep(spec: dict, out_dir: str, *, parallelism: int = 1,
               sample: float = 1.0) -> tuple[list[dict], list[str]]:
     """Run (or resume) a sweep of a loaded spec; returns (rows, failures).
 
-    Every point is cached as a JSON record named and stamped with its
-    ``point_key``, so an interrupted sweep resumes, a point whose inputs
+    Every point is cached as a JSON record named and stamped with its key
+    from ``point_keys``, so an interrupted sweep resumes, a point whose inputs
     changed is recomputed, and merged results are independent of the
     worker count.
     """
@@ -287,14 +293,11 @@ def run_sweep(spec: dict, out_dir: str, *, parallelism: int = 1,
     suite = sweep_workloads(spec)
     jobs = []
     keys: dict[str, str] = {}  # point file -> its key
-    for cfg in configs:
-        for w in suite:
-            key = point_key(cfg, w, scheduler)
-            path = os.path.join(points_dir,
-                                f"{cfg['label']}__{w.name}__{key[:16]}.json")
-            keys[path] = key
-            if _load_point(path, key) is None:
-                jobs.append((cfg, w, scheduler, key, path))
+    for cfg, w, key in point_keys(configs, suite, scheduler):
+        path = os.path.join(points_dir, f"{cfg['label']}__{w.name}__{key[:16]}.json")
+        keys[path] = key
+        if _load_point(path, key) is None:
+            jobs.append((cfg, w, scheduler, key, path))
     paths = list(keys)
     if sample < 1.0:
         import random

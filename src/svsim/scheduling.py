@@ -46,7 +46,9 @@ class SchedulingError(Exception):
 class NoReadyTask(SchedulingError):
     """No queue head can be placed now.  ``not_before`` is the earliest
     cycle at which one could be if the table stays unchanged (``math.inf``:
-    not until it changes); the engine wakes the cluster at that cycle."""
+    not until it changes); the engine wakes the cluster at that cycle.
+    ``has_schedule`` whose placement leaves nothing ready sets
+    ``ClusterTable.wake`` to that cycle instead of raising on a second call."""
 
     def __init__(self, message: str, not_before: float):
         super().__init__(message)
@@ -68,7 +70,7 @@ class StalledRun(SchedulingError):
 # ---------------------------------------------------------------------------
 # sub-layer tasks
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SubLayerTask:
     task_id: str
     request_id: int
@@ -340,8 +342,10 @@ class ClusterTable:
         # per queue: latest start and latest end among its head's
         # dependencies, taken when the task became head
         self.head_bounds: list[tuple[int, int]] = [(0, 0)] * nq
-        # the cycle before which a policy call finds nothing to place; every
-        # change a policy reads (admission, release, commit) clears it
+        # the cycle before which a policy call finds nothing to place: the
+        # engine sets it from a dry call, has_schedule from a placement that
+        # leaves nothing ready; every change a policy reads (admission,
+        # release, commit) clears it
         self.wake = -math.inf
         self.rr_ptr = 0
         self.residency: dict[tuple, ResidencyEntry] = {}
@@ -423,8 +427,12 @@ class ClusterTable:
                 fetch_total += b
             elif e.ready > param_ready:
                 param_ready = e.ready
-        missing_acts = [(k, b) for k, b in task.act_in_keys if k not in res]
-        a_size = sum(b for _, b in missing_acts)
+        missing_acts = []
+        a_size = 0
+        for k, b in task.act_in_keys:
+            if k not in res:
+                missing_acts.append((k, b))
+                a_size += b
         out_bytes = task.act_out_key[1] if task.act_out_key else 0
 
         releases = self.pending_releases
@@ -582,14 +590,20 @@ _KINDS = {op: ((("array",), ("vector", "array")) if op in MATRIX_OPS
           for op in OpType}
 
 
+def _start(t_mem: int, t_task: int, proc: Processor, now: int) -> int:
+    """The start rule: a task starts once its operands are in shared memory
+    (``t_mem``), its dependencies have ended (``t_task``) and ``proc`` is
+    free, and never before ``now``."""
+    return max(t_mem, t_task, proc.busy_until, now)
+
+
 def _estimate(table: ClusterTable, q: int, task: SubLayerTask, proc: Processor,
               plan: tuple, t_task: int, now: int) -> Placement:
-    """Placement of queue ``q``'s head on ``proc``: it starts once its
-    operands are in shared memory (``plan_memory``'s ``plan``), its
-    dependencies have ended and the processor is free, and never before ``now``."""
+    """Placement of queue ``q``'s head on ``proc`` by the start rule, its
+    operands made ready by ``plan_memory``'s ``plan``."""
     t_mem, actions = plan
     t_proc = proc.busy_until
-    t_start = max(t_mem, t_task, t_proc, now)
+    t_start = _start(t_mem, t_task, proc, now)
     t_comp = task.cycles_on(proc, table.cc)
     return Placement(task, proc, q, t_mem, t_task, t_proc, t_start,
                      t_comp, t_start + t_comp, t_start - t_proc, actions)
@@ -607,38 +621,57 @@ def has_schedule(table: ClusterTable, now: int) -> Placement:
     group's native vector demand leaves vector processors to spare;
     otherwise pending vector operations keep their dedicated processors and
     matrix work stays on the arrays.
+
+    Candidates are ranked as plain numbers; only the winner's ``Placement``
+    is built.  A placement that leaves nothing ready sets ``table.wake`` to
+    the ``not_before`` a second call would raise, so no such call is made.
     """
     heads = []  # (queue, head, its op, latest end among its dependencies)
     not_before = math.inf
+    vector_only = 0
+    bounds = table.head_bounds
     for q, queue in enumerate(table.queues):
         if queue:
-            dep_start, dep_end = table.head_bounds[q]
+            dep_start, dep_end = bounds[q]
             if dep_start <= now:
                 task = queue[0]
-                heads.append((q, task, task.cost.op, dep_end))
+                op = task.cost.op
+                heads.append((q, task, op, dep_end))
+                if op in VECTOR_OPS:
+                    vector_only += 1
             elif dep_start < not_before:
                 not_before = dep_start
     if not heads:
         raise NoReadyTask("no candidate tasks", not_before)
     nq = len(table.queues)
-    vector_only = sum(1 for _, _, op, _ in heads if op in VECTOR_OPS)
     vector_slack = vector_only < len(table.of_kind["vector"])
-    best = None
-    best_rank = None
+    free, cc, rr_ptr = table.free, table.cc, table.rr_ptr
+    best_idle = best_order = math.inf
     for q, task, op, t_task in heads:
         plan = table.plan_memory(task, now)
-        nominated = None
+        t_mem = plan[0]
+        t_end = math.inf
         for kind in _KINDS[op][vector_slack]:
-            p = _estimate(table, q, task, table.free[kind], plan, t_task, now)
-            # the dedicated class wins end-time ties
-            if nominated is None or p.t_end <= nominated.t_end:
-                nominated = p
-        rank = (nominated.t_idle, (q - table.rr_ptr) % nq)
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best = nominated
-    table.commit(best)
-    return best
+            p = free[kind]
+            s = _start(t_mem, t_task, p, now)
+            e = s + task.cycles_on(p, cc)
+            if e <= t_end:  # the dedicated class, listed last, wins end-time ties
+                proc, t_start, t_end = p, s, e
+        idle = t_start - proc.busy_until
+        order = (q - rr_ptr) % nq
+        if idle < best_idle or (idle == best_idle and order < best_order):
+            best_idle, best_order = idle, order
+            best = (q, task, proc, plan, t_task)
+    placement = _estimate(table, *best, now)
+    table.commit(placement)
+    if len(heads) == 1:
+        # the one ready head was placed: a second call now finds nothing
+        # ready unless the queue's new head is
+        q = placement.queue
+        dep_start = bounds[q][0] if table.queues[q] else math.inf
+        if dep_start > now:
+            table.wake = min(not_before, dep_start)
+    return placement
 
 
 def rr_schedule(table: ClusterTable, now: int) -> Placement:

@@ -6,7 +6,8 @@ load balancer admits them to systolic-vector clusters (FIFO, fewest
 in-flight first, one task queue per in-flight request), and a cluster's
 scheduler places tasks until it runs dry on every admission, task completion
 and request completion on it, and at a wake event: the cycle its policy named
-as the earliest it could place anything when it last ran dry.
+as the earliest it could place anything when it last ran dry, or when its
+last placement left nothing ready.
 Cost-model estimates are exact in this model, so committed reservations are
 the execution; the event loop paces decisions and records the trace.
 
@@ -181,9 +182,10 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", *,
         push(p.t_end, "task_complete", (ci, p.task.request_id))
 
     def drain(ci: int, now: int) -> None:
-        # place until the policy runs dry, then wake the cluster at the cycle
-        # the policy named; a dry call changes nothing, so until the table
-        # changes a drain before that cycle would find the same nothing
+        # place until the policy runs dry, or until a placement sets the wake
+        # cycle itself (has does when it leaves nothing ready), then wake the
+        # cluster at that cycle; a dry call changes nothing, so until the
+        # table changes a drain before that cycle would find the same nothing
         table = tables[ci]
         if now < table.wake:
             return
@@ -192,10 +194,13 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", *,
                 placement = policy(table, now)
             except NoReadyTask as e:
                 table.wake = e.not_before
-                if e.not_before < math.inf:
-                    push(e.not_before, "wake", ci)
-                return
-            record_placement(ci, placement)
+            else:
+                record_placement(ci, placement)
+                if now >= table.wake:
+                    continue
+            if table.wake < math.inf:
+                push(table.wake, "wake", ci)
+            return
 
     def admit_waiting(now: int) -> None:
         # strict FIFO admission: the oldest waiter goes to the least-loaded

@@ -5,7 +5,6 @@ decisions.jsonl."""
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import math
@@ -107,10 +106,7 @@ def fresh_table(hw, queues_by_request):
                              num_task_queues=max(len(queues_by_request), 1))
     table = ClusterTable(cl, hw)
     for rid, tasks in enumerate(queues_by_request):
-        ts = [copy.copy(t) for t in tasks]
-        for t in ts:
-            t._cycles = {}
-        table.enqueue_request(rid, ts)
+        table.enqueue_request(rid, [dataclasses.replace(t, _cycles={}) for t in tasks])
     return table
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -442,6 +443,22 @@ def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
     assert failures == [] and len(ran) == len(rows) == 11
     assert not {r.pop("key") for r in rows} & {r.pop("key") for r in rows2}
     assert rows2 == rows
+
+
+def test_point_keys_are_the_one_document_sha256():
+    # the spliced texts hash to the bytes of one sorted-key document per point
+    with open(SWEEP_SPEC) as f:
+        spec = load_sweep_spec(json.load(f))
+    configs = sweep_configs(spec)
+    suite = [w for w in sweep_workloads(spec) if w.seed == spec["workload_suite"]["seeds"][0]]
+    got = list(cli.point_keys(configs, suite, spec["scheduler"]))
+    assert len(got) == len(configs) * len(suite) > 1000
+    want = [(cfg, w, hashlib.sha256(json.dumps(
+                {"hw": cfg["hw"], "workload": dataclasses.asdict(w),
+                 "scheduler": spec["scheduler"], "code": cli.code_digest()},
+                sort_keys=True, separators=(",", ":")).encode()).hexdigest())
+            for cfg in configs for w in suite]
+    assert got == want
 
 
 @pytest.mark.parametrize("doc,word", [({"arrays": [[1, 8]]}, "dim 8"),

@@ -103,6 +103,15 @@ def test_request_tasks_are_one_tuple_per_graph_size_and_request():
     assert build_request_tasks(dataclasses.replace(g), 0, cluster) is not tasks
 
 
+def test_a_built_task_refuses_every_field_assignment():
+    # every run shares a request's task tuple, so no run may write to a task
+    task = build_request_tasks(builtin_model("alexnet", depth_reduction=8), 0,
+                               make_cluster(1, 16, 1, 16, 45))[0]
+    for f in dataclasses.fields(task):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(task, f.name, getattr(task, f.name))
+
+
 def test_templates_are_dropped_with_their_graph():
     cluster = make_cluster(1, 16, 1, 16, 45)
     g = builtin_model("alexnet", depth_reduction=8)

@@ -821,6 +821,60 @@ def test_policies_place_as_the_reference_policies_on_random_runs(scheduler, doc,
         assert _digest_or_error(workload, hw, scheduler) == shipped
 
 
+@settings(max_examples=30, deadline=None)
+@given(doc=hw_docs, workload=workloads())
+def test_the_wake_has_sets_is_the_one_a_second_call_would_raise(doc, workload):
+    # a has placement that leaves now < table.wake stands for the dry call the
+    # engine no longer makes: that call would raise with not_before == wake.
+    # One that leaves the wake cycle at -inf is followed by a placement at the
+    # same now.  Until an admission or release changes the table, no call
+    # comes before the wake cycle, so no dry call follows a placement at its now.
+    has = SCHEDULERS["has"]
+    log = []  # (table, now, wake after the placement, or None: dry), or (table,)
+
+    def policy(table, now):
+        try:
+            p = has(table, now)
+        except NoReadyTask:
+            log.append((table, now, None))
+            raise
+        log.append((table, now, table.wake))
+        if now < table.wake:
+            with pytest.raises(NoReadyTask) as dry:
+                has(table, now)
+            assert dry.value.not_before == table.wake
+        return p
+
+    def changed(real):
+        def change(table, *args):
+            log.append((table,))
+            return real(table, *args)
+        return change
+
+    failed = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(SCHEDULERS, "has", policy)
+        for name in ("enqueue_request", "release_request"):
+            mp.setattr(ClusterTable, name, changed(getattr(ClusterTable, name)))
+        try:
+            run(workload, load_hw_config(doc), scheduler="has")
+        except (UnpartitionableLayer, CapacityDeadlock, ModelError):
+            failed = True
+    for i, (table, *entry) in enumerate(log):
+        if not entry or entry[1] is None:
+            continue
+        now, wake = entry
+        after = next((e for e in log[i + 1:] if e[0] is table), None)
+        if after is None:
+            # the last placement on its table; the engine calls again at once
+            # unless it left the wake cycle set
+            assert now < wake or failed
+        elif wake == -math.inf:  # the drain's next call, which places
+            assert len(after) == 3 and after[1] == now and after[2] is not None
+        elif len(after) > 1:
+            assert after[1] >= wake
+
+
 # --- output text against the encoder ---------------------------------------------
 
 def _assert_outputs_match_the_encoder(trace):
