@@ -25,7 +25,6 @@ on the cluster's channel.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 import weakref
@@ -294,7 +293,7 @@ class ResidencyEntry:
     kind: str  # "param" | "act"
     ready: int
     avail: int  # latest end among scheduled users
-    seq: int = -1  # the seq of its live tuple in the table's eviction heap (-1: none)
+    seq: int = -1  # the seq of its live tuple in the table's eviction order (-1: none)
 
 
 @dataclass(slots=True)
@@ -345,7 +344,7 @@ class ClusterTable:
         # the cycle before which a policy call finds nothing to place: the
         # engine sets it from a dry call, has_schedule from a placement that
         # leaves nothing ready; every change a policy reads (admission,
-        # release, commit) clears it
+        # commit) clears it, and a release changes nothing a policy reads
         self.wake = -math.inf
         self.rr_ptr = 0
         self.residency: dict[tuple, ResidencyEntry] = {}
@@ -355,11 +354,11 @@ class ClusterTable:
         self.pending_releases: list[tuple[int, int]] = []
         self.channel_free = 0
         self.pending_uses: dict[tuple, int] = {}
-        # the eviction order, kept between placements: a (latest user end, key,
-        # seq, entry) heap with one live tuple, the one whose seq is its
-        # entry's, for each resident activation and each resident parameter
-        # no queued task wants; a walk drops the dead tuples on top, and
-        # commit drops them all once the heap holds over twice the residents
+        # the eviction order, kept between placements: a list of (latest user
+        # end, key, seq, entry) sorted as tuples, with one live tuple, the one
+        # whose seq is its entry's, for each resident activation and each
+        # resident parameter no queued task wants; planning reads it in place,
+        # and commit drops the dead tuples once it holds over twice the residents
         self.evictable: list[tuple] = []
         self._seq = itertools.count()
         self.placed: dict[str, Placement] = {}  # task id -> its committed placement
@@ -377,7 +376,7 @@ class ClusterTable:
                 if n == 1:
                     e = res.get(key)
                     if e is not None and e.kind == "param":
-                        e.seq = -1  # a wanted parameter leaves the eviction heap
+                        e.seq = -1  # a wanted parameter leaves the eviction order
         self._take_head_bounds(q)
         self.wake = -math.inf
         return q
@@ -385,7 +384,6 @@ class ClusterTable:
     def release_request(self, request_id: int) -> None:
         q = self.queue_request.index(request_id)
         self.queue_request[q] = None
-        self.wake = -math.inf
 
     # -- table lookups ---------------------------------------------------------
 
@@ -418,7 +416,7 @@ class ClusterTable:
         spilling unconsumed activations until the remaining bytes fit.
         """
         res = self.residency
-        missing_params: deque[tuple[tuple, int]] = deque()
+        missing_params: list[tuple[tuple, int]] = []
         fetch_total = param_ready = 0
         for k, b in task.param_keys:
             e = res.get(k)
@@ -460,7 +458,8 @@ class ClusterTable:
         t = max(self.channel_free, now)
         remaining = fetch_total
         goal_extra = a_size + out_bytes
-        walk = None
+        i = part = 0  # the next missing parameter, and its bytes already fetched
+        victims = wanted = None
         while True:
             # fetch what fits, then evict the next resident until all fits
             amt = min(free, remaining)
@@ -469,25 +468,39 @@ class ClusterTable:
                 free -= amt
                 remaining -= amt
                 while amt:  # the chunk's bytes go to the missing keys in order
-                    k, b = missing_params.popleft()
+                    k, b = missing_params[i]
+                    b -= part
                     if b > amt:  # the rest of this key goes in a later chunk
-                        missing_params.appendleft((k, b - amt))
+                        part += amt
                         b = amt
+                    else:
+                        i += 1
+                        part = 0
                     actions.append(MemAction("fetch_param", t, t + dt, b, k))
                     amt -= b
                 t += dt
             if remaining == 0 and free >= goal_extra:
                 break
-            if walk is None:
+            if victims is None:
                 protected = {k for k, _ in task.param_keys} | {k for k, _ in task.act_in_keys}
-                walk = self._eviction_walk(protected)
-            e = next(walk, None)
-            if e is None:
-                raise CapacityDeadlock(
-                    f"task {task.task_id}: cannot free {need} B of shared "
-                    f"memory (short {remaining + max(goal_extra - free, 0)} B)")
+                victims = iter(self.evictable)
+                uses = self.pending_uses
+            # the next unprotected resident: live tuples of the kept order in
+            # place, then the still wanted parameters in that order
+            for _, key, seq, e in victims:
+                if e.seq == seq and key not in protected:
+                    break
+            else:
+                if wanted is not None:
+                    raise CapacityDeadlock(
+                        f"task {task.task_id}: cannot free {need} B of shared "
+                        f"memory (short {remaining + max(goal_extra - free, 0)} B)")
+                wanted = sorted((e.avail, e.key, e.seq, e) for e in res.values()
+                                if e.kind == "param" and e.key in uses)
+                victims = iter(wanted)
+                continue
             t = max(t, e.avail)
-            if e.kind == "act" and e.key in self.pending_uses:
+            if e.kind == "act" and key in uses:
                 dt = mem_transfer_cycles(e.bytes, self.hw)
                 actions.append(MemAction("write_act", t, t + dt, e.bytes, e.key))
                 t += dt
@@ -501,28 +514,11 @@ class ClusterTable:
             t += dt
         return max(t, param_ready), tuple(actions)
 
-    def _eviction_walk(self, protected: set):
-        """Unprotected residents lazily by (latest user end, key), popped from
-        a copy of the kept heap, then the still wanted parameters in that
-        order, sorted only if the walk reaches them."""
-        heap = self.evictable
-        # dead tuples gather on top, where the oldest latest-user-ends sort
-        while heap and heap[0][3].seq != heap[0][2]:
-            heapq.heappop(heap)
-        order = heap.copy()
-        while order:
-            _, key, seq, e = heapq.heappop(order)
-            if e.seq == seq and key not in protected:
-                yield e
-        wanted = self.pending_uses
-        yield from sorted((e for e in self.residency.values()
-                           if e.kind == "param" and e.key in wanted and e.key not in protected),
-                          key=attrgetter("avail", "key"))
-
     def _push(self, e: ResidencyEntry) -> None:
-        """Give ``e`` a live tuple in the eviction heap."""
+        """Give ``e`` a live tuple in the eviction order, inserted in place;
+        seqs are unique, so no comparison reaches the entry."""
         e.seq = seq = next(self._seq)
-        heapq.heappush(self.evictable, (e.avail, e.key, seq, e))
+        bisect.insort(self.evictable, (e.avail, e.key, seq, e))
 
     def commit(self, placement: Placement) -> None:
         task = placement.task
@@ -565,7 +561,6 @@ class ClusterTable:
                         self._push(e)
         if len(self.evictable) > 2 * len(res):
             self.evictable = [t for t in self.evictable if t[3].seq == t[2]]
-            heapq.heapify(self.evictable)
         # actions are in channel order: the last one ends latest
         if placement.actions and placement.actions[-1].end > self.channel_free:
             self.channel_free = placement.actions[-1].end

@@ -355,6 +355,38 @@ def test_plan_memory_matches_a_sorted_eviction_walk(scenario):
         assert table.plan_memory(task, now) == expected
 
 
+def test_a_dead_tuple_at_the_front_never_evicts_its_entry():
+    # activation "a" is resident from avail 10 and two committed readers move
+    # its latest user end to 20, then 50: the order's front holds its two dead
+    # tuples, before "b" (avail 30) and its live tuple at 50
+    hw = make_hw(1, make_cluster(1, 16, 1, 16, 1), hbm_latency_cycles=0)
+    table = ClusterTable(ClusterConfig((16,), (16,), 200, 2), hw)
+    a = add_resident(table, ("a", "r1", 0, 0), 100, "act", 0, 10)
+    b = add_resident(table, ("a", "r1", 1, 0), 100, "act", 0, 30)
+    readers = [(reader_task(f"m{i}", [a]), t_end) for i, t_end in enumerate((20, 50))]
+    table.enqueue_request(0, [task for task, _ in readers])
+    proc = table.of_kind["array"][0]
+    for task, t_end in readers:
+        table.commit(Placement(task, proc, 0, 0, 0, 0, 0, t_end, t_end, 0, ()))
+    assert [(avail, e.key, e.seq == seq) for avail, _, seq, e in table.evictable] == [
+        (10, a.key, False), (20, a.key, False), (30, b.key, True), (50, a.key, True)]
+    task = make_task("t", 0, gemm_cost(1, 16, 16), param_keys=[(("w", "x", 0, 0), 200)])
+    _, actions = table.plan_memory(task, 0)
+    assert 30 + mem_transfer_cycles(100, hw) < 50  # "a" waits for its live end
+    flushes = [(f.key, f.start) for f in actions if f.kind == "flush"]
+    assert flushes == [(b.key, 30), (a.key, 50)]
+
+
+def test_a_release_leaves_the_wake_cycle_as_it_was():
+    # a release changes nothing a policy reads; an admission clears the wake
+    table = fresh_table(SMALL_HW, [[make_task("a", 0, gemm_cost(16, 16, 16))]])
+    table.wake = 123
+    table.release_request(0)
+    assert table.wake == 123 and table.queue_request == [None]
+    table.enqueue_request(1, [])
+    assert table.wake == float("-inf")
+
+
 # --- round-robin ----------------------------------------------------------------
 
 def two_array_hw():

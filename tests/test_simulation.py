@@ -802,6 +802,67 @@ def test_the_eviction_order_is_kept_through_commits_and_admissions(scheduler, do
     assert calls.count("enqueue") == len(trace.requests)
 
 
+def _run_checking_the_order_is_sorted_and_left_alone_by_plans(workload, hw, scheduler):
+    """Run with the eviction order checked sorted after every commit and
+    admission, and unchanged (the same list, equal contents) by every
+    ``plan_memory`` call; returns how many plans were of a task not
+    committed next on its table (heads that lost the has ranking), or None
+    if the run ends in a typed error."""
+    real_plan, real_commit = ClusterTable.plan_memory, ClusterTable.commit
+    real_enqueue = ClusterTable.enqueue_request
+    planned = {}  # table -> ids of the tasks planned since its last commit
+    lost = 0
+
+    def assert_sorted(table):
+        assert table.evictable == sorted(table.evictable, key=itemgetter(0, 1, 2))
+
+    def plan_memory(table, task, now):
+        order = table.evictable
+        before = order.copy()
+        try:
+            return real_plan(table, task, now)
+        finally:
+            assert table.evictable is order and order == before
+            planned.setdefault(table, []).append(task.task_id)
+
+    def commit(table, placement):
+        nonlocal lost
+        real_commit(table, placement)
+        assert_sorted(table)
+        ids = planned.pop(table, [])
+        lost += len(ids) - ids.count(placement.task.task_id)
+
+    def enqueue_request(table, request_id, tasks):
+        q = real_enqueue(table, request_id, tasks)
+        assert_sorted(table)
+        return q
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ClusterTable, "plan_memory", plan_memory)
+        mp.setattr(ClusterTable, "commit", commit)
+        mp.setattr(ClusterTable, "enqueue_request", enqueue_request)
+        try:
+            run(workload, hw, scheduler=scheduler)
+        except (UnpartitionableLayer, CapacityDeadlock, ModelError):
+            return None
+    return lost
+
+
+@pytest.mark.parametrize("scheduler", ["rr", "has"])
+@settings(max_examples=30, deadline=None)
+@given(doc=hw_docs, workload=workloads())
+def test_the_eviction_order_stays_sorted_and_planning_leaves_it_alone(scheduler, doc, workload):
+    _run_checking_the_order_is_sorted_and_left_alone_by_plans(
+        workload, load_hw_config(doc), scheduler)
+
+
+def test_plans_of_heads_that_lose_the_has_ranking_leave_the_order_alone():
+    hw = load_hw_config(DESK_HW)
+    lost = _run_checking_the_order_is_sorted_and_left_alone_by_plans(
+        generate(0.5, 16, 1), hw, "has")
+    assert lost > 0
+
+
 def _digest_or_error(workload, hw, scheduler):
     try:
         return trace_digest(run(workload, hw, scheduler=scheduler)[0])
