@@ -23,9 +23,9 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from operator import attrgetter, itemgetter
 
 from .costs import VECTOR_OPS, task_cycles
@@ -292,51 +292,6 @@ def compute_report(trace: TraceLog, hw: HardwareConfig,
 # ---------------------------------------------------------------------------
 # trace export and verification
 
-def decision_rows(trace: TraceLog) -> list[dict]:
-    """The scheduler's estimates behind each placement, one row each:
-    clusters in cluster order, each in commit order."""
-    return [{"time": p.t_start, "queue": p.queue, "task": p.task.task_id,
-             "processor": p.proc.name, "t_mem": p.t_mem, "t_task": p.t_task,
-             "t_proc": p.t_proc, "t_start": p.t_start, "t_comp": p.t_comp,
-             "t_end": p.t_end, "t_idle": p.t_idle}
-            for p in sorted(trace.executions, key=attrgetter("cluster"))]
-
-
-def _execution_row(p: Placement) -> dict:
-    task, proc, cost = p.task, p.proc, p.task.cost
-    vec = VECTOR_OPS.get(cost.op)
-    return {"cluster": p.cluster, "resource": proc.name, "resource_kind": proc.kind,
-            "resource_size": proc.size, "task_id": task.task_id,
-            "request_id": task.request_id, "layer_id": task.layer_id,
-            "op": cost.op.name, "queue": p.queue, "t_start": p.t_start, "t_end": p.t_end,
-            "macs": cost.macs, "vector_counts": {vec.name: cost.vector_ops} if vec else {},
-            "param_bytes": cost.param_bytes, "act_in_bytes": cost.act_in_bytes,
-            "act_out_bytes": cost.act_out_bytes, "deps": task.deps}
-
-
-def trace_to_dict(trace: TraceLog) -> dict:
-    return {
-        "meta": trace.meta,
-        "executions": [_execution_row(p) for p in trace.executions],
-        "transfers": [{"cluster": p.cluster, "kind": a.kind, "t_start": a.start,
-                       "t_end": a.end, "bytes": a.bytes, "key": str(a.key)}
-                      for p in trace.executions for a in p.actions if a.kind != "flush"],
-        "residency": [{"cluster": ci, "time": t, "delta": delta, "key": str(key)}
-                      for ci, t, delta, key in _residency_deltas(trace.executions)],
-        "requests": [asdict(r) for r in trace.requests],
-        "decisions": decision_rows(trace),
-    }
-
-
-def trace_digest(trace: TraceLog) -> str:
-    blob = json.dumps(trace_to_dict(trace), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-# trace events export_trace builds per write
-_EXPORT_CHUNK = 1024
-
-
 def export_trace(trace: TraceLog, path: str) -> None:
     """Write the trace in Trace Event Format (one duration event per task
     per resource lane, plus memory-channel lanes), loadable in standard
@@ -350,12 +305,10 @@ def export_trace(trace: TraceLog, path: str) -> None:
     rows += [((a.start * to_us, str(p.cluster), "hbm", f"{a.kind} {a.bytes}B"), p.cluster, a)
              for p in trace.executions for a in p.actions if a.kind != "flush"]
     rows.sort(key=itemgetter(0))
-    # the bytes json.dump(doc, sort_keys=True, separators=(",", ":")) writes,
-    # through the C encoder
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    other = {k: str(v) for k, v in trace.meta.items()}
+    other = json.dumps({k: str(v) for k, v in trace.meta.items()}, sort_keys=True,
+                       separators=(",", ":"))
     with open(path, "w") as f:
-        f.write(f'{{"displayTimeUnit":"ms","otherData":{encode(other)},"traceEvents":[')
+        f.write(f'{{"displayTimeUnit":"ms","otherData":{other},"traceEvents":[')
         for i in range(0, len(rows), _EXPORT_CHUNK):
             events = [_trace_event(ts, tid, name, ci, r, to_us)
                       for (ts, _, tid, name), ci, r in rows[i:i + _EXPORT_CHUNK]]
@@ -363,18 +316,27 @@ def export_trace(trace: TraceLog, path: str) -> None:
         f.write("]}")
 
 
-# The encoder's text for an event or a decision row, keys in sorted order:
-# strings through its escaper, numbers through %r (int.__repr__ and
-# float.__repr__, as the encoder writes them; %d would truncate a float).
-# tests/support.py keeps the dict writers these must match byte for byte.
+# The encoder's text for an event (compact separators) or a row (json.dumps's
+# default ones), keys sorted: strings through its escaper, numbers through %r
+# (int.__repr__ and float.__repr__, as the encoder writes them; %d would
+# truncate a float).  tests/support.py keeps the dict writers these must match.
 _esc = json.encoder.encode_basestring_ascii
+_EXPORT_CHUNK = 1024  # event or row texts export_trace and trace_digest build at a time
 _TASK_EVENT = ('{"args":{"cycles":%r,"layer":%r,"macs":%r,"request":%r},"cat":%s,'
                '"dur":%r,"name":%s,"ph":"X","pid":%r,"tid":%s,"ts":%r}')
 _MEMORY_EVENT = ('{"args":{"bytes":%r,"key":%s},"cat":"memory","dur":%r,"name":%s,'
                  '"ph":"X","pid":%r,"tid":%s,"ts":%r}')
 _DECISION = ('{"processor": %s, "queue": %r, "t_comp": %r, "t_end": %r, "t_idle": %r, '
              '"t_mem": %r, "t_proc": %r, "t_start": %r, "t_task": %r, "task": %s, '
-             '"time": %r}\n')
+             '"time": %r}')
+_EXECUTION = ('{"act_in_bytes": %r, "act_out_bytes": %r, "cluster": %r, "deps": [%s], '
+              '"layer_id": %r, "macs": %r, "op": %s, "param_bytes": %r, "queue": %r, '
+              '"request_id": %r, "resource": %s, "resource_kind": %s, "resource_size": %r, '
+              '"t_end": %r, "t_start": %r, "task_id": %s, "vector_counts": {%s}}')
+_TRANSFER = '{"bytes": %r, "cluster": %r, "key": %s, "kind": %s, "t_end": %r, "t_start": %r}'
+_RESIDENCY = '{"cluster": %r, "delta": %r, "key": %s, "time": %r}'
+_REQUEST = ('{"arrival": %r, "cluster": %r, "completed": %r, "dispatched": %r, '
+            '"model": %s, "request_id": %r}')
 
 
 def _trace_event(ts: float, tid: str, name: str, ci: int, r, to_us: float) -> str:
@@ -387,23 +349,61 @@ def _trace_event(ts: float, tid: str, name: str, ci: int, r, to_us: float) -> st
                           _esc(tid), ts)
 
 
+def _decision_texts(trace: TraceLog):
+    for p in sorted(trace.executions, key=attrgetter("cluster")):
+        yield _DECISION % (_esc(p.proc.name), p.queue, p.t_comp, p.t_end, p.t_idle, p.t_mem,
+                           p.t_proc, p.t_start, p.t_task, _esc(p.task.task_id), p.t_start)
+
+
+def _execution_text(p: Placement) -> str:
+    task, proc, cost = p.task, p.proc, p.task.cost
+    vec = VECTOR_OPS.get(cost.op)
+    return _EXECUTION % (
+        cost.act_in_bytes, cost.act_out_bytes, p.cluster, ", ".join(map(_esc, task.deps)),
+        task.layer_id, cost.macs, _esc(cost.op.name), cost.param_bytes, p.queue,
+        task.request_id, _esc(proc.name), _esc(proc.kind), proc.size, p.t_end, p.t_start,
+        _esc(task.task_id), f"{_esc(vec.name)}: {cost.vector_ops!r}" if vec else "")
+
+
 def write_decisions(trace: TraceLog, path: str) -> None:
-    """Write ``decision_rows`` as JSON lines, each the text
-    ``json.dumps(row, sort_keys=True)`` gives."""
+    """Write the scheduler's estimates behind each placement as JSON lines,
+    clusters in order, each in commit order, as ``json.dumps(row, sort_keys=True)``."""
     with open(path, "w") as f:
-        f.writelines(_DECISION % (_esc(p.proc.name), p.queue, p.t_comp, p.t_end, p.t_idle,
-                                  p.t_mem, p.t_proc, p.t_start, p.t_task,
-                                  _esc(p.task.task_id), p.t_start)
-                     for p in sorted(trace.executions, key=attrgetter("cluster")))
+        f.writelines(text + "\n" for text in _decision_texts(trace))
+
+
+def trace_digest(trace: TraceLog) -> str:
+    """sha256 of ``json.dumps(trace_to_dict(trace), sort_keys=True)`` (see tests/support.py),
+    streamed from the row templates a chunk of rows at a time."""
+    ex = trace.executions
+    h = hashlib.sha256()
+    for head, texts in (
+            ('{"decisions": [', _decision_texts(trace)),
+            ('], "executions": [', map(_execution_text, ex)),
+            (f'], "meta": {json.dumps(trace.meta, sort_keys=True)}, "requests": [',
+             (_REQUEST % (r.arrival, r.cluster, r.completed, r.dispatched, _esc(r.model),
+                          r.request_id) for r in trace.requests)),
+            ('], "residency": [', (_RESIDENCY % (ci, delta, _esc(str(key)), t)
+                                   for ci, t, delta, key in _residency_deltas(ex))),
+            ('], "transfers": [', (_TRANSFER % (a.bytes, p.cluster, _esc(str(a.key)),
+                                                _esc(a.kind), a.end, a.start)
+                                   for p in ex for a in p.actions if a.kind != "flush"))):
+        h.update(head.encode())
+        sep = ""
+        while chunk := list(islice(texts, _EXPORT_CHUNK)):
+            h.update((sep + ", ".join(chunk)).encode())
+            sep = ", "
+    h.update(b"]}")
+    return h.hexdigest()
 
 
 def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
     """Replay checker: processor exclusivity, HBM channel serialisation,
     class eligibility (arrays run only matrix work), each task's duration
     on its processor, memory actions ending by their task's start,
-    dependency ordering, request completion at its last task's end, and
-    shared-memory capacity.
-    Returns a list of violations (empty = clean)."""
+    dependency ordering, a dependency that never executed, request
+    completion at its last task's end, shared-memory capacity, and a
+    negative residency at the end.  Returns a list of violations (empty = clean)."""
     problems: list[str] = []
 
     by_resource: dict[tuple[int, str], list[Placement]] = {}

@@ -1,11 +1,12 @@
 """Shared test helpers: hardware builders, synthetic task instances, a
 bare cluster-table driver, the exhaustive-search makespan oracle, the
-reference policies, and the reference writers of trace.json and
-decisions.jsonl."""
+reference policies, and the reference writers of trace.json, decisions.jsonl
+and the document trace_digest hashes."""
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from svsim.hardware import MB, ClusterConfig, CycleConstants, HardwareConfig
 from svsim.models import MATRIX_OPS
 from svsim.scheduling import (ClusterTable, MemAction, NoReadyTask, ResidencyEntry,
                               SCHEDULERS, SubLayerTask, _estimate)
-from svsim.simulation import decision_rows
+from svsim.simulation import _residency_deltas
 from svsim.umf import OpType
 
 CC = CycleConstants()
@@ -338,8 +339,51 @@ def reference_trace_json(trace) -> bytes:
     return "".join(parts).encode()
 
 
+def decision_rows(trace) -> list[dict]:
+    """The scheduler's estimates behind each placement, one row each:
+    clusters in cluster order, each in commit order."""
+    return [{"time": p.t_start, "queue": p.queue, "task": p.task.task_id,
+             "processor": p.proc.name, "t_mem": p.t_mem, "t_task": p.t_task,
+             "t_proc": p.t_proc, "t_start": p.t_start, "t_comp": p.t_comp,
+             "t_end": p.t_end, "t_idle": p.t_idle}
+            for p in sorted(trace.executions, key=attrgetter("cluster"))]
+
+
 def reference_decisions(trace) -> bytes:
     """The bytes ``write_decisions`` must write: ``json.dumps(row,
     sort_keys=True)`` per ``decision_rows`` row, one a line."""
     return "".join(json.dumps(row, sort_keys=True) + "\n"
                    for row in decision_rows(trace)).encode()
+
+
+def _execution_row(p) -> dict:
+    task, proc, cost = p.task, p.proc, p.task.cost
+    vec = VECTOR_OPS.get(cost.op)
+    return {"cluster": p.cluster, "resource": proc.name, "resource_kind": proc.kind,
+            "resource_size": proc.size, "task_id": task.task_id,
+            "request_id": task.request_id, "layer_id": task.layer_id,
+            "op": cost.op.name, "queue": p.queue, "t_start": p.t_start, "t_end": p.t_end,
+            "macs": cost.macs, "vector_counts": {vec.name: cost.vector_ops} if vec else {},
+            "param_bytes": cost.param_bytes, "act_in_bytes": cost.act_in_bytes,
+            "act_out_bytes": cost.act_out_bytes, "deps": task.deps}
+
+
+def trace_to_dict(trace) -> dict:
+    """The document ``trace_digest`` hashes, built as dicts."""
+    return {
+        "meta": trace.meta,
+        "executions": [_execution_row(p) for p in trace.executions],
+        "transfers": [{"cluster": p.cluster, "kind": a.kind, "t_start": a.start,
+                       "t_end": a.end, "bytes": a.bytes, "key": str(a.key)}
+                      for p in trace.executions for a in p.actions if a.kind != "flush"],
+        "residency": [{"cluster": ci, "time": t, "delta": delta, "key": str(key)}
+                      for ci, t, delta, key in _residency_deltas(trace.executions)],
+        "requests": [dataclasses.asdict(r) for r in trace.requests],
+        "decisions": decision_rows(trace),
+    }
+
+
+def reference_digest(trace) -> str:
+    """The digest ``trace_digest`` must return: sha256 of
+    ``json.dumps(trace_to_dict(trace), sort_keys=True)``."""
+    return hashlib.sha256(json.dumps(trace_to_dict(trace), sort_keys=True).encode()).hexdigest()

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 from operator import attrgetter, itemgetter
 
 import pytest
@@ -26,7 +27,7 @@ from svsim.workloads import (RATIO_GRID, Request, Workload, generate, load_manif
                              standard_suite)
 
 from support import (REFERENCE_SCHEDULERS, make_cluster, make_hw, reference_decisions,
-                     reference_trace_json)
+                     reference_digest, reference_trace_json)
 
 PHYS = PhysicalModel()
 DESK_HW = os.path.join(os.path.dirname(__file__), "..", "configs", "desk_hw.json")
@@ -888,8 +889,9 @@ def test_the_wake_has_sets_is_the_one_a_second_call_would_raise(doc, workload):
     # a has placement that leaves now < table.wake stands for the dry call the
     # engine no longer makes: that call would raise with not_before == wake.
     # One that leaves the wake cycle at -inf is followed by a placement at the
-    # same now.  Until an admission or release changes the table, no call
-    # comes before the wake cycle, so no dry call follows a placement at its now.
+    # same now.  Until an admission clears the wake cycle, no call comes before
+    # it (a release leaves it as it was), so no dry call follows a placement at
+    # its now; the check below stops at the table's next admission or release.
     has = SCHEDULERS["has"]
     log = []  # (table, now, wake after the placement, or None: dry), or (table,)
 
@@ -975,6 +977,7 @@ def test_output_text_matches_the_encoder(tmp_path, case, scheduler):
         w = load_manifest(str(path))
     trace, _ = run(w, load_hw_config(doc), scheduler=scheduler)
     _assert_outputs_match_the_encoder(trace)
+    assert trace_digest(trace) == reference_digest(trace)
     if case == "empty":
         assert reference_trace_json(trace).endswith(b'"traceEvents":[]}')
         assert reference_decisions(trace) == b""
@@ -996,6 +999,9 @@ def test_output_text_escapes_names_as_the_encoder(clock_mhz, scheduler):
                    scheduler=scheduler, graphs={ODD_NAME: graph})
     assert any(repr(ODD_NAME) in str(a.key) for a in trace.transfers)
     _assert_outputs_match_the_encoder(trace)
+    # and into the document trace_digest hashes, through each request's model
+    # and the parameter keys of its transfer and residency rows
+    assert trace_digest(trace) == reference_digest(trace)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1009,3 +1015,27 @@ def test_output_text_matches_the_encoder_on_random_runs(doc, workload, scheduler
     except (UnpartitionableLayer, CapacityDeadlock, ModelError):
         return
     _assert_outputs_match_the_encoder(trace)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hw_docs, workloads(), st.sampled_from(["rr", "has"]))
+def test_trace_digest_streams_the_reference_document_on_random_runs(doc, workload, scheduler):
+    try:
+        trace, _ = run(workload, load_hw_config(doc), scheduler=scheduler)
+    except (UnpartitionableLayer, CapacityDeadlock, ModelError):
+        return
+    assert trace_digest(trace) == reference_digest(trace)
+
+
+def test_trace_digest_holds_a_chunk_of_rows_not_the_document():
+    # the desk suite's ratio050 workload under has (867 placements)
+    trace, _ = run(standard_suite(16, seeds=(1,))[5], load_hw_config(DESK_HW), scheduler="has")
+    peaks = {}
+    for digest in (trace_digest, reference_digest):
+        tracemalloc.start()
+        try:
+            digest(trace)
+            peaks[digest] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[trace_digest] < peaks[reference_digest] / 4
