@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 runtime error, 2 bad usage or config,
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import functools
@@ -28,6 +27,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import hardware, models, simulation, umf, workloads
+from .fields import OMIT, List, Rule, check, integer, one_of
 from .scheduling import CapacityDeadlock, StalledRun, UnpartitionableLayer
 
 EXIT_OK = 0
@@ -109,61 +109,41 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-# the full single-cluster space; configs/sweep_single_cluster.json spells it out
-SWEEP_DEFAULTS = {
-    "arrays": [[8, 16], [2, 32], [4, 32], [8, 32], [2, 64], [4, 64]],
-    "vectors": [[8, 16], [4, 32], [8, 32], [2, 64], [4, 64], [8, 64]],
-    "shared_mem_mb": [45, 65, 105],
-    "clusters": [1],
-    "clock_mhz": 800,
-    "hbm_gbps": 256,
-    "hbm_latency_cycles": 100,
-    "scheduler": "has",
-    "workload_suite": {},
+_PAIRS = List(Rule("a [count, size] pair, the count an integer >= 1",
+                   lambda p: type(p) is list and len(p) == 2 and type(p[0]) is int and p[0] >= 1),
+              "a non-empty list of [count, size] pairs, each count an integer >= 1", 1)
+
+# defaults: the full single-cluster space; configs/sweep_single_cluster.json
+# spells it out.  Sizes, memory and clock values follow the hardware config's
+# rules, and every config is loaded by load_sweep_spec.
+SWEEP_FIELDS = {
+    "arrays": (_PAIRS, [[8, 16], [2, 32], [4, 32], [8, 32], [2, 64], [4, 64]]),
+    "vectors": (_PAIRS, [[8, 16], [4, 32], [8, 32], [2, 64], [4, 64], [8, 64]]),
+    "shared_mem_mb": (List(hardware.CLUSTER_FIELDS["shared_mem_mb"][0], "a non-empty list", 1),
+                      [45, 65, 105]),
+    "clusters": (List(integer(1), "a non-empty list of integers >= 1", 1), [1]),
+    **{key: hardware.HW_FIELDS[key] for key in ("clock_mhz", "hbm_gbps", "hbm_latency_cycles")},
+    "scheduler": (one_of(simulation.SCHEDULERS), "has"),
+    "workload_suite": ({
+        "request_count": (integer(1), 8),
+        "seeds": (List(integer(0), "a non-empty list of distinct integers >= 0", 1, True),
+                  [1, 2, 3]),
+        "model_params": (workloads.MODEL_PARAM_FIELDS, OMIT),
+    }, {}),
 }
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 1  # a bool is not a count
-
-
 def load_sweep_spec(source) -> dict:
-    """A checked sweep spec from a JSON path or dict, over ``SWEEP_DEFAULTS``
-    (the caller's dict is left as it was): ``arrays`` and ``vectors`` are
-    non-empty lists of [count, size] pairs, ``clusters`` a non-empty list of
-    counts (integers >= 1) and ``shared_mem_mb`` a non-empty list, so there
-    is at least one config; the scheduler is one of ``simulation.SCHEDULERS``,
-    the workload suite passes ``sweep_workloads`` and every config
-    ``load_hw_config``.
-    A bad document raises ValueError naming the key, or ConfigError."""
-    if isinstance(source, dict):
-        doc = source
-    else:
+    """A checked sweep spec from a JSON path or dict (which is left as it
+    was), filled in from ``SWEEP_FIELDS``; every config it spans must pass
+    ``load_hw_config``.  A bad document raises ValueError naming the key, or
+    ConfigError."""
+    if isinstance(source, (str, os.PathLike)):
         with open(source) as f:
-            doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError(f"a sweep spec is a JSON object, got {doc!r}")
-    for key in doc:
-        if key not in SWEEP_DEFAULTS:
-            raise ValueError(f"unknown key {key!r} (known: {', '.join(SWEEP_DEFAULTS)})")
-    spec = {**copy.deepcopy(SWEEP_DEFAULTS), **doc}
-    for key in ("arrays", "vectors"):
-        if not (isinstance(spec[key], list) and spec[key]) or not all(
-                isinstance(p, list) and len(p) == 2 and _is_count(p[0]) for p in spec[key]):
-            raise ValueError(f"{key} must be a non-empty list of [count, size] pairs, "
-                             f"each count an integer >= 1, got {spec[key]!r}")
-    clusters = spec["clusters"]
-    if not (isinstance(clusters, list) and clusters) or not all(map(_is_count, clusters)):
-        raise ValueError(f"clusters must be a non-empty list of integers >= 1, got {clusters!r}")
-    if not (isinstance(spec["shared_mem_mb"], list) and spec["shared_mem_mb"]):
-        raise ValueError(f"shared_mem_mb must be a non-empty list, got {spec['shared_mem_mb']!r}")
-    if not isinstance(spec["scheduler"], str) or spec["scheduler"] not in simulation.SCHEDULERS:
-        raise ValueError(f"unknown scheduler {spec['scheduler']!r}")
-    if not isinstance(spec["workload_suite"], dict):
-        raise ValueError(f"workload_suite must be an object, got {spec['workload_suite']!r}")
+            source = json.load(f)
+    spec = check(source, SWEEP_FIELDS, ValueError, "sweep spec")
     for cfg in sweep_configs(spec):
         hardware.load_hw_config(cfg["hw"])
-    sweep_workloads(spec)
     return spec
 
 
@@ -189,29 +169,10 @@ def sweep_configs(spec: dict) -> list[dict]:
 
 
 def sweep_workloads(spec: dict) -> list[workloads.Workload]:
-    """The spec's ``workload_suite``: an integer ``request_count`` >= 1, a
-    non-empty list of distinct integer ``seeds`` >= 0 and ``model_params``
-    by the manifest's rule, each optional; a bad value or any other key
-    raises ValueError."""
-    ws = spec.get("workload_suite", {})
-    for key in ws:
-        if key not in ("request_count", "seeds", "model_params"):
-            raise ValueError(f"unknown workload_suite key {key!r} "
-                             f"(known: request_count, seeds, model_params)")
-    seeds = ws.get("seeds", [1, 2, 3])
-    if (not isinstance(seeds, list) or not seeds
-            or any(type(s) is not int or s < 0 for s in seeds) or len(set(seeds)) < len(seeds)):
-        raise ValueError(f"workload_suite seeds must be a non-empty list of distinct "
-                         f"integers >= 0, got {seeds!r}")
-    count = ws.get("request_count", 8)
-    if type(count) is not int or count < 1:
-        raise ValueError(f"workload_suite request_count must be an integer >= 1, "
-                         f"got {count!r}")
-    params = ws.get("model_params")
-    if params is not None:
-        workloads.check_model_params(params, "workload_suite")
-    return workloads.standard_suite(request_count=count, seeds=tuple(seeds),
-                                    model_params=params)
+    """The workloads of a loaded spec's ``workload_suite``."""
+    ws = spec["workload_suite"]
+    return workloads.standard_suite(request_count=ws["request_count"], seeds=tuple(ws["seeds"]),
+                                    model_params=ws.get("model_params"))
 
 
 @functools.lru_cache(maxsize=None)

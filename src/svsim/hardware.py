@@ -14,9 +14,10 @@ Capacities use MiB (2**20 bytes); bandwidths use GB/s (1e9 bytes/s).
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from .fields import ANY, OMIT, REQUIRED, List, check, positive
 
 MB = 1 << 20
 SUPPORTED_DIMS = (16, 32, 64)
@@ -154,24 +155,27 @@ def energy_of(op_kind: str, count: int, kind: str, size: int,
 # ---------------------------------------------------------------------------
 # config file handling
 
-def _positive(name: str, value, scale: float) -> float:
-    """``value`` times ``scale``, where both ``value`` and the product are
-    finite numbers > 0; JSON admits NaN and Infinity, and a bool is an int."""
-    if type(value) in (int, float) and 0 < value * scale < math.inf:
-        return value * scale
-    raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+# ANY: the config dataclasses check the value when they are built
+CLUSTER_FIELDS = {
+    "arrays": (List({"dim": (ANY, REQUIRED)}, "a list of objects"), REQUIRED),
+    "vectors": (List({"lanes": (ANY, REQUIRED)}, "a list of objects"), REQUIRED),
+    "shared_mem_mb": (positive(MB), REQUIRED),
+    "num_task_queues": (ANY, 8),
+}
+HW_FIELDS = {
+    "clock_mhz": (positive(1e6), 800),
+    "hbm_gbps": (positive(1e9), 256),
+    "hbm_latency_cycles": (ANY, 100),
+    "clusters": (List(CLUSTER_FIELDS, "a list of clusters"), REQUIRED),
+    "cycle_constants": ({f.name: (ANY, OMIT) for f in fields(CycleConstants)}, {}),
+}
 
 
 def load_hw_config(source: str | os.PathLike | dict) -> HardwareConfig:
-    """Parse a hardware config from a JSON file path or a parsed dict.
-
-    Keys: clock_mhz, hbm_gbps, hbm_latency_cycles, clusters[] with
-    arrays[].dim, vectors[].lanes, shared_mem_mb and optional
-    num_task_queues, plus optional cycle_constants overrides.  The clock,
-    HBM speed and shared-memory size are finite JSON numbers > 0; the
-    latency, dims, lane and queue counts and cycle constants are JSON integers.
-    Raises ConfigError on an unreadable file or a bad document.
-    """
+    """Parse a hardware config from a JSON file path or a parsed dict, by
+    ``HW_FIELDS``: the clock, HBM speed and shared-memory size are JSON
+    numbers > 0 that stay finite in Hz, bytes/s and bytes.  Raises
+    ConfigError on an unreadable file or a bad document."""
     doc = source
     if isinstance(source, (str, os.PathLike)):
         try:
@@ -184,23 +188,13 @@ def load_hw_config(source: str | os.PathLike | dict) -> HardwareConfig:
     elif not isinstance(source, dict):
         raise ConfigError(f"hardware config source must be a path or a dict, "
                           f"not {type(source).__name__}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"hardware config must be a JSON object, not {json.dumps(doc)[:40]}")
-    try:
-        clock_hz = _positive("clock_mhz", doc.get("clock_mhz", 800), 1e6)
-        cc = CycleConstants(**doc.get("cycle_constants", {}))
-        clusters = []
-        for cl in doc["clusters"]:
-            clusters.append(ClusterConfig(
-                tuple(a["dim"] for a in cl["arrays"]),
-                tuple(v["lanes"] for v in cl["vectors"]),
-                shared_mem_bytes=int(_positive("shared_mem_mb", cl["shared_mem_mb"], MB)),
-                num_task_queues=cl.get("num_task_queues", 8)))
-        return HardwareConfig(
-            clusters=tuple(clusters),
-            hbm_bandwidth_bytes_per_s=_positive("hbm_gbps", doc.get("hbm_gbps", 256), 1e9),
-            hbm_latency_cycles=doc.get("hbm_latency_cycles", 100),
-            clock_hz=clock_hz,
-            cycle_constants=cc)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"bad hardware config: {e!r}") from None
+    doc = check(doc, HW_FIELDS, ConfigError, "hardware config")
+    return HardwareConfig(
+        clusters=tuple(ClusterConfig(tuple(a["dim"] for a in cl["arrays"]),
+                                     tuple(v["lanes"] for v in cl["vectors"]),
+                                     int(cl["shared_mem_mb"] * MB), cl["num_task_queues"])
+                       for cl in doc["clusters"]),
+        hbm_bandwidth_bytes_per_s=doc["hbm_gbps"] * 1e9,
+        hbm_latency_cycles=doc["hbm_latency_cycles"],
+        clock_hz=doc["clock_mhz"] * 1e6,
+        cycle_constants=CycleConstants(**doc["cycle_constants"]))

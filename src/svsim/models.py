@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
+from .fields import ANY, BOOL, OMIT, REQUIRED, STRING, List, Rule, check
 from .umf import (Attr, DataPacket, DataType, FrameHeader, InfoPacket, OpType,
                   PacketType, Precision, TensorKind, UmfFrame, make_attrs)
 
@@ -403,6 +404,22 @@ _SCALAR_ATTRS = (("kernel", Attr.KERNEL), ("stride", Attr.STRIDE),
                  ("groups", Attr.GROUPS), ("axis", Attr.AXIS))
 
 
+_INTEGER = Rule("an integer (layer attributes are JSON integers)", lambda v: type(v) is int)
+_INTEGERS = List(_INTEGER, "a list of JSON integers")
+MODEL_FIELDS = {
+    "name": (ANY, REQUIRED),
+    "class": (ANY, OMIT),  # _parse_class and _parse_precision read these two
+    "precision": (ANY, OMIT),
+    "inputs": (List({"name": (STRING, REQUIRED), "shape": (_INTEGERS, REQUIRED)},
+                    "a list of inputs"), REQUIRED),
+    "layers": (List({"name": (STRING, OMIT), "op": (STRING, REQUIRED),
+                     "inputs": (List(STRING, "a list of names"), REQUIRED),
+                     **{key: (_INTEGER, OMIT) for key, _ in _SCALAR_ATTRS},
+                     "perm": (_INTEGERS, OMIT), "target": (_INTEGERS, OMIT),
+                     "bias": (BOOL, False)}, "a list of layers"), REQUIRED),
+}
+
+
 def ingest_graph(text) -> ModelGraph:
     """Build a graph from the JSON model description.
 
@@ -414,55 +431,32 @@ def ingest_graph(text) -> ModelGraph:
                      "kernel": ..., "stride": ..., "bias": true, ...}]}
 
     Layers may reference any other layer by name; the list is topologically
-    sorted during ingestion.  Layer attributes are JSON integers (``perm``
-    and ``target`` lists of them) and ``bias`` is true or false; anything
-    else raises SchemaError naming the layer.
+    sorted during ingestion.  A document that breaks ``MODEL_FIELDS``
+    raises SchemaError naming the path.
     """
+    doc = text
     if isinstance(text, (str, bytes)):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise SchemaError(f"not valid JSON: {e}") from None
-    else:
-        doc = text
-    if not isinstance(doc, dict):
-        raise SchemaError("model description must be a JSON object")
-    for key in ("name", "inputs", "layers"):
-        if key not in doc:
-            raise SchemaError(f"missing required key {key!r}")
-    if not isinstance(doc["inputs"], list) or not isinstance(doc["layers"], list):
-        raise SchemaError("'inputs' and 'layers' must be lists")
+    doc = check(doc, MODEL_FIELDS, SchemaError, "model description")
 
     specs: dict[str, tuple[OpType, dict]] = {}
     for i, spec in enumerate(doc["layers"]):
-        if not (isinstance(spec, dict) and "op" in spec and isinstance(spec.get("inputs"), list)
-                and all(isinstance(ref, str) for ref in spec["inputs"])):
-            raise SchemaError(f"layer {i}: needs 'op' and a list of 'inputs' names")
-        op_name = str(spec["op"]).lower()
-        if op_name not in _OP_NAMES:
+        op = _OP_NAMES.get(spec["op"].lower())
+        if op is None:
             raise SchemaError(f"layer {i}: unknown op {spec['op']!r}")
         name = spec.get("name", f"layer{i}")
-        if not isinstance(name, str):
-            raise SchemaError(f"layer {i}: name {name!r} is not a string")
         if name in specs:
             raise SchemaError(f"duplicate layer name {name!r}")
-        specs[name] = (_OP_NAMES[op_name], spec)
-
-    input_names = []
-    input_shapes = {}
-    for spec in doc["inputs"]:
-        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
-                and isinstance(spec.get("shape"), list)
-                and all(type(d) is int for d in spec["shape"])):
-            raise SchemaError("graph inputs need a string 'name' and a list of "
-                              "integers as 'shape'")
-        input_names.append(spec["name"])
-        input_shapes[spec["name"]] = tuple(spec["shape"])
+        specs[name] = (op, spec)
+    input_names = {spec["name"] for spec in doc["inputs"]}
 
     # topological sort over name references (forward references allowed)
     for name, (_, spec) in specs.items():
         for ref in spec["inputs"]:
-            if ref not in specs and ref not in input_shapes:
+            if ref not in specs and ref not in input_names:
                 raise SchemaError(f"layer {name!r}: unknown input {ref!r}")
     # depth-first post-order over each layer's inputs, on a stack of its own
     order: list[str] = []
@@ -486,23 +480,14 @@ def ingest_graph(text) -> ModelGraph:
     mclass = _parse_class(doc.get("class"), (op for op, _ in specs.values()))
     precision = _parse_precision(doc.get("precision"), mclass)
     b = GraphBuilder(str(doc["name"]), mclass, precision)
-    produced: dict[str, TensorInfo] = {n: b.input(input_shapes[n]) for n in input_names}
+    produced: dict[str, TensorInfo] = {spec["name"]: b.input(spec["shape"])
+                                       for spec in doc["inputs"]}
     for name in order:
         op, spec = specs[name]
         acts = [produced[ref] for ref in spec["inputs"]]
         attrs = {k: spec[k] for k, _ in _SCALAR_ATTRS if k in spec}
-        lists = {k: spec[k] for k in ("perm", "target") if k in spec}
-        # a bool is an int to Python, and int() would round 3.7 and parse "3"
-        if not (all(type(v) is int for v in attrs.values())
-                and all(type(v) is list and all(type(d) is int for d in v)
-                        for v in lists.values())):
-            raise SchemaError(f"layer {name!r}: attributes must be JSON integers, "
-                              f"perm and target lists of JSON integers")
-        bias = spec.get("bias", False)
-        if type(bias) is not bool:
-            raise SchemaError(f"layer {name!r}: bias must be true or false, got {bias!r}")
-        attrs.update((k, tuple(v)) for k, v in lists.items())
-        produced[name] = b.layer(op, acts, attrs, with_bias=bias, name=name)
+        attrs.update((k, tuple(spec[k])) for k in ("perm", "target") if k in spec)
+        produced[name] = b.layer(op, acts, attrs, with_bias=spec["bias"], name=name)
     return b.build()
 
 

@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 
+from .fields import OMIT, REQUIRED, STRING, List, Rule, check, integer, one_of
 from .models import CNN_MODELS, TRANSFORMER_MODELS
 
 RATIO_GRID = tuple(round(r / 10, 1) for r in range(11))
@@ -84,56 +85,31 @@ def save_manifest(workload: Workload, path: str) -> None:
         json.dump(doc, f, indent=2, sort_keys=True)
 
 
-def _non_negative(field: str, value, types=(int,)):
-    if type(value) not in types or value < 0:
-        kinds = " or ".join(t.__name__ for t in types)
-        raise ValueError(f"manifest {field} must be a non-negative {kinds}, got {value!r}")
-    return value
-
-
-def check_model_params(params, where: str) -> dict:
-    """``params`` if it is an object holding only keys of
-    ``DEFAULT_MODEL_PARAMS``, each an integer >= 0; otherwise ValueError
-    naming ``where`` (the document it came from) and the key."""
-    if not isinstance(params, dict):
-        raise ValueError(f"{where} model_params must be an object, got {params!r}")
-    for key, value in params.items():
-        if key not in DEFAULT_MODEL_PARAMS:
-            raise ValueError(f"unknown {where} model_params key {key!r} (known: "
-                             f"{', '.join(DEFAULT_MODEL_PARAMS)})")
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{where} model_params.{key} must be a non-negative int, "
-                             f"got {value!r}")
-    return params
+_NATURAL = integer(0)
+MODEL_PARAM_FIELDS = {key: (_NATURAL, OMIT) for key in DEFAULT_MODEL_PARAMS}
+MANIFEST_FIELDS = {
+    "name": (STRING, "workload"),
+    "seed": (_NATURAL, 0),
+    "cnn_ratio": (Rule("a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
+                  0.0),
+    "request_count": (_NATURAL, OMIT),  # when absent, the number of requests
+    "requests": (List({"request_id": (_NATURAL, REQUIRED), "model": (STRING, REQUIRED),
+                       "arrival_cycle": (_NATURAL, REQUIRED)}, "a list of requests"),
+                 REQUIRED),
+    "arrival_model": (one_of(ARRIVAL_MODELS), "batch"),
+    "model_params": (MODEL_PARAM_FIELDS, DEFAULT_MODEL_PARAMS),
+}
 
 
 def load_manifest(path: str) -> Workload:
-    """Read a manifest file; a bad document raises ValueError naming the
-    field.  Requests need unique integer ``request_id``s, string ``model``s
-    and integer ``arrival_cycle``s; counts and ``model_params`` are >= 0, and
-    ``model_params`` holds only the keys of ``DEFAULT_MODEL_PARAMS``.  The
-    ``name`` is a string and the ``arrival_model`` one of ``ARRIVAL_MODELS``."""
+    """Read a manifest file checked against ``MANIFEST_FIELDS``, whose
+    requests have unique ``request_id``s; a bad document raises ValueError
+    naming the field."""
     with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or not isinstance(doc.get("requests"), list):
-        raise ValueError("a manifest is an object with a list of requests")
-    if not all(isinstance(r, dict) and isinstance(r.get("model"), str)
-               for r in doc["requests"]):
-        raise ValueError("each manifest request is an object with a string model")
-    requests = tuple(Request(_non_negative("request_id", r.get("request_id")), r["model"],
-                             _non_negative("arrival_cycle", r.get("arrival_cycle")))
-                     for r in doc["requests"])
+        doc = check(json.load(f), MANIFEST_FIELDS, ValueError, "manifest")
+    requests = tuple(Request(**r) for r in doc["requests"])
     if len({r.request_id for r in requests}) < len(requests):
         raise ValueError("manifest request_id values must be unique")
-    params = check_model_params(doc.get("model_params", DEFAULT_MODEL_PARAMS), "manifest")
-    seed = _non_negative("seed", doc.get("seed", 0))
-    cnn_ratio = float(_non_negative("cnn_ratio", doc.get("cnn_ratio", 0.0), (int, float)))
-    count = _non_negative("request_count", doc.get("request_count", len(requests)))
-    name = doc.get("name", "workload")
-    if not isinstance(name, str):
-        raise ValueError(f"manifest name must be a string, got {name!r}")
-    arrival_model = doc.get("arrival_model", "batch")
-    if arrival_model not in ARRIVAL_MODELS:
-        raise ValueError(f"manifest arrival_model must be one of {ARRIVAL_MODELS}, "
-                         f"got {arrival_model!r}")
-    return Workload(name, seed, cnn_ratio, count, requests, arrival_model, dict(params))
+    return Workload(doc["name"], doc["seed"], float(doc["cnn_ratio"]),
+                    doc.get("request_count", len(requests)), requests,
+                    doc["arrival_model"], doc["model_params"])

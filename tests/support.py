@@ -5,10 +5,13 @@ and the document trace_digest hashes."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import random
 from operator import attrgetter, itemgetter
@@ -71,6 +74,42 @@ def desk_hw_doc_with(path: tuple, value) -> dict:
         parent = parent[key]
     parent[path[-1]] = value
     return doc
+
+
+# one value of each JSON type, and a non-empty list and object
+RETYPES = (None, True, 0, 1, -1, 1.5, "x", [], {}, [1], {"a": 1})
+ADDED_KEY = "no_such_key"
+
+
+def _copy_at(doc, path):
+    """A deep copy of ``doc`` and the copy's node at ``path``."""
+    bad = copy.deepcopy(doc)
+    return bad, functools.reduce(operator.getitem, path, bad)
+
+
+def doc_mutations(doc, path=()):
+    """(label, copy of ``doc``, the added key or None) for each way to break
+    ``doc`` at one place: the whole document or one value in it replaced by
+    each of RETYPES, NaN and Infinity, one object key dropped, or ADDED_KEY
+    added to one object."""
+    for value in RETYPES + (math.nan, math.inf):
+        bad = value
+        if path:
+            bad, parent = _copy_at(doc, path[:-1])
+            parent[path[-1]] = value
+        yield f"{list(path)} = {value!r}", bad, None
+    if path and isinstance(functools.reduce(operator.getitem, path[:-1], doc), dict):
+        bad, parent = _copy_at(doc, path[:-1])
+        del parent[path[-1]]
+        yield f"{list(path)} dropped", bad, None
+    node = functools.reduce(operator.getitem, path, doc)
+    if isinstance(node, dict):
+        bad, copied = _copy_at(doc, path)
+        copied[ADDED_KEY] = 1
+        yield f"{list(path)} + {ADDED_KEY!r}", bad, ADDED_KEY
+    children = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in children:
+        yield from doc_mutations(doc, path + (key,))
 
 
 def chain_description(n: int, *, reverse: bool = False) -> dict:

@@ -12,14 +12,14 @@ import pytest
 from svsim import cli
 from svsim.cli import (compare_results, load_sweep_spec, main, read_results_csv,
                        run_sweep, sweep_configs, sweep_workloads)
-from svsim.hardware import ConfigError
-from svsim.models import builtin_model, to_umf
+from svsim.hardware import ConfigError, load_hw_config
+from svsim.models import ModelError, builtin_model, ingest_graph, to_umf
 from svsim.scheduling import SCHEDULERS, NoReadyTask
 from svsim.umf import FRAME_HEADER_SIZE, INFO_HEADER_SIZE, encode_frame
-from svsim.workloads import generate, save_manifest
+from svsim.workloads import generate, load_manifest, save_manifest
 
-from support import (DESK_HW, chain_description, desk_hw_doc_with, hw_config_to_dict,
-                     make_cluster, make_hw)
+from support import (DESK_HW, chain_description, desk_hw_doc_with, doc_mutations,
+                     hw_config_to_dict, make_cluster, make_hw)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SWEEP_SPEC = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -221,6 +221,8 @@ def test_simulate_zero_model_size_exit_code(tmp_path, capsys, model, param):
     (("clock_mhz",), math.nan), (("hbm_gbps",), math.nan), (("clock_mhz",), math.inf),
     (("clusters", 0, "shared_mem_mb"), math.inf), (("hbm_gbps",), math.inf),
     (("clock_mhz",), True), (("hbm_gbps",), True), (("hbm_gbps",), "64"),
+    # finite as written, infinite once scaled to Hz, bytes/s or bytes
+    (("clock_mhz",), 1e303), (("hbm_gbps",), 1e300), (("clusters", 0, "shared_mem_mb"), 1e303),
 ])
 def test_simulate_bad_hw_value_exit_code(tmp_path, capsys, path, value):
     doc = desk_hw_doc_with(path, value)
@@ -266,6 +268,10 @@ def _requests(*ids_and_arrivals):
     # each ran, and a list name reached the trace meta as its repr
     ({"requests": _requests((0, 0)), "name": ["x"]}, "name"),
     ({"requests": _requests((0, 0)), "arrival_model": "poisson"}, "arrival_model"),
+    # NaN and Infinity loaded as the workload's ratio
+    ({"requests": _requests((0, 0)), "cnn_ratio": math.nan}, "cnn_ratio"),
+    ({"requests": _requests((0, 0)), "cnn_ratio": math.inf}, "cnn_ratio"),
+    ({"requests": _requests((0, 0)), "cnn_ratio": 1.5}, "cnn_ratio"),
 ])
 def test_simulate_bad_manifest_exit_code(tmp_path, capsys, doc, word):
     path = tmp_path / "w.json"
@@ -505,6 +511,13 @@ def test_sweep_rejects_bad_spec_before_any_point(tmp_path, capsys, doc, word):
     assert not (out / "points").exists()
 
 
+@pytest.mark.parametrize("source", [1.5, None, [SWEEP_SPEC]])
+def test_sweep_spec_source_is_a_path_or_an_object(source):
+    # each went to open() and escaped as TypeError (an int opened that file descriptor)
+    with pytest.raises(ValueError, match="JSON object"):
+        load_sweep_spec(source)
+
+
 def _spec_mutations(doc):
     """(label, copy of ``doc``) with one top-level, ``workload_suite`` or
     ``model_params`` key dropped or retyped, or one axis element retyped."""
@@ -543,6 +556,48 @@ def test_sweep_spec_mutations_load_or_raise_value_or_config_error():
         labels = [cfg["label"] for cfg in sweep_configs(spec)]
         assert not [x for x in labels if "True" in x or "False" in x], label
     assert count == 272
+
+
+def _read_model(path):
+    with open(path) as f:
+        return ingest_graph(f.read())
+
+
+# each shipped document, its loader (which reads a path) and the loader's
+# documented errors; the manifest is one save_manifest writes
+SHIPPED_DOCUMENTS = {"hw": (DESK_HW, load_hw_config, ConfigError),
+                     "spec": (SWEEP_SPEC, load_sweep_spec, (ValueError, ConfigError)),
+                     "model": (ALEXNET, _read_model, ModelError),
+                     "manifest": (None, load_manifest, ValueError)}
+
+
+@pytest.mark.parametrize("name,count", [("hw", 392), ("spec", 799), ("model", 2202),
+                                        ("manifest", 337)])
+def test_shipped_document_mutations_load_or_raise_and_added_keys_are_refused(
+        tmp_path, name, count):
+    # one property for every document, each mutation read back from a file:
+    # it loads or raises the loader's documented error, and a key that no
+    # field table names is refused, never ignored
+    shipped, load, errors = SHIPPED_DOCUMENTS[name]
+    if shipped is None:
+        shipped = str(tmp_path / "w.json")
+        save_manifest(generate(0.5, 3, 1, arrival_model="rate", arrival_interval=1000), shipped)
+    with open(shipped) as f:
+        doc = json.load(f)
+    path = tmp_path / "bad.json"
+    seen = 0
+    for label, bad, added in doc_mutations(doc):
+        seen += 1
+        path.write_text(json.dumps(bad))
+        try:
+            load(str(path))
+        except errors as e:
+            assert added is None or repr(added) in str(e), f"{label}: {e}"
+            continue
+        except Exception as e:
+            pytest.fail(f"{label} escaped as {e!r}")
+        assert added is None, f"{label} loaded"
+    assert seen == count
 
 
 def _one_request_spec(tmp_path, **changes):

@@ -10,7 +10,8 @@ from svsim.hardware import (ClusterConfig, ConfigError, CycleConstants, Hardware
                             load_hw_config, peak_gops, peak_performance,
                             total_area)
 
-from support import DESK_HW, desk_hw_doc_with, hw_config_to_dict, make_cluster, make_hw
+from support import (DESK_HW, RETYPES, desk_hw_doc_with, hw_config_to_dict, make_cluster,
+                     make_hw)
 
 PHYS = PhysicalModel()
 
@@ -164,10 +165,6 @@ def test_config_source_is_a_path_or_a_dict(source):
     # an int went to open() as a file descriptor, which the read then closed
     with pytest.raises(ConfigError, match="path or a dict"):
         load_hw_config(source)
-
-
-# one value of each JSON type, and a non-empty list and object
-RETYPES = (None, True, 0, 1, -1, 1.5, "x", [], {}, [1], {"a": 1})
 
 
 def _hw_mutations(doc, path=()):

@@ -890,10 +890,11 @@ def test_the_wake_has_sets_is_the_one_a_second_call_would_raise(doc, workload):
     # engine no longer makes: that call would raise with not_before == wake.
     # One that leaves the wake cycle at -inf is followed by a placement at the
     # same now.  Until an admission clears the wake cycle, no call comes before
-    # it (a release leaves it as it was), so no dry call follows a placement at
-    # its now; the check below stops at the table's next admission or release.
+    # it, so no dry call follows a placement at its now; the check below stops
+    # at the table's next admission.  A release leaves the wake cycle as it
+    # was, so the check runs on through releases.
     has = SCHEDULERS["has"]
-    log = []  # (table, now, wake after the placement, or None: dry), or (table,)
+    log = []  # (table, now, wake after the placement, or None: dry), or (table,): an admission
 
     def policy(table, now):
         try:
@@ -917,8 +918,7 @@ def test_the_wake_has_sets_is_the_one_a_second_call_would_raise(doc, workload):
     failed = False
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(SCHEDULERS, "has", policy)
-        for name in ("enqueue_request", "release_request"):
-            mp.setattr(ClusterTable, name, changed(getattr(ClusterTable, name)))
+        mp.setattr(ClusterTable, "enqueue_request", changed(ClusterTable.enqueue_request))
         try:
             run(workload, load_hw_config(doc), scheduler="has")
         except (UnpartitionableLayer, CapacityDeadlock, ModelError):
