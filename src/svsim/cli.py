@@ -202,11 +202,10 @@ def point_keys(configs: list[dict], suite: list[workloads.Workload], scheduler: 
             yield cfg, w, hashlib.sha256(f"{head}{text}}}".encode()).hexdigest()
 
 
-def run_sweep_point(cfg: dict, workload: workloads.Workload,
+def run_sweep_point(label: str, hw: hardware.HardwareConfig, workload: workloads.Workload,
                     scheduler: str) -> dict:
-    hw = hardware.load_hw_config(cfg["hw"])
     _, report = simulation.run(workload, hw, scheduler=scheduler)
-    return {"config": cfg["label"], "workload": workload.name,
+    return {"config": label, "workload": workload.name,
             "cnn_ratio": workload.cnn_ratio, "seed": workload.seed,
             "scheduler": scheduler, "tops": report.tops,
             "watts": report.watts, "tops_per_watt": report.tops_per_watt,
@@ -216,9 +215,9 @@ def run_sweep_point(cfg: dict, workload: workloads.Workload,
 
 
 def _point_worker(job):
-    cfg, workload, scheduler, key, path = job
+    label, hw, workload, scheduler, key, path = job
     try:
-        row = {**run_sweep_point(cfg, workload, scheduler), "key": key}
+        row = {**run_sweep_point(label, hw, workload, scheduler), "key": key}
         tmp = path + ".tmp"
         with open(tmp, "w") as f:
             json.dump(row, f, sort_keys=True)
@@ -254,29 +253,27 @@ def run_sweep(spec: dict, out_dir: str, *, parallelism: int = 1,
     suite = sweep_workloads(spec)
     jobs = []
     keys: dict[str, str] = {}  # point file -> its key
+    hws = {cfg["label"]: hardware.load_hw_config(cfg["hw"]) for cfg in configs}  # once each
     for cfg, w, key in point_keys(configs, suite, scheduler):
         path = os.path.join(points_dir, f"{cfg['label']}__{w.name}__{key[:16]}.json")
         keys[path] = key
         if _load_point(path, key) is None:
-            jobs.append((cfg, w, scheduler, key, path))
+            jobs.append((cfg["label"], hws[cfg["label"]], w, scheduler, key, path))
     paths = list(keys)
     if sample < 1.0:
         import random
         keep = random.Random(1234).sample(
             range(len(paths)), max(1, int(len(paths) * sample)))
         kept_paths = {paths[i] for i in keep}
-        jobs = [j for j in jobs if j[4] in kept_paths]
+        jobs = [j for j in jobs if j[5] in kept_paths]
         paths = sorted(kept_paths)
 
-    failures: list[str] = []
     if parallelism <= 1:
         results = map(_point_worker, jobs)
     else:
         pool = ProcessPoolExecutor(max_workers=parallelism)
         results = pool.map(_point_worker, jobs, chunksize=4)
-    for path, err in results:
-        if err is not None:
-            failures.append(f"{os.path.basename(path)}: {err}")
+    failures = [f"{os.path.basename(path)}: {err}" for path, err in results if err is not None]
     if parallelism > 1:
         pool.shutdown()
 

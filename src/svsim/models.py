@@ -407,7 +407,7 @@ _SCALAR_ATTRS = (("kernel", Attr.KERNEL), ("stride", Attr.STRIDE),
 _INTEGER = Rule("an integer (layer attributes are JSON integers)", lambda v: type(v) is int)
 _INTEGERS = List(_INTEGER, "a list of JSON integers")
 MODEL_FIELDS = {
-    "name": (ANY, REQUIRED),
+    "name": (STRING, REQUIRED),
     "class": (ANY, OMIT),  # _parse_class and _parse_precision read these two
     "precision": (ANY, OMIT),
     "inputs": (List({"name": (STRING, REQUIRED), "shape": (_INTEGERS, REQUIRED)},
@@ -479,7 +479,7 @@ def ingest_graph(text) -> ModelGraph:
 
     mclass = _parse_class(doc.get("class"), (op for op, _ in specs.values()))
     precision = _parse_precision(doc.get("precision"), mclass)
-    b = GraphBuilder(str(doc["name"]), mclass, precision)
+    b = GraphBuilder(doc["name"], mclass, precision)
     produced: dict[str, TensorInfo] = {spec["name"]: b.input(spec["shape"])
                                        for spec in doc["inputs"]}
     for name in order:

@@ -25,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import accumulate, islice
 from operator import attrgetter, itemgetter
 
 from .costs import VECTOR_OPS, task_cycles
@@ -398,84 +398,87 @@ def trace_digest(trace: TraceLog) -> str:
 
 
 def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
-    """Replay checker: processor exclusivity, HBM channel serialisation,
-    class eligibility (arrays run only matrix work), each task's duration
-    on its processor, memory actions ending by their task's start,
-    dependency ordering, a dependency that never executed, request
-    completion at its last task's end, shared-memory capacity, and a
-    negative residency at the end.  Returns a list of violations (empty = clean)."""
-    problems: list[str] = []
-
-    by_resource: dict[tuple[int, str], list[Placement]] = {}
-    for p in trace.executions:
-        by_resource.setdefault((p.cluster, p.proc.name), []).append(p)
-    for (ci, res), placed in sorted(by_resource.items()):
-        placed = sorted(placed, key=attrgetter("t_start", "t_end"))
-        for a, b in zip(placed, placed[1:]):
-            if b.t_start < a.t_end:
-                problems.append(
-                    f"cluster{ci}/{res}: {b.task.task_id} starts at {b.t_start} "
-                    f"before {a.task.task_id} ends at {a.t_end}")
-
-    # one channel per cluster; records sharing (t_start, t_end) are one
-    # fetch chunk split across keys, so only distinct intervals must not
-    # overlap, and in sorted order an overlap shows between neighbours
-    spans = sorted((p.cluster, a.start, a.end) for p in trace.executions
-                   for a in p.actions if a.kind != "flush")
-    for (c1, s1, e1), (c2, s2, e2) in zip(spans, spans[1:]):
-        if s2 < e1 and c1 == c2 and (s1, e1) != (s2, e2):
-            problems.append(f"cluster{c1}/hbm: transfer [{s2}, {e2}) "
-                            f"overlaps [{s1}, {e1})")
-
-    end_by_task = {p.task.task_id: p.t_end for p in trace.executions}
-    cycles: dict[tuple, int] = {}  # recomputed here, never read from the tasks
-    for p in trace.executions:
-        task, kind, size = p.task, p.proc.kind, p.proc.size
-        if kind == "array" and task.cost.op not in MATRIX_OPS:
-            problems.append(f"cluster{p.cluster}/{p.proc.name}: {task.task_id} "
-                            f"runs non-matrix {task.cost.op.name}")
-        else:  # an array has no cycle count for non-matrix work
-            key = (task.cost, kind, size)
-            want = cycles.get(key)
-            if want is None:
-                want = cycles[key] = task_cycles(task.cost, kind, size, hw.cycle_constants)
-            if p.t_end - p.t_start != want:
-                problems.append(f"{task.task_id}: runs {p.t_end - p.t_start} cycles on "
-                                f"{p.proc.name}, its cost takes {want}")
+    """Replay checker: processor exclusivity, HBM channel serialisation, then per
+    placement in record order class eligibility (arrays run only matrix work), its
+    duration on its processor, memory actions ending by its start and dependencies
+    executed and ended by then; then request completion at its last task's end,
+    shared-memory capacity and a negative final residency, clusters in order.
+    Returns the violations in that order (empty = clean)."""
+    busy, channel, placed, memory = [], [], [], []  # returned in this order
+    ex = trace.executions
+    end_by_task = {p.task.task_id: p.t_end for p in ex}
+    last_end: dict[int, int] = {}
+    by_cluster: dict[int, list[Placement]] = {}
+    for p in ex:
+        task, proc, t_start, t_end = p.task, p.proc, p.t_start, p.t_end
+        by_cluster.setdefault(p.cluster, []).append(p)
+        if last_end.get(task.request_id, t_end) <= t_end:
+            last_end[task.request_id] = t_end
+        if proc.kind == "array" and task.cost.op not in MATRIX_OPS:
+            placed.append(f"cluster{p.cluster}/{proc.name}: {task.task_id} "
+                          f"runs non-matrix {task.cost.op.name}")
+        else:  # an array has no cycle count for non-matrix work; the cycles are
+            # recomputed, never read from the task (a cache would cost more than it saves)
+            want = task_cycles(task.cost, proc.kind, proc.size, hw.cycle_constants)
+            if t_end - t_start != want:
+                placed.append(f"{task.task_id}: runs {t_end - t_start} cycles on "
+                              f"{proc.name}, its cost takes {want}")
         for a in p.actions:
-            if a.end > p.t_start:
-                problems.append(f"{task.task_id}: {a.kind} of {a.key} ends at {a.end}, "
-                                f"after the task starts at {p.t_start}")
+            if a.end > t_start:
+                placed.append(f"{task.task_id}: {a.kind} of {a.key} ends at {a.end}, "
+                              f"after the task starts at {t_start}")
         for dep in task.deps:
             dep_end = end_by_task.get(dep)
             if dep_end is None:
-                problems.append(f"{task.task_id}: dependency {dep} never executed")
-            elif p.t_start < dep_end:
-                problems.append(
-                    f"{task.task_id} starts at {p.t_start} before dependency "
-                    f"{dep} ends at {dep_end}")
-    last_end = {p.task.request_id: p.t_end
-                for p in sorted(trace.executions, key=attrgetter("t_end"))}
+                placed.append(f"{task.task_id}: dependency {dep} never executed")
+            elif t_start < dep_end:
+                placed.append(f"{task.task_id} starts at {t_start} before dependency "
+                              f"{dep} ends at {dep_end}")
     for r in trace.requests:
         if r.completed >= 0 and r.completed != last_end.get(r.request_id):
-            problems.append(f"request {r.request_id}: completed at {r.completed}, "
-                            f"its last task ends at {last_end.get(r.request_id)}")
+            placed.append(f"request {r.request_id}: completed at {r.completed}, "
+                          f"its last task ends at {last_end.get(r.request_id)}")
 
-    # clusters in order, each in time order, releases before allocations at
-    # equal times: stable sorts on delta, time, then cluster (no key tuples)
-    changes = list(_residency_deltas(trace.executions))
-    for i in (2, 1, 0):
-        changes.sort(key=itemgetter(i))
-    for ci, cluster_changes in groupby(changes, key=itemgetter(0)):
+    for ci, cluster in sorted(by_cluster.items()):  # one walk of each cluster's actions
+        by_proc: dict[str, list[Placement]] = {}
+        spans, order, deltas = [], [], []  # order: time << 1 | allocation
+        for p in cluster:  # the changes _residency_deltas yields, in its order
+            by_proc.setdefault(p.proc.name, []).append(p)
+            for a in p.actions:
+                if a.kind == "flush":
+                    t, d = a.end, -a.bytes
+                else:
+                    spans.append((a.start, a.end))
+                    t, d = (a.end, -a.bytes) if a.kind == "write_act" else (a.start, a.bytes)
+                order.append(t << 1 | (d > 0))
+                deltas.append(d)
+            if out := p.task.act_out_key:
+                order.append(p.t_start << 1 | (out[1] > 0))
+                deltas.append(out[1])
+        for res, on_proc in sorted(by_proc.items()):
+            on_proc.sort(key=attrgetter("t_start", "t_end"))
+            busy += [f"cluster{ci}/{res}: {b.task.task_id} starts at {b.t_start} before "
+                     f"{a.task.task_id} ends at {a.t_end}"
+                     for a, b in zip(on_proc, on_proc[1:]) if b.t_start < a.t_end]
+        # records sharing (start, end) are one fetch chunk split across keys, so
+        # only distinct intervals must not overlap; sorted, overlaps are neighbours
+        spans.sort()
+        channel += [f"cluster{ci}/hbm: transfer [{s2}, {e2}) overlaps [{s1}, {e1})"
+                    for (s1, e1), (s2, e2) in zip(spans, spans[1:])
+                    if s2 < e1 and (s1, e1) != (s2, e2)]
+        if not deltas:
+            continue
         cap = hw.clusters[ci].shared_mem_bytes
-        level = 0
-        for _, t, delta, key in cluster_changes:
-            level += delta
-            if level > cap:
-                problems.append(
-                    f"cluster{ci}: shared memory at {level} B > {cap} B "
-                    f"at cycle {t} ({key})")
-        if level < 0:
-            problems.append(f"cluster{ci}: negative residency at end ({level})")
-
-    return problems
+        # a cycle's level falls through its releases, then rises through its allocations,
+        # so it passes cap here iff in the order reported: cycle, delta, record order
+        if max(accumulate(map(deltas.__getitem__,
+                              sorted(range(len(order)), key=order.__getitem__)))) > cap:
+            level = 0
+            for _, t, delta, key in sorted(_residency_deltas(cluster), key=itemgetter(1, 2)):
+                level += delta
+                if level > cap:
+                    memory.append(f"cluster{ci}: shared memory at {level} B > {cap} B "
+                                  f"at cycle {t} ({key})")
+        if sum(deltas) < 0:
+            memory.append(f"cluster{ci}: negative residency at end ({sum(deltas)})")
+    return busy + channel + placed + memory

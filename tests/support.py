@@ -1,7 +1,7 @@
 """Shared test helpers: hardware builders, synthetic task instances, a
 bare cluster-table driver, the exhaustive-search makespan oracle, the
-reference policies, and the reference writers of trace.json, decisions.jsonl
-and the document trace_digest hashes."""
+reference policies, the reference writers of trace.json, decisions.jsonl
+and the document trace_digest hashes, and the reference replay checker."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import math
 import operator
 import os
 import random
+from itertools import groupby
 from operator import attrgetter, itemgetter
 
 from svsim.costs import VECTOR_OPS, TaskCost, task_cycles
@@ -426,3 +427,90 @@ def reference_digest(trace) -> str:
     """The digest ``trace_digest`` must return: sha256 of
     ``json.dumps(trace_to_dict(trace), sort_keys=True)``."""
     return hashlib.sha256(json.dumps(trace_to_dict(trace), sort_keys=True).encode()).hexdigest()
+
+
+# --- reference replay checker ------------------------------------------------------
+
+def reference_verify_trace(trace, hw) -> list[str]:
+    """Replay checker: processor exclusivity, HBM channel serialisation,
+    class eligibility (arrays run only matrix work), each task's duration
+    on its processor, memory actions ending by their task's start,
+    dependency ordering, a dependency that never executed, request
+    completion at its last task's end, shared-memory capacity, and a
+    negative residency at the end.  Returns a list of violations (empty = clean).
+    The list ``verify_trace`` must return, message for message and in order."""
+    problems: list[str] = []
+
+    by_resource: dict[tuple[int, str], list] = {}
+    for p in trace.executions:
+        by_resource.setdefault((p.cluster, p.proc.name), []).append(p)
+    for (ci, res), placed in sorted(by_resource.items()):
+        placed = sorted(placed, key=attrgetter("t_start", "t_end"))
+        for a, b in zip(placed, placed[1:]):
+            if b.t_start < a.t_end:
+                problems.append(
+                    f"cluster{ci}/{res}: {b.task.task_id} starts at {b.t_start} "
+                    f"before {a.task.task_id} ends at {a.t_end}")
+
+    # one channel per cluster; records sharing (t_start, t_end) are one
+    # fetch chunk split across keys, so only distinct intervals must not
+    # overlap, and in sorted order an overlap shows between neighbours
+    spans = sorted((p.cluster, a.start, a.end) for p in trace.executions
+                   for a in p.actions if a.kind != "flush")
+    for (c1, s1, e1), (c2, s2, e2) in zip(spans, spans[1:]):
+        if s2 < e1 and c1 == c2 and (s1, e1) != (s2, e2):
+            problems.append(f"cluster{c1}/hbm: transfer [{s2}, {e2}) "
+                            f"overlaps [{s1}, {e1})")
+
+    end_by_task = {p.task.task_id: p.t_end for p in trace.executions}
+    cycles: dict[tuple, int] = {}  # recomputed here, never read from the tasks
+    for p in trace.executions:
+        task, kind, size = p.task, p.proc.kind, p.proc.size
+        if kind == "array" and task.cost.op not in MATRIX_OPS:
+            problems.append(f"cluster{p.cluster}/{p.proc.name}: {task.task_id} "
+                            f"runs non-matrix {task.cost.op.name}")
+        else:  # an array has no cycle count for non-matrix work
+            key = (task.cost, kind, size)
+            want = cycles.get(key)
+            if want is None:
+                want = cycles[key] = task_cycles(task.cost, kind, size, hw.cycle_constants)
+            if p.t_end - p.t_start != want:
+                problems.append(f"{task.task_id}: runs {p.t_end - p.t_start} cycles on "
+                                f"{p.proc.name}, its cost takes {want}")
+        for a in p.actions:
+            if a.end > p.t_start:
+                problems.append(f"{task.task_id}: {a.kind} of {a.key} ends at {a.end}, "
+                                f"after the task starts at {p.t_start}")
+        for dep in task.deps:
+            dep_end = end_by_task.get(dep)
+            if dep_end is None:
+                problems.append(f"{task.task_id}: dependency {dep} never executed")
+            elif p.t_start < dep_end:
+                problems.append(
+                    f"{task.task_id} starts at {p.t_start} before dependency "
+                    f"{dep} ends at {dep_end}")
+    last_end = {p.task.request_id: p.t_end
+                for p in sorted(trace.executions, key=attrgetter("t_end"))}
+    for r in trace.requests:
+        if r.completed >= 0 and r.completed != last_end.get(r.request_id):
+            problems.append(f"request {r.request_id}: completed at {r.completed}, "
+                            f"its last task ends at {last_end.get(r.request_id)}")
+
+    # clusters in order, each in time order, releases before allocations at
+    # equal times: stable sorts on delta, time, then cluster (no key tuples)
+    changes = list(_residency_deltas(trace.executions))
+    for i in (2, 1, 0):
+        changes.sort(key=itemgetter(i))
+    for ci, cluster_changes in groupby(changes, key=itemgetter(0)):
+        cap = hw.clusters[ci].shared_mem_bytes
+        level = 0
+        for _, t, delta, key in cluster_changes:
+            level += delta
+            if level > cap:
+                problems.append(
+                    f"cluster{ci}: shared memory at {level} B > {cap} B "
+                    f"at cycle {t} ({key})")
+        if level < 0:
+            problems.append(f"cluster{ci}: negative residency at end ({level})")
+
+    return problems

@@ -89,6 +89,17 @@ def test_convert_rejects_unknown_op(tmp_path, capsys):
     assert "unknown op" in capsys.readouterr().err
 
 
+def test_convert_rejects_a_non_string_model_name(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "name": ["x"], "inputs": [{"name": "x", "shape": [4, 8]}],
+        "layers": [{"name": "l", "op": "GEMM", "inputs": ["x"], "out_features": 4}]}))
+    assert main(["convert", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "name" in err[0]
+    assert not (tmp_path / "bad.umf").exists()
+
+
 @pytest.mark.parametrize("layer,shape,why", [
     ({"op": "GEMM", "out_features": 70000}, [4, 8], "u16 range"),
     ({"op": "Reshape", "target": [1, 1, 1, 1, 4]}, [4], "at most 4 dims"),
@@ -449,6 +460,16 @@ def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
     assert failures == [] and len(ran) == len(rows) == 11
     assert not {r.pop("key") for r in rows} & {r.pop("key") for r in rows2}
     assert rows2 == rows
+
+
+def test_run_sweep_loads_each_config_once(tmp_path, monkeypatch):
+    spec = load_sweep_spec({**tiny_spec(), "shared_mem_mb": [45, 105]})
+    loaded = []
+    real = cli.hardware.load_hw_config
+    monkeypatch.setattr(cli.hardware, "load_hw_config", lambda doc: loaded.append(doc) or real(doc))
+    rows, failures = run_sweep(spec, str(tmp_path / "out"))
+    assert failures == [] and len(rows) == 22
+    assert loaded == [cfg["hw"] for cfg in sweep_configs(spec)]
 
 
 def test_point_keys_are_the_one_document_sha256():

@@ -139,6 +139,10 @@ def one_layer(**layer):
     (one_layer(op="Transpose", perm=[0, 2.0, 1]), SchemaError),
     (one_layer(op="Transpose", perm="021"), SchemaError),
     (one_layer(op="Reshape", target=[4, True, 64]), SchemaError),
+    # a model's name is a string, as a manifest's is
+    ({**one_layer(op="Activation"), "name": []}, SchemaError),
+    ({**one_layer(op="Activation"), "name": None}, SchemaError),
+    ({**one_layer(op="Activation"), "name": 5}, SchemaError),
 ])
 def test_ingest_schema_errors(doc, expect):
     with pytest.raises(expect):

@@ -27,7 +27,7 @@ from svsim.workloads import (RATIO_GRID, Request, Workload, generate, load_manif
                              standard_suite)
 
 from support import (REFERENCE_SCHEDULERS, make_cluster, make_hw, reference_decisions,
-                     reference_digest, reference_trace_json)
+                     reference_digest, reference_trace_json, reference_verify_trace)
 
 PHYS = PhysicalModel()
 DESK_HW = os.path.join(os.path.dirname(__file__), "..", "configs", "desk_hw.json")
@@ -257,6 +257,25 @@ def test_verify_trace_catches_negative_residency_at_the_end():
     assert verify_trace(trace, hw) == [
         f"{p.task.task_id}: flush of extra ends at {t + 1}, after the task starts at "
         f"{p.t_start}", "cluster0: negative residency at end (-1)"]
+
+
+def test_verify_trace_orders_the_changes_of_one_cycle_by_delta():
+    trace, hw = _desk_trace()
+    cap = hw.clusters[0].shared_mem_bytes
+    t, level = _residency_tail(trace)
+    assert level + 1 <= cap
+    # in record order the big fetch fills the scratchpad to cap and the small
+    # one passes it; at one cycle the smaller change comes first, so the big
+    # fetch is the one that passes cap, and the one named
+    p = trace.executions[-1]
+    p.actions += (MemAction("fetch_param", t + 1, t + 1, cap - level, "big"),
+                  MemAction("fetch_param", t + 1, t + 1, 1, "small"))
+    assert verify_trace(trace, hw) == [
+        f"{p.task.task_id}: fetch_param of big ends at {t + 1}, "
+        f"after the task starts at {p.t_start}",
+        f"{p.task.task_id}: fetch_param of small ends at {t + 1}, "
+        f"after the task starts at {p.t_start}",
+        f"cluster0: shared memory at {cap + 1} B > {cap} B at cycle {t + 1} (big)"]
 
 
 def _cold_digests(runs):
@@ -1025,6 +1044,46 @@ def test_trace_digest_streams_the_reference_document_on_random_runs(doc, workloa
     except (UnpartitionableLayer, CapacityDeadlock, ModelError):
         return
     assert trace_digest(trace) == reference_digest(trace)
+
+
+def _tamper(draw, trace, hw, tamper):
+    """Apply ``tamper`` in place to one drawn placement or request of ``trace``."""
+    ex = trace.executions
+    i = draw(st.integers(0, len(ex) - 1))
+    p = ex[i]
+    if tamper == "shift":  # its duration kept
+        k = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        ex[i] = dataclasses.replace(p, t_start=p.t_start + k, t_end=p.t_end + k)
+    elif tamper == "action":  # at a cycle the cluster's residency changes at
+        changes = [r for r in trace.residency if r.cluster == p.cluster]
+        start = draw(st.sampled_from([r.time for r in changes] or [p.t_start]))
+        # sizes that fill the scratchpad up to, or just past, its capacity at that cycle
+        room = hw.clusters[p.cluster].shared_mem_bytes - sum(
+            r.delta for r in changes if r.time < start)
+        extra = MemAction(draw(st.sampled_from(["fetch_param", "read_act", "write_act", "flush"])),
+                          start, start + draw(st.sampled_from([0, 1, 64])),
+                          draw(st.sampled_from([0, 1, room // 2, room, room + 1])), ("w", "extra"))
+        ex[i] = dataclasses.replace(p, actions=p.actions + (extra,))
+    elif tamper == "dependency":
+        dep = draw(st.sampled_from([q.task.task_id for q in ex] + ["r99/L0/s0"]))
+        ex[i] = dataclasses.replace(p, task=dataclasses.replace(p.task, deps=p.task.deps + (dep,)))
+    elif tamper == "completed":
+        draw(st.sampled_from(trace.requests)).completed += draw(st.sampled_from([-1, 1]))
+
+
+@pytest.mark.parametrize("tamper", ["shift", "action", "dependency", "completed", "clean"])
+@settings(max_examples=60, deadline=None)
+@given(doc=hw_docs, workload=workloads(), scheduler=st.sampled_from(["rr", "has"]),
+       data=st.data())
+def test_verify_trace_returns_the_reference_list_on_tampered_random_runs(tamper, doc, workload,
+                                                                         scheduler, data):
+    hw = load_hw_config(doc)
+    try:
+        trace, _ = run(workload, hw, scheduler=scheduler)
+    except (UnpartitionableLayer, CapacityDeadlock, ModelError):
+        return
+    _tamper(data.draw, trace, hw, tamper)
+    assert verify_trace(trace, hw) == reference_verify_trace(trace, hw)
 
 
 def test_trace_digest_holds_a_chunk_of_rows_not_the_document():
