@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -93,7 +94,6 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w") as f:
         json.dump({**report.__dict__,
-                   "utilization": report.utilization,
                    "request_latency": {str(k): v for k, v in
                                        report.request_latency.items()}},
                   f, indent=2, sort_keys=True)
@@ -135,15 +135,17 @@ SWEEP_FIELDS = {
 
 def load_sweep_spec(source) -> dict:
     """A checked sweep spec from a JSON path or dict (which is left as it
-    was), filled in from ``SWEEP_FIELDS``; every config it spans must pass
-    ``load_hw_config``.  A bad document raises ValueError naming the key, or
-    ConfigError."""
+    was), filled in from ``SWEEP_FIELDS``.  Every config it spans must pass
+    ``load_hw_config``; ``spec["configs"]`` keeps them, the ``sweep_configs``
+    entries (a repeated axis value once) each with its loaded ``"config"``.
+    A bad document raises ValueError naming the key, or ConfigError."""
     if isinstance(source, (str, os.PathLike)):
         with open(source) as f:
             source = json.load(f)
     spec = check(source, SWEEP_FIELDS, ValueError, "sweep spec")
-    for cfg in sweep_configs(spec):
-        hardware.load_hw_config(cfg["hw"])
+    configs = {cfg["label"]: cfg for cfg in sweep_configs(spec)}
+    spec["configs"] = [{**cfg, "config": hardware.load_hw_config(cfg["hw"])}
+                       for cfg in configs.values()]
     return spec
 
 
@@ -215,6 +217,7 @@ def run_sweep_point(label: str, hw: hardware.HardwareConfig, workload: workloads
 
 
 def _point_worker(job):
+    """Run one point and write its record; returns (row, None) or (None, error)."""
     label, hw, workload, scheduler, key, path = job
     try:
         row = {**run_sweep_point(label, hw, workload, scheduler), "key": key}
@@ -222,9 +225,9 @@ def _point_worker(job):
         with open(tmp, "w") as f:
             json.dump(row, f, sort_keys=True)
         os.replace(tmp, path)
-        return (path, None)
+        return row, None
     except Exception as e:  # noqa: BLE001 - reported in the failure table
-        return (path, f"{type(e).__name__}: {e}")
+        return None, f"{type(e).__name__}: {e}"
 
 
 def _load_point(path: str, key: str) -> dict | None:
@@ -239,46 +242,34 @@ def _load_point(path: str, key: str) -> dict | None:
 
 def run_sweep(spec: dict, out_dir: str, *, parallelism: int = 1,
               sample: float = 1.0) -> tuple[list[dict], list[str]]:
-    """Run (or resume) a sweep of a loaded spec; returns (rows, failures).
+    """Run (or resume) a sweep of a spec from ``load_sweep_spec``, over its
+    ``spec["configs"]``; returns (rows, failures).
 
     Every point is cached as a JSON record named and stamped with its key
     from ``point_keys``, so an interrupted sweep resumes, a point whose inputs
     changed is recomputed, and merged results are independent of the
-    worker count.
+    worker count.  A sample is drawn from the points before any is read.
     """
     scheduler = spec["scheduler"]
     points_dir = os.path.join(out_dir, "points")
     os.makedirs(points_dir, exist_ok=True)
-    configs = sweep_configs(spec)
-    suite = sweep_workloads(spec)
-    jobs = []
-    keys: dict[str, str] = {}  # point file -> its key
-    hws = {cfg["label"]: hardware.load_hw_config(cfg["hw"]) for cfg in configs}  # once each
-    for cfg, w, key in point_keys(configs, suite, scheduler):
-        path = os.path.join(points_dir, f"{cfg['label']}__{w.name}__{key[:16]}.json")
-        keys[path] = key
-        if _load_point(path, key) is None:
-            jobs.append((cfg["label"], hws[cfg["label"]], w, scheduler, key, path))
-    paths = list(keys)
+    points = [(cfg, w, key, os.path.join(points_dir, f"{cfg['label']}__{w.name}__{key[:16]}.json"))
+              for cfg, w, key in point_keys(spec["configs"], sweep_workloads(spec), scheduler)]
     if sample < 1.0:
-        import random
-        keep = random.Random(1234).sample(
-            range(len(paths)), max(1, int(len(paths) * sample)))
-        kept_paths = {paths[i] for i in keep}
-        jobs = [j for j in jobs if j[5] in kept_paths]
-        paths = sorted(kept_paths)
-
+        keep = random.Random(1234).sample(range(len(points)), max(1, int(len(points) * sample)))
+        points = [points[i] for i in sorted(keep)]
+    cached = [_load_point(path, key) for _, _, key, path in points]  # each file read once
+    rows = [row for row in cached if row is not None]
+    jobs = [(cfg["label"], cfg["config"], w, scheduler, key, path)
+            for (cfg, w, key, path), row in zip(points, cached) if row is None]
     if parallelism <= 1:
-        results = map(_point_worker, jobs)
+        results = list(map(_point_worker, jobs))
     else:
-        pool = ProcessPoolExecutor(max_workers=parallelism)
-        results = pool.map(_point_worker, jobs, chunksize=4)
-    failures = [f"{os.path.basename(path)}: {err}" for path, err in results if err is not None]
-    if parallelism > 1:
-        pool.shutdown()
-
-    rows = [row for row in (_load_point(p, keys[p]) for p in sorted(paths))
-            if row is not None]
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            results = list(pool.map(_point_worker, jobs, chunksize=4))
+    rows += [row for row, err in results if err is None]
+    failures = [f"{os.path.basename(job[5])}: {err}"
+                for job, (_, err) in zip(jobs, results) if err is not None]
     rows.sort(key=lambda r: (r["config"], r["workload"]))
     write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     return rows, failures

@@ -228,8 +228,8 @@ def run(workload, hw: HardwareConfig, scheduler: str = "has", *,
             records[rid].completed = now
             in_flight[ci] -= 1
             tables[ci].release_request(rid)
+            # no drain(ci): its wake stays past now but for an admission, which admit_waiting drains
             admit_waiting(now)
-            drain(ci, now)
         else:  # wake
             drain(payload, now)
 
@@ -401,8 +401,9 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
     """Replay checker: processor exclusivity, HBM channel serialisation, then per
     placement in record order class eligibility (arrays run only matrix work), its
     duration on its processor, memory actions ending by its start and dependencies
-    executed and ended by then; then request completion at its last task's end,
-    shared-memory capacity and a negative final residency, clusters in order.
+    executed and ended by then; then request completion at its last task's end, a
+    cluster the config has, shared-memory capacity and a negative final residency,
+    clusters in order.
     Returns the violations in that order (empty = clean)."""
     busy, channel, placed, memory = [], [], [], []  # returned in this order
     ex = trace.executions
@@ -466,6 +467,9 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
         channel += [f"cluster{ci}/hbm: transfer [{s2}, {e2}) overlaps [{s1}, {e1})"
                     for (s1, e1), (s2, e2) in zip(spans, spans[1:])
                     if s2 < e1 and (s1, e1) != (s2, e2)]
+        if not 0 <= ci < len(hw.clusters):  # no capacity to check against
+            memory.append(f"cluster{ci}: not one of the config's {len(hw.clusters)} clusters")
+            continue
         if not deltas:
             continue
         cap = hw.clusters[ci].shared_mem_bytes

@@ -463,13 +463,27 @@ def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
 
 
 def test_run_sweep_loads_each_config_once(tmp_path, monkeypatch):
-    spec = load_sweep_spec({**tiny_spec(), "shared_mem_mb": [45, 105]})
     loaded = []
     real = cli.hardware.load_hw_config
     monkeypatch.setattr(cli.hardware, "load_hw_config", lambda doc: loaded.append(doc) or real(doc))
+    # counted from load_sweep_spec: checking a config and running it is one load
+    spec = load_sweep_spec({**tiny_spec(), "shared_mem_mb": [45, 105]})
     rows, failures = run_sweep(spec, str(tmp_path / "out"))
     assert failures == [] and len(rows) == 22
     assert loaded == [cfg["hw"] for cfg in sweep_configs(spec)]
+
+
+def test_run_sweep_reads_each_point_file_once(tmp_path, monkeypatch):
+    spec = load_sweep_spec(tiny_spec())
+    out = str(tmp_path / "out")
+    read = []
+    real = cli._load_point
+    monkeypatch.setattr(cli, "_load_point", lambda path, key: read.append(path) or real(path, key))
+    rows, _ = run_sweep(spec, out)  # fresh: each lookup misses, and the row is not read back
+    assert len(rows) == 11 and len(read) == len(set(read)) == 11
+    read.clear()
+    assert run_sweep(spec, out)[0] == rows  # resumed: each cached row is read once
+    assert len(read) == len(set(read)) == 11
 
 
 def test_point_keys_are_the_one_document_sha256():
@@ -720,6 +734,18 @@ def test_sweep_sample_fraction(tmp_path):
     spec = load_sweep_spec(tiny_spec())
     rows, _ = run_sweep(spec, str(tmp_path / "s"), sample=0.3)
     assert 1 <= len(rows) < 11
+
+
+def test_sampled_sweep_is_parallelism_invariant_and_resumes(tmp_path, monkeypatch):
+    spec = load_sweep_spec({**tiny_spec(), "shared_mem_mb": [45, 105]})
+    out = str(tmp_path / "serial")
+    rows, failures = run_sweep(spec, out, sample=0.3)
+    assert failures == [] and len(rows) == int(22 * 0.3)
+    assert run_sweep(spec, str(tmp_path / "parallel"), parallelism=2, sample=0.3) == (rows, [])
+    ran = []
+    real = cli.run_sweep_point
+    monkeypatch.setattr(cli, "run_sweep_point", lambda *a: ran.append(a) or real(*a))
+    assert run_sweep(spec, out, sample=0.3) == (rows, []) and ran == []
 
 
 # --- compare --------------------------------------------------------------------

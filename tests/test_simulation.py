@@ -227,6 +227,20 @@ def test_verify_trace_catches_a_task_starting_before_its_dependency_ends():
         f"ends at {later.t_end}"]
 
 
+@pytest.mark.parametrize("cluster", [-1, 5])
+def test_verify_trace_names_a_cluster_the_config_does_not_have(cluster):
+    trace, hw = _desk_trace()
+    for p in trace.executions:
+        p.cluster = cluster
+    # one violation; no other cluster's capacity stands in for the missing one
+    assert verify_trace(trace, hw) == [f"cluster{cluster}: not one of the config's 1 clusters"]
+    trace, hw = _desk_trace()
+    trace.executions[0].cluster = cluster
+    problems = verify_trace(trace, hw)
+    assert [m for m in problems if m.startswith(f"cluster{cluster}: ")] == [
+        f"cluster{cluster}: not one of the config's 1 clusters"]
+
+
 def _residency_tail(trace):
     """The last residency cycle on cluster 0 and the level it ends at."""
     return (max(r.time for r in trace.residency),
