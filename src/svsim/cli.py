@@ -43,7 +43,7 @@ RESULT_FIELDS = ("config", "workload", "cnn_ratio", "seed", "scheduler",
 
 def _cmd_convert(args) -> int:
     try:
-        with open(args.model) as f:
+        with open(args.model, "rb") as f:
             graph = models.ingest_graph(f.read())
         buf = umf.encode_frame(models.to_umf(
             graph, user_id=args.user_id, model_id=args.model_id,
@@ -249,11 +249,17 @@ def run_sweep(spec: dict, out_dir: str, *, parallelism: int = 1,
     from ``point_keys``, so an interrupted sweep resumes, a point whose inputs
     changed is recomputed, and merged results are independent of the
     worker count.  A sample is drawn from the points before any is read.
+    Point files of other code (another code-digest tag) are deleted first.
     """
     scheduler = spec["scheduler"]
     points_dir = os.path.join(out_dir, "points")
     os.makedirs(points_dir, exist_ok=True)
-    points = [(cfg, w, key, os.path.join(points_dir, f"{cfg['label']}__{w.name}__{key[:16]}.json"))
+    tag = f"__{code_digest()[:8]}_"
+    for name in os.listdir(points_dir):
+        if "__" in name and tag not in name:
+            os.remove(os.path.join(points_dir, name))
+    points = [(cfg, w, key,
+               os.path.join(points_dir, f"{cfg['label']}__{w.name}{tag}{key[:16]}.json"))
               for cfg, w, key in point_keys(spec["configs"], sweep_workloads(spec), scheduler)]
     if sample < 1.0:
         keep = random.Random(1234).sample(range(len(points)), max(1, int(len(points) * sample)))

@@ -12,10 +12,9 @@ tiles stay in the accumulation units.  Convolution lowers to the im2col
 product M = output positions, K = flattened kernel volume, N = output
 channels (per group).
 
-Vector processors run one MAC per lane per cycle for matrix work, process
-element-wise kinds at a per-element cycle cost, and run softmax rows through
-multi-cycle exponent / accumulate / divide stages.  A processor enters as its
-kind and size (PE dim d or lane count): nothing else of it sets the cycles.
+Vector processors run one MAC per lane per cycle for matrix work, and other
+work at the fixed per-element cycles of ``VECTOR_OPS``.  A processor enters as
+its kind and size (PE dim d or lane count): nothing else of it sets the cycles.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .hardware import CycleConstants, HardwareConfig
+from .hardware import HardwareConfig
 from .models import (DATA_OPS, MATRIX_OPS, LayerNode, OpType, layer_macs,
                      matrix_dims)
 
@@ -50,18 +49,18 @@ class TaskCost:
 
 class VectorOp(NamedTuple):
     name: str  # its key in a trace row's vector_counts
-    cycle_field: str | None  # per-element CycleConstants field; softmax runs row stages
+    cycles: int  # per lane-wide step of elements (of one row, for softmax)
     energy_row: str  # its PhysicalModel.vector_pj row
 
 
 # every op that is neither matrix nor data work; normalization and
 # element-wise add land on the catch-all energy row
 VECTOR_OPS = {
-    OpType.POOL: VectorOp("pool", "pooling", "pooling"),
-    OpType.ACTIVATION: VectorOp("activation", "activation", "lut"),
-    OpType.SOFTMAX: VectorOp("softmax", None, "softmax"),
-    OpType.LAYERNORM: VectorOp("layernorm", "layernorm", "etc"),
-    OpType.ELEMENTWISE_ADD: VectorOp("add", "add", "etc"),
+    OpType.POOL: VectorOp("pool", 1, "pooling"),
+    OpType.ACTIVATION: VectorOp("activation", 1, "lut"),
+    OpType.SOFTMAX: VectorOp("softmax", 13, "softmax"),  # exponent 4, accumulate 1, divide 8
+    OpType.LAYERNORM: VectorOp("layernorm", 4, "etc"),
+    OpType.ELEMENTWISE_ADD: VectorOp("add", 1, "etc"),
 }
 
 
@@ -102,22 +101,21 @@ def systolic_cycles(cost: TaskCost, d: int) -> int:
     return groups * passes * (m + 2 * d)
 
 
-def vector_cycles(cost: TaskCost, lanes: int, cc: CycleConstants) -> int:
+def vector_cycles(cost: TaskCost, lanes: int) -> int:
     """Cycles for any task on a SIMD vector processor with ``lanes`` lanes."""
     if cost.op in MATRIX_OPS:
         return math.ceil(cost.macs / lanes)
     if cost.op in DATA_OPS:
         return 0  # data movement only; transfer time is accounted separately
-    if cost.op == OpType.SOFTMAX:
-        per_element = cc.softmax_exp + cc.softmax_acc + cc.softmax_div
-        return cost.softmax_rows * math.ceil(cost.softmax_width / lanes) * per_element
-    return math.ceil(cost.vector_ops / lanes) * getattr(cc, VECTOR_OPS[cost.op].cycle_field)
+    steps = (cost.softmax_rows * math.ceil(cost.softmax_width / lanes)
+             if cost.op == OpType.SOFTMAX else math.ceil(cost.vector_ops / lanes))
+    return steps * VECTOR_OPS[cost.op].cycles
 
 
-def task_cycles(cost: TaskCost, kind: str, size: int, cc: CycleConstants) -> int:
+def task_cycles(cost: TaskCost, kind: str, size: int) -> int:
     if kind == "array":
         return systolic_cycles(cost, size)
-    return vector_cycles(cost, size, cc)
+    return vector_cycles(cost, size)
 
 
 def mem_transfer_cycles(num_bytes: int, hw: HardwareConfig) -> int:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .fields import ANY, OMIT, REQUIRED, List, check, positive
+from .fields import ANY, REQUIRED, List, check, positive
 
 MB = 1 << 20
 SUPPORTED_DIMS = (16, 32, 64)
@@ -29,24 +29,6 @@ class ConfigError(Exception):
 
 class UndefinedOpForProcessor(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class CycleConstants:
-    """Per-element vector costs and the multi-cycle softmax stage costs."""
-
-    activation: int = 1
-    pooling: int = 1
-    add: int = 1
-    layernorm: int = 4
-    softmax_exp: int = 4
-    softmax_acc: int = 1
-    softmax_div: int = 8
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if type(value) is not int or value < 0:
-                raise ConfigError(f"cycle constant {name} must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,7 +58,6 @@ class HardwareConfig:
     hbm_bandwidth_bytes_per_s: float = 256e9  # per cluster-attached channel
     hbm_latency_cycles: int = 100
     clock_hz: float = 800e6
-    cycle_constants: CycleConstants = field(default_factory=CycleConstants)
 
     def __post_init__(self):
         if not self.clusters:
@@ -167,7 +148,6 @@ HW_FIELDS = {
     "hbm_gbps": (positive(1e9), 256),
     "hbm_latency_cycles": (ANY, 100),
     "clusters": (List(CLUSTER_FIELDS, "a list of clusters"), REQUIRED),
-    "cycle_constants": ({f.name: (ANY, OMIT) for f in fields(CycleConstants)}, {}),
 }
 
 
@@ -183,7 +163,7 @@ def load_hw_config(source: str | os.PathLike | dict) -> HardwareConfig:
                 doc = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read hardware config: {e}") from None
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"hardware config is not valid JSON: {e}") from None
     elif not isinstance(source, dict):
         raise ConfigError(f"hardware config source must be a path or a dict, "
@@ -196,5 +176,4 @@ def load_hw_config(source: str | os.PathLike | dict) -> HardwareConfig:
                        for cl in doc["clusters"]),
         hbm_bandwidth_bytes_per_s=doc["hbm_gbps"] * 1e9,
         hbm_latency_cycles=doc["hbm_latency_cycles"],
-        clock_hz=doc["clock_mhz"] * 1e6,
-        cycle_constants=CycleConstants(**doc["cycle_constants"]))
+        clock_hz=doc["clock_mhz"] * 1e6)

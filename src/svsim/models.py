@@ -438,7 +438,7 @@ def ingest_graph(text) -> ModelGraph:
     if isinstance(text, (str, bytes)):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise SchemaError(f"not valid JSON: {e}") from None
     doc = check(doc, MODEL_FIELDS, SchemaError, "model description")
 

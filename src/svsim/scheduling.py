@@ -29,12 +29,12 @@ import itertools
 import math
 import weakref
 from collections import deque
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .costs import (VECTOR_OPS, TaskCost, layer_cost, mem_transfer_cycles,
                     task_cycles)
-from .hardware import ClusterConfig, CycleConstants, HardwareConfig
+from .hardware import ClusterConfig, HardwareConfig
 from .models import MATRIX_OPS, LayerNode, ModelGraph, OpType
 
 
@@ -82,11 +82,10 @@ class SubLayerTask:
     # cycles per Processor.cycle_key; the template slice's dict, shared by all its tasks
     _cycles: dict = field(repr=False, compare=False)
 
-    def cycles_on(self, proc: Processor, cc: CycleConstants) -> int:
+    def cycles_on(self, proc: Processor) -> int:
         cycles = self._cycles.get(proc.cycle_key)
         if cycles is None:
-            cycles = self._cycles[proc.cycle_key] = task_cycles(
-                self.cost, proc.kind, proc.size, cc)
+            cycles = self._cycles[proc.cycle_key] = task_cycles(self.cost, proc.kind, proc.size)
         return cycles
 
 
@@ -282,7 +281,7 @@ class Processor:
     name: str
     kind: str  # "array" | "vector"
     size: int  # PE dim of an array, lane count of a vector processor
-    cycle_key: tuple  # (kind, size, cycle constants): all a task's cycles read
+    cycle_key: tuple  # (kind, size): all a task's cycles read
     busy_until: int = 0
 
 
@@ -327,9 +326,7 @@ class ClusterTable:
     def __init__(self, cluster: ClusterConfig, hw: HardwareConfig):
         self.cluster = cluster
         self.hw = hw
-        self.cc = hw.cycle_constants
-        cc = astuple(self.cc)
-        self.of_kind = {kind: [Processor(f"{kind}{i}", kind, size, (kind, size) + cc)
+        self.of_kind = {kind: [Processor(f"{kind}{i}", kind, size, (kind, size))
                                for i, size in enumerate(sizes)]
                         for kind, sizes in (("array", cluster.arrays),
                                             ("vector", cluster.vectors))}
@@ -599,7 +596,7 @@ def _estimate(table: ClusterTable, q: int, task: SubLayerTask, proc: Processor,
     t_mem, actions = plan
     t_proc = proc.busy_until
     t_start = _start(t_mem, t_task, proc, now)
-    t_comp = task.cycles_on(proc, table.cc)
+    t_comp = task.cycles_on(proc)
     return Placement(task, proc, q, t_mem, t_task, t_proc, t_start,
                      t_comp, t_start + t_comp, t_start - t_proc, actions)
 
@@ -640,7 +637,7 @@ def has_schedule(table: ClusterTable, now: int) -> Placement:
         raise NoReadyTask("no candidate tasks", not_before)
     nq = len(table.queues)
     vector_slack = vector_only < len(table.of_kind["vector"])
-    free, cc, rr_ptr = table.free, table.cc, table.rr_ptr
+    free, rr_ptr = table.free, table.rr_ptr
     best_idle = best_order = math.inf
     for q, task, op, t_task in heads:
         plan = table.plan_memory(task, now)
@@ -649,7 +646,7 @@ def has_schedule(table: ClusterTable, now: int) -> Placement:
         for kind in _KINDS[op][vector_slack]:
             p = free[kind]
             s = _start(t_mem, t_task, p, now)
-            e = s + task.cycles_on(p, cc)
+            e = s + task.cycles_on(p)
             if e <= t_end:  # the dedicated class, listed last, wins end-time ties
                 proc, t_start, t_end = p, s, e
         idle = t_start - proc.busy_until

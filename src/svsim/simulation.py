@@ -420,7 +420,7 @@ def verify_trace(trace: TraceLog, hw: HardwareConfig) -> list[str]:
                           f"runs non-matrix {task.cost.op.name}")
         else:  # an array has no cycle count for non-matrix work; the cycles are
             # recomputed, never read from the task (a cache would cost more than it saves)
-            want = task_cycles(task.cost, proc.kind, proc.size, hw.cycle_constants)
+            want = task_cycles(task.cost, proc.kind, proc.size)
             if t_end - t_start != want:
                 placed.append(f"{task.task_id}: runs {t_end - t_start} cycles on "
                               f"{proc.name}, its cost takes {want}")

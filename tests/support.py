@@ -18,14 +18,12 @@ from itertools import groupby
 from operator import attrgetter, itemgetter
 
 from svsim.costs import VECTOR_OPS, TaskCost, task_cycles
-from svsim.hardware import MB, ClusterConfig, CycleConstants, HardwareConfig
+from svsim.hardware import MB, ClusterConfig, HardwareConfig
 from svsim.models import MATRIX_OPS
 from svsim.scheduling import (ClusterTable, MemAction, NoReadyTask, ResidencyEntry,
                               SCHEDULERS, SubLayerTask, _estimate)
 from svsim.simulation import _residency_deltas
 from svsim.umf import OpType
-
-CC = CycleConstants()
 
 
 def make_cluster(num_arrays: int, array_dim: int, num_vectors: int,
@@ -255,7 +253,7 @@ def exhaustive_min_makespan(hw, queues_by_request):
                     mi += 1
                 else:
                     kind = "vector"
-                c = task_cycles(t.cost, kind, size[kind], CC)
+                c = task_cycles(t.cost, kind, size[kind])
                 dep_end = max((ends[d] for d in t.deps), default=0)
                 slot = min(range(len(free[kind])), key=lambda i: free[kind][i])
                 s = max(free[kind][slot], dep_end)
@@ -473,7 +471,7 @@ def reference_verify_trace(trace, hw) -> list[str]:
             key = (task.cost, kind, size)
             want = cycles.get(key)
             if want is None:
-                want = cycles[key] = task_cycles(task.cost, kind, size, hw.cycle_constants)
+                want = cycles[key] = task_cycles(task.cost, kind, size)
             if p.t_end - p.t_start != want:
                 problems.append(f"{task.task_id}: runs {p.t_end - p.t_start} cycles on "
                                 f"{p.proc.name}, its cost takes {want}")

@@ -89,6 +89,19 @@ def test_convert_rejects_unknown_op(tmp_path, capsys):
     assert "unknown op" in capsys.readouterr().err
 
 
+def test_convert_of_a_frame_is_one_error_line(tmp_path, capsys):
+    # a UMF frame given by mistake did not decode as UTF-8 and escaped main
+    # as a UnicodeDecodeError traceback (exit 1)
+    frame = tmp_path / "alexnet.umf"
+    assert main(["convert", ALEXNET, "-o", str(frame)]) == 0
+    before = frame.read_bytes()
+    capsys.readouterr()
+    assert main(["convert", str(frame)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {frame}: not valid JSON")
+    assert frame.read_bytes() == before
+
+
 def test_convert_rejects_a_non_string_model_name(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -234,6 +247,8 @@ def test_simulate_zero_model_size_exit_code(tmp_path, capsys, model, param):
     (("clock_mhz",), True), (("hbm_gbps",), True), (("hbm_gbps",), "64"),
     # finite as written, infinite once scaled to Hz, bytes/s or bytes
     (("clock_mhz",), 1e303), (("hbm_gbps",), 1e300), (("clusters", 0, "shared_mem_mb"), 1e303),
+    # a valid value of a key the loader no longer has
+    (("cycle_constants",), {"activation": 1}),
 ])
 def test_simulate_bad_hw_value_exit_code(tmp_path, capsys, path, value):
     doc = desk_hw_doc_with(path, value)
@@ -460,6 +475,21 @@ def test_sweep_recomputes_points_after_code_change(tmp_path, monkeypatch):
     assert failures == [] and len(ran) == len(rows) == 11
     assert not {r.pop("key") for r in rows} & {r.pop("key") for r in rows2}
     assert rows2 == rows
+
+
+def test_sweep_deletes_point_files_of_other_code(tmp_path, monkeypatch):
+    spec = load_sweep_spec(tiny_spec())
+    out = str(tmp_path / "shared")
+    points = os.path.join(out, "points")
+    run_sweep({**spec, "scheduler": "has"}, out)
+    run_sweep({**spec, "scheduler": "rr"}, out)
+    assert len(os.listdir(points)) == 22  # the same code keeps both schedulers' points
+    monkeypatch.setattr(cli, "code_digest", lambda: "c0de" * 16)
+    rows, failures = run_sweep({**spec, "scheduler": "rr"}, out)
+    assert failures == [] and len(rows) == 11
+    names = os.listdir(points)  # only the last sweep's, each named with its key
+    assert len(names) == 11 and all("__c0dec0de_" in name for name in names)
+    assert {name[-21:-5] for name in names} == {r["key"][:16] for r in rows}
 
 
 def test_run_sweep_loads_each_config_once(tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -8,15 +7,12 @@ from hypothesis import strategies as st
 from svsim.costs import (VECTOR_OPS, TaskCost, UnsupportedOp, layer_cost,
                          mem_transfer_cycles, systolic_cycles, task_cycles,
                          vector_cycles)
-from svsim.hardware import CycleConstants, PhysicalModel
+from svsim.hardware import PhysicalModel
 from svsim.models import DATA_OPS, MATRIX_OPS, builtin_model
 from svsim.umf import OpType
 
 from support import make_cluster, make_hw
 from systolic_reference import reference_gemm
-
-CC = CycleConstants()
-
 
 def matrix_cost(m, k, n, groups=1):
     return TaskCost(OpType.GEMM, macs=m * k * n * groups, matrix=(m, k, n, groups))
@@ -79,65 +75,71 @@ def test_vector_only_op_unsupported_on_array():
     with pytest.raises(UnsupportedOp):
         systolic_cycles(pool, 16)
     with pytest.raises(UnsupportedOp):
-        task_cycles(pool, "array", 16, CC)
+        task_cycles(pool, "array", 16)
 
 
 # --- vector timing -----------------------------------------------------------
 
 def test_elementwise_cycles():
     relu = TaskCost(OpType.ACTIVATION, vector_ops=4096)
-    assert vector_cycles(relu, 16, CycleConstants(activation=1)) == 256
+    assert vector_cycles(relu, 16) == 256
 
 
 def test_vector_matrix_one_mac_per_lane():
     gemm = TaskCost(OpType.GEMM, macs=8192, matrix=(8, 32, 32, 1))
-    assert vector_cycles(gemm, 16, CC) == 512
+    assert vector_cycles(gemm, 16) == 512
 
 
 def test_softmax_stage_cycles():
     sm = TaskCost(OpType.SOFTMAX, vector_ops=1024, softmax_rows=1, softmax_width=1024)
-    cc = CycleConstants(softmax_exp=4, softmax_acc=1, softmax_div=8)
-    assert vector_cycles(sm, 16, cc) == 832
+    assert vector_cycles(sm, 16) == 832
 
 
 def test_softmax_matches_unit_occupancy_reference():
     # scalar reference: walk each row in lane-wide chunks through the
     # exponent, accumulate, and divide units, counting occupied cycles
-    def reference(rows, width, lanes, cc):
+    def reference(rows, width, lanes):
         total = 0
         for _ in range(rows):
             remaining = width
             while remaining > 0:
                 remaining -= min(lanes, remaining)
-                total += cc.softmax_exp + cc.softmax_acc + cc.softmax_div
+                total += 4 + 1 + 8  # exponent, accumulate, divide
         return total
 
-    cc = CycleConstants()
     for rows, width, lanes in ((1, 1024, 16), (128, 128, 64), (7, 33, 32)):
         sm = TaskCost(OpType.SOFTMAX, vector_ops=rows * width,
                       softmax_rows=rows, softmax_width=width)
-        assert vector_cycles(sm, lanes, cc) == reference(rows, width, lanes, cc)
+        assert vector_cycles(sm, lanes) == reference(rows, width, lanes)
 
 
 def test_vector_op_table_covers_every_vector_op():
-    # one entry per op that is neither matrix nor data work, each naming a
-    # cycle constant (softmax's row stages set its cycles) and an energy row
+    # one entry per op that is neither matrix nor data work, each naming an
+    # energy row
     assert set(VECTOR_OPS) == set(OpType) - MATRIX_OPS - DATA_OPS
-    fields = {f.name for f in dataclasses.fields(CycleConstants)}
     rows = PhysicalModel().vector_pj
-    for op, v in VECTOR_OPS.items():
-        assert v.cycle_field in fields or (op, v.cycle_field) == (OpType.SOFTMAX, None)
+    for v in VECTOR_OPS.values():
         assert v.energy_row in rows
+
+
+# softmax's are its row stages: exponent 4, accumulate 1, divide 8
+@pytest.mark.parametrize("op,cycles", [(OpType.POOL, 1), (OpType.ACTIVATION, 1),
+                                       (OpType.LAYERNORM, 4), (OpType.ELEMENTWISE_ADD, 1),
+                                       (OpType.SOFTMAX, 13)])
+def test_vector_op_cycles_per_element(op, cycles):
+    assert VECTOR_OPS[op].cycles == cycles
+    one_row = TaskCost(op, vector_ops=64, softmax_rows=1, softmax_width=64)
+    assert vector_cycles(one_row, 64) == cycles  # one lane-wide step
 
 
 def test_data_ops_take_no_compute_cycles():
     c = TaskCost(OpType.RESHAPE, act_in_bytes=1024, act_out_bytes=1024)
-    assert vector_cycles(c, 16, CC) == 0
+    assert vector_cycles(c, 16) == 0
 
 
 def test_systolic_wins_at_scale_vector_owns_special_functions():
     big = matrix_cost(512, 512, 512)
-    assert systolic_cycles(big, 16) < vector_cycles(big, 64, CC)
+    assert systolic_cycles(big, 16) < vector_cycles(big, 64)
 
 
 # --- memory transfers ----------------------------------------------------------

@@ -2,10 +2,12 @@ import copy
 import functools
 import json
 import operator
+import os
+import re
 
 import pytest
 
-from svsim.hardware import (ClusterConfig, ConfigError, CycleConstants, HardwareConfig,
+from svsim.hardware import (ClusterConfig, ConfigError, HardwareConfig,
                             PhysicalModel, UndefinedOpForProcessor, energy_of,
                             load_hw_config, peak_gops, peak_performance,
                             total_area)
@@ -141,10 +143,32 @@ def test_hw_refuses_negative_latency():
         make_hw(1, make_cluster(1, 16, 1, 16, 45), hbm_latency_cycles=-1)
 
 
-@pytest.mark.parametrize("value", [-3, 1.5, True, "1"])
-def test_cycle_constants_are_integers_of_at_least_zero(value):
-    with pytest.raises(ConfigError, match="activation"):
-        CycleConstants(activation=value)
+def test_config_that_does_not_decode_is_bad_json(tmp_path):
+    # bytes that are not UTF-8 escaped as UnicodeDecodeError
+    path = tmp_path / "hw.json"
+    path.write_bytes(b'{"clock_mhz": 800\xff}')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_hw_config(str(path))
+
+
+# each a key no field table names, with a value that would be valid under it
+@pytest.mark.parametrize("path,value,key", [
+    (("cycle_constants",), {"activation": 1}, "cycle_constants"),
+    (("clock_hz",), 800e6, "clock_hz"),
+    (("clusters", 0, "lanes"), 64, "lanes"),
+])
+def test_config_refuses_unknown_keys(path, value, key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        load_hw_config(desk_hw_doc_with(path, value))
+
+
+def test_readme_hardware_config_example_loads():
+    # the example under README's "Hardware config (JSON)" heading
+    with open(os.path.join(os.path.dirname(DESK_HW), "..", "README.md")) as f:
+        readme = f.read()
+    section = readme[readme.index("**Hardware config (JSON)**"):]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert isinstance(load_hw_config(json.loads(example)), HardwareConfig)
 
 
 # each a JSON value that is not an integer, or an integer out of range

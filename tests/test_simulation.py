@@ -197,7 +197,7 @@ def test_verify_trace_times_a_task_by_its_processors_kind_and_size():
     p = trace.executions[0]
     # the cycle key stays the old processor's, so a lookup by it finds nothing wrong
     proc = dataclasses.replace(p.proc, size=2 * p.proc.size)
-    want = task_cycles(p.task.cost, proc.kind, proc.size, hw.cycle_constants)
+    want = task_cycles(p.task.cost, proc.kind, proc.size)
     assert want != p.t_end - p.t_start
     trace.executions[0] = dataclasses.replace(p, proc=proc)
     assert verify_trace(trace, hw) == [
@@ -312,18 +312,6 @@ def test_templates_never_shared_between_graphs_under_one_model_key():
     w = single_model_workload("tiny", n=2)
     runs = [((w, hw), {"graphs": {"tiny": g}})
             for g in (tiny_gemm_graph(), tiny_gemm_graph(64, 32, 48))]
-    cold = _cold_digests(runs)
-    assert cold[0] != cold[1]
-    assert _warm_digests(runs) == cold
-
-
-def test_templates_keep_cycle_counts_per_cycle_constants():
-    with open(DESK_HW) as f:
-        doc = json.load(f)
-    slow = dict(doc, cycle_constants={"activation": 3, "pooling": 2, "layernorm": 9,
-                                      "softmax_exp": 7})
-    w = generate(0.5, 6, 1)
-    runs = [((w, load_hw_config(d)), {}) for d in (doc, slow)]
     cold = _cold_digests(runs)
     assert cold[0] != cold[1]
     assert _warm_digests(runs) == cold
